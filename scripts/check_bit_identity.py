@@ -10,6 +10,15 @@ every statistic, down to the last misspeculation counter -- are
 identical.  For observed runs the collected metrics rows must match as
 well.
 
+Two further checks ride along.  The *lifecycle* cases drive the default
+kernel and the reference through the same schedule while an observer,
+profiler or fault state is attached or detached mid-run -- the moments
+``Router._bind_step`` reselects the dispatched step -- and compare the
+delivery stream, the network totals and the complete post-run network
+state (:func:`net_state`).  The UGAL check compares the routing hop
+tables against ``row_port``/``col_port`` over every (router, target)
+pair.
+
 This is the command-line face of the equivalence harness (the pytest
 face lives in ``tests/perf/test_kernel_equivalence.py``); CI runs it
 with ``--quick``, and any optimisation work on the fast or compiled
@@ -19,7 +28,7 @@ kernels should keep it green at full depth:
         [--kernel NAME ...]
 
 ``--kernel`` restricts the kernels under test; names are validated
-against the kernel registry (``repro.netsim.codegen.KERNELS``) and an
+against the kernel registry (``repro.netsim.kernels.KERNELS``) and an
 unknown name exits with status 2 listing the available kernels.
 
 Exit status 0 iff every point is identical.
@@ -32,10 +41,18 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.arbiters import (
+    FixedPriorityArbiter,
+    MatrixArbiter,
+    RoundRobinArbiter,
+    TreeArbiter,
+)
 from repro.faults.plan import FaultPlan, LinkFault, StuckVC
-from repro.netsim.codegen import KERNELS
+from repro.netsim.kernels import DEFAULT_KERNEL, KERNELS
+from repro.netsim.routing.ugal import UGALRouting
 from repro.netsim.simulator import SimulationConfig, build_network, run_simulation
 from repro.obs.observer import SimObserver
+from repro.obs.profiling import PhaseProfiler
 
 # Kernels compared against "reference" when --kernel is not given.
 DEFAULT_KERNELS = ("fast", "compiled")
@@ -54,6 +71,24 @@ FAULT_PLAN = FaultPlan(
 )
 
 
+def design_point(arch: str, topo: str, faults: Optional[FaultPlan] = None) -> SimulationConfig:
+    """One design point of the matrix at the script's windows."""
+    arbiter = "m" if arch == "sep_of" else "rr"
+    return SimulationConfig(
+        topology=topo,
+        vcs_per_class=2,
+        injection_rate=0.30,
+        vc_alloc_arch=arch,
+        vc_alloc_arbiter=arbiter,
+        sw_alloc_arch=arch,
+        sw_alloc_arbiter=arbiter,
+        speculation="pessimistic" if arch != "sep_of" else "conventional",
+        seed=11,
+        faults=faults,
+        **WINDOWS,
+    )
+
+
 def config_matrix(quick: bool) -> List[Tuple[str, SimulationConfig, bool]]:
     """(label, config, observed) triples for the sweep."""
     points: List[Tuple[str, SimulationConfig, bool]] = []
@@ -67,20 +102,7 @@ def config_matrix(quick: bool) -> List[Tuple[str, SimulationConfig, bool]]:
                         # Quick mode: plain and fully-loaded points
                         # only (arch x topo coverage is preserved).
                         continue
-                    arbiter = "m" if arch == "sep_of" else "rr"
-                    cfg = SimulationConfig(
-                        topology=topo,
-                        vcs_per_class=2,
-                        injection_rate=0.30,
-                        vc_alloc_arch=arch,
-                        vc_alloc_arbiter=arbiter,
-                        sw_alloc_arch=arch,
-                        sw_alloc_arbiter=arbiter,
-                        speculation="pessimistic" if arch != "sep_of" else "conventional",
-                        seed=11,
-                        faults=FAULT_PLAN if faulted else None,
-                        **WINDOWS,
-                    )
+                    cfg = design_point(arch, topo, FAULT_PLAN if faulted else None)
                     label = (
                         f"{arch}/{topo}"
                         f"{'/faults' if faulted else ''}"
@@ -137,6 +159,208 @@ def run_point(
         payloads[kernel] = result.to_payload()
         rows[kernel] = obs.rows if obs is not None else None
     return payloads, rows
+
+
+# ----------------------------------------------------------------------
+# complete network state
+# ----------------------------------------------------------------------
+def arb_state(arb):
+    """Complete priority state of an arbiter, as a comparable value."""
+    if isinstance(arb, RoundRobinArbiter):
+        return ("rr", arb.pointer)
+    if isinstance(arb, MatrixArbiter):
+        return ("m", tuple(tuple(row) for row in arb._beats))
+    if isinstance(arb, TreeArbiter):
+        return (
+            "tree",
+            tuple(arb_state(a) for a in arb._group_arbs),
+            arb_state(arb._top_arb),
+        )
+    assert isinstance(arb, FixedPriorityArbiter)
+    return ("fixed",)
+
+
+def sw_state(alloc):
+    state = [arb_state(a) for a in alloc._vc_arbs]
+    state += [arb_state(a) for a in alloc._port_arbs]
+    if alloc._wavefront is not None:
+        state.append(("wf", alloc._wavefront.priority_diagonal))
+    return state
+
+
+def vc_state(alloc):
+    state = [arb_state(a) for a in alloc._input_arbs]
+    state += [arb_state(a) for a in alloc._output_arbs]
+    state += [("wf", wf.priority_diagonal) for wf in alloc._wavefronts]
+    return state
+
+
+def net_state(net):
+    """Complete comparable state of every router in a network.
+
+    Packet ids come from a process-global counter, so they are
+    normalized to first-seen order; everything else (arbiter
+    priorities, credits, buffer contents, holder registers, counters)
+    is compared verbatim.
+    """
+    pidmap: Dict[int, int] = {}
+
+    def norm(pid):
+        return pidmap.setdefault(pid, len(pidmap))
+
+    state = []
+    for r in net.routers:
+        state.append(
+            {
+                "busy": sorted(r._busy),
+                "credits": [list(c) for c in r.credits],
+                "holder": [list(h) for h in r.output_holder],
+                "counters": (
+                    r.switch_grants,
+                    r.speculative_wins,
+                    r.misspeculations,
+                ),
+                "ivc": [
+                    (
+                        ivc.output_port,
+                        ivc.output_vc,
+                        [norm(f.packet.pid) for f in ivc.queue],
+                    )
+                    for port in r.input_vcs
+                    for ivc in port
+                ],
+                "va": vc_state(r.vc_alloc),
+                "sa": [
+                    sw_state(core)
+                    for core in (
+                        r.sw_alloc._nonspec_alloc,
+                        r.sw_alloc._spec_alloc,
+                    )
+                    if core is not None
+                ],
+            }
+        )
+    return state
+
+
+# ----------------------------------------------------------------------
+# lifecycle cases: attach/detach while the run is in flight
+# ----------------------------------------------------------------------
+def attach_faults(net, cfg: SimulationConfig, obs: Optional[SimObserver] = None) -> None:
+    """Materialize :data:`FAULT_PLAN` for ``cfg``'s schedule and attach it."""
+    net.attach_fault_state(
+        FAULT_PLAN.materialize(
+            [r.num_ports for r in net.routers],
+            net.routers[0].num_vcs,
+            cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles,
+        )
+    )
+
+
+#: name -> (what happens at cycle 0, at the end of warmup, at the end of
+#: the measurement window); each action is ``fn(net, cfg, obs)`` or None,
+#: ``obs`` being the run's one observer, attached or not.
+LIFECYCLE_CASES = {
+    "attach-observer-mid-run": (
+        None,
+        lambda net, cfg, obs: net.attach_observer(obs),
+        None,
+    ),
+    "detach-observer": (
+        lambda net, cfg, obs: net.attach_observer(obs),
+        lambda net, cfg, obs: net.attach_observer(None),
+        None,
+    ),
+    "attach-then-detach-profiler": (
+        None,
+        lambda net, cfg, obs: net.attach_profiler(PhaseProfiler()),
+        lambda net, cfg, obs: net.attach_profiler(None),
+    ),
+    "attach-faults-after-warmup": (None, attach_faults, None),
+}
+
+
+def lifecycle_matrix(quick: bool) -> List[Tuple[str, SimulationConfig, str]]:
+    """(label, config, case name) triples for the lifecycle check."""
+    if quick:
+        points = [("wf", "mesh"), ("sep_if", "fbfly")]
+    else:
+        points = [(a, t) for a in ("sep_if", "sep_of", "wf") for t in ("mesh", "fbfly")]
+    return [
+        (f"{arch}/{topo}/{case}", design_point(arch, topo), case)
+        for arch, topo in points
+        for case in LIFECYCLE_CASES
+    ]
+
+
+def run_lifecycle(cfg: SimulationConfig, case: str, kernel: str) -> Tuple[dict, list]:
+    """Drive ``cfg``'s full schedule on ``kernel`` through one
+    lifecycle case; returns ``(payload, net_state)``."""
+    net = build_network(cfg, kernel=kernel)
+    deliveries: List[tuple] = []
+    net.on_delivery = lambda pkt, now: deliveries.append(
+        (pkt.src, pkt.dest, pkt.message_class, pkt.birth_time, now)
+    )
+    observer = SimObserver(sample_every=100)
+    observer.run_started(cfg)
+    phases = (cfg.warmup_cycles, cfg.measure_cycles, cfg.drain_cycles)
+    for action, cycles in zip(LIFECYCLE_CASES[case], phases):
+        if action is not None:
+            action(net, cfg, observer)
+        net.run(cycles)
+    observer.run_finished(net, cfg)
+    payload = {
+        "deliveries": deliveries,
+        "injected_flits": net.total_injected_flits(),
+        "ejected_flits": net.total_ejected_flits(),
+        "switch_grants": net.total_switch_grants(),
+        "speculative_wins": net.total_speculative_wins(),
+        "misspeculations": net.total_misspeculations(),
+        "in_flight_flits": net.in_flight_flits(),
+        "in_flight_credits": net.in_flight_credits(),
+        "observer_rows": observer.rows,
+        "fault_counters": (
+            net.fault_state.summary() if net.fault_state is not None else None
+        ),
+    }
+    return payload, net_state(net)
+
+
+def lifecycle_problems(cfg: SimulationConfig, case: str, kernel: str = DEFAULT_KERNEL) -> List[str]:
+    """Differences between ``kernel`` and the reference on one case."""
+    got, got_state = run_lifecycle(cfg, case, kernel)
+    ref, ref_state = run_lifecycle(cfg, case, "reference")
+    problems = diff_payloads(got, ref, kernel)
+    if got_state != ref_state:
+        bad = [i for i, (a, b) in enumerate(zip(got_state, ref_state)) if a != b]
+        problems.append(f"  post-run network state differs at router(s) {bad}")
+    return problems
+
+
+def ugal_hop_table_problems(shapes=((4, 4, 4), (2, 3, 2), (3, 1, 1))) -> List[str]:
+    """Exhaustive check of the UGAL hop tables against the port
+    arithmetic they were built from (``row_port`` / ``col_port``)."""
+    problems = []
+    for rows, cols, conc in shapes:
+        routing = UGALRouting(rows, cols, conc)
+        for a in range(rows * cols):
+            for b in range(rows * cols):
+                (r1, c1), (r2, c2) = divmod(a, cols), divmod(b, cols)
+                dest = b * conc + (a + b) % conc  # some terminal of router b
+                if c1 != c2:
+                    want = routing.row_port(a, c2)
+                elif r1 != r2:
+                    want = routing.col_port(a, r2)
+                else:
+                    want = dest % conc
+                got = routing.first_hop_port(a, b, dest)
+                hops = (c1 != c2) + (r1 != r2)
+                if got != want or routing.hops(a, b) != hops:
+                    problems.append(
+                        f"  {rows}x{cols}c{conc} {a}->{b}: port {got} (want "
+                        f"{want}), hops {routing.hops(a, b)} (want {hops})"
+                    )
+    return problems
 
 
 def diff_payloads(got: dict, ref: dict, name: str = "fast") -> List[str]:
@@ -199,10 +423,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     failures = 0
+
+    def report(label: str, problems: List[str], t0: float) -> None:
+        nonlocal failures
+        if problems:
+            failures += 1
+            print(f"MISMATCH {label}")
+            for line in problems:
+                print(line)
+        elif args.verbose:
+            print(f"ok {label} ({time.perf_counter() - t0:.1f}s)")
+
     for label, cfg, observed in points:
         t0 = time.perf_counter()
         payloads, rows = run_point(cfg, observed, under_test)
-        dt = time.perf_counter() - t0
         problems = []
         for kernel in under_test:
             problems += diff_payloads(
@@ -210,19 +444,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             if observed and rows[kernel] != rows["reference"]:
                 problems.append(f"  observer metrics rows differ ({kernel})")
-        if problems:
-            failures += 1
-            print(f"MISMATCH {label}")
-            for line in problems:
-                print(line)
-        elif args.verbose:
-            print(f"ok {label} ({dt:.1f}s)")
+        report(label, problems, t0)
 
-    total = len(points)
+    # Bind-time step selection: only the default kernel switches step
+    # when something is attached, so the cases run when it is under test.
+    cases = lifecycle_matrix(args.quick) if DEFAULT_KERNEL in under_test else []
+    for label, cfg, case in cases:
+        t0 = time.perf_counter()
+        report(label, lifecycle_problems(cfg, case), t0)
+    report("ugal hop tables", ugal_hop_table_problems(), time.perf_counter())
+
+    total = len(points) + len(cases) + 1
     if failures:
-        print(f"{failures}/{total} design points differ between kernels")
+        print(f"{failures}/{total} checks differ between kernels")
         return 1
-    print(f"ALL IDENTICAL ({total} design points, "
+    print(f"ALL IDENTICAL ({len(points)} design points, {len(cases)} "
+          f"lifecycle cases on {DEFAULT_KERNEL}, ugal hop tables; "
           f"kernels: {', '.join(under_test)} vs reference)")
     return 0
 

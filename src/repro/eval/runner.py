@@ -51,6 +51,7 @@ from ..netsim.simulator import (
     SIMULATOR_REV,
     SimulationConfig,
     SimulationResult,
+    prewarm_kernels,
     run_simulation,
     run_simulation_worker,
 )
@@ -761,6 +762,14 @@ class ProcessPoolScheduler(PointScheduler):
         self.worker_fn = worker_fn or run_simulation_worker
 
     def run(self, configs, pending, record, fail, stats) -> None:
+        # Forked children inherit the parent's compiled kernels, so pay
+        # codegen once per design point here rather than once per
+        # point process.  A custom worker_fn may never simulate.
+        if (
+            self.worker_fn is run_simulation_worker
+            and mp.get_start_method() == "fork"
+        ):
+            prewarm_kernels(configs[i] for i in pending)
         _run_hardened_pool(
             configs, pending, self.jobs, record, fail, stats,
             self.timeout, self.retries, self.backoff, self.worker_fn,

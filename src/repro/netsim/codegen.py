@@ -12,18 +12,19 @@ router sharing a design point reuses the same factory.
 Bit-identity contract: the generated step replicates
 :meth:`Router._allocation_step_fast` exactly -- same grants, same arbiter
 state evolution, same event-list append order -- for fault-free,
-unobserved cycles.  When an observer or fault state is attached the
-generated step de-specializes by delegating to the fast kernel, whose
-hook semantics are the reference for instrumented runs.  The three-kernel
-equivalence matrix in ``tests/perf`` and ``scripts/check_bit_identity.py``
-pin this contract.
+unobserved cycles.  It carries no observer or fault hooks at all: while
+an observer or fault state is attached, :meth:`Router._bind_step`
+dispatches to the fast kernel instead, whose hook semantics are the
+reference for instrumented runs.  The three-kernel equivalence matrix in
+``tests/perf`` and ``scripts/check_bit_identity.py`` pin this contract.
 
 Each spec renders in two variants: the default one carries no phase
-hooks at all (a profiler attach re-bootstraps into the other variant,
-so unprofiled cycles pay exactly one extra ``profiler is None`` check),
-and the *profiled* variant emits ``repro.obs.profiling`` phase marks
-(routing / vc_alloc / link_traversal) inline.  Both variants are cached
-per ``(spec, profiled)`` and both are rendered for the source linter.
+hooks, and the *profiled* variant emits ``repro.obs.profiling`` phase
+marks (routing / vc_alloc / link_traversal) inline against the profiler
+bound when the step was made.  Which one runs is likewise decided by
+:meth:`Router._bind_step` when a profiler is attached or detached, not
+per cycle.  Both variants are cached per ``(spec, profiled)`` and both
+are rendered for the source linter.
 
 The generated source is inspectable via ``repro bench --dump-kernel``.
 It deliberately imports nothing and reads no clocks or RNGs; the repo
@@ -36,21 +37,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple
 
+from .kernels import DEFAULT_KERNEL, KERNELS
+
 __all__ = [
     "KERNELS",
+    "DEFAULT_KERNEL",
     "CodegenUnsupported",
     "KernelSpec",
     "spec_for_router",
     "generate_source",
     "source_for",
     "kernel_factory",
-    "compiled_step_for",
     "template_specs",
     "iter_template_sources",
 ]
-
-#: Registry of selectable simulation kernels, in oracle-first order.
-KERNELS: Tuple[str, ...] = ("reference", "fast", "compiled")
 
 
 class CodegenUnsupported(ValueError):
@@ -100,27 +100,31 @@ class KernelSpec:
 def spec_for_router(router) -> KernelSpec:
     """Derive the :class:`KernelSpec` of a constructed router.
 
-    Raises :class:`CodegenUnsupported` for configurations the generator
-    does not model (see the class docstring).
+    Raises :class:`CodegenUnsupported`, naming the router and the
+    offending field, for configurations the generator does not model
+    (see the class docstring).
     """
     va = router.vc_alloc
     sw = router.sw_alloc
     part = router.partition
     if not va.sparse:
-        raise CodegenUnsupported("compiled kernel requires sparse VC allocation")
-    if va.arch == "wf":
-        for wf in va._wavefronts:
-            if not wf.rotate_priority:
-                raise CodegenUnsupported(
-                    "compiled kernel requires rotating wavefront priority"
-                )
+        raise CodegenUnsupported(
+            f"router {router.id}: the compiled kernel requires sparse VC "
+            "allocation, but vc_alloc.sparse is False"
+        )
     ns_core = sw._nonspec_alloc
-    for core in (ns_core, sw._spec_alloc):
+    wavefronts = [("vc_alloc", wf) for wf in va._wavefronts]
+    for name in ("_nonspec_alloc", "_spec_alloc"):
+        core = getattr(sw, name)
         if core is not None and core._wavefront is not None:
-            if not core._wavefront.rotate_priority:
-                raise CodegenUnsupported(
-                    "compiled kernel requires rotating wavefront priority"
-                )
+            wavefronts.append((f"sw_alloc.{name}", core._wavefront))
+    for owner, wf in wavefronts:
+        if not wf.rotate_priority:
+            raise CodegenUnsupported(
+                f"router {router.id}: the compiled kernel requires rotating "
+                f"wavefront priority, but a {owner} wavefront has "
+                "rotate_priority=False"
+            )
     return KernelSpec(
         num_ports=router.num_ports,
         num_message_classes=part.num_message_classes,
@@ -192,9 +196,9 @@ class _Gen:
 
     ``profiled=True`` renders the phase-hook variant: every routing
     call, VC-allocation core and inlined departure is bracketed with
-    ``_prof.begin()`` / ``_prof.phase(...)`` marks.  The default render
-    contains no profiling code at all beyond the entry-point
-    de-specialization check.
+    ``_prof.begin()`` / ``_prof.phase(...)`` marks against the profiler
+    bound by ``make_step``.  The default render contains no profiling
+    code at all.
     """
 
     def __init__(self, spec: KernelSpec, profiled: bool = False) -> None:
@@ -874,12 +878,14 @@ class _Gen:
         e.line("_ivc_flat = router._ivc_flat")
         e.line("_credits = router.credits")
         e.line("_holder = router.output_holder")
-        # Split the departure link tuples once: event-tuple prefixes and
-        # precomputed landing delays (flit lands at now + 2 + latency).
-        e.line("_out_pre = [None if _l is None else _l[:3] for _l in router.out_links]")
-        e.line("_out_del = [None if _l is None else _l[3] + 2 for _l in router.out_links]")
-        e.line("_up_pre = [None if _l is None else _l[:3] for _l in router.upstream]")
-        e.line("_up_del = [None if _l is None else _l[3] + 2 for _l in router.upstream]")
+        # The router's pre-split link tables (event-tuple prefixes and
+        # landing delays), filled in place as the topology is wired.
+        e.line("_out_pre = router._out_pre")
+        e.line("_out_del = router._out_del")
+        e.line("_up_pre = router._up_pre")
+        e.line("_up_del = router._up_del")
+        if self.profiled:
+            e.line("_prof = router.profiler")
         e.line("_port_flits = router.port_flits")
         e.line("_sa = router.sw_alloc._nonspec_alloc")
         e.line("_sa_vc_arbs = _sa._vc_arbs")
@@ -924,27 +930,6 @@ class _Gen:
         e = self.e
         spec = self.spec
         P, V = self.P, self.V
-        # De-specialize when instrumentation or fault injection is live:
-        # the fast kernel's hook sites are the contract for those runs.
-        e.line("if _router.observer is not None or _router.fault_state is not None:")
-        e.push()
-        e.line("return _router._allocation_step_fast(network, now)")
-        e.pop()
-        # Variant switch: each render matches exactly one profiler state;
-        # a mismatch re-bootstraps into the other cached variant (the
-        # bootstrap picks by ``profiler is not None``, so this cannot
-        # recurse).
-        if self.profiled:
-            e.line("_prof = _router.profiler")
-            e.line("if _prof is None:")
-            e.push()
-            e.line("return _router._compiled_bootstrap(network, now)")
-            e.pop()
-        else:
-            e.line("if _router.profiler is not None:")
-            e.push()
-            e.line("return _router._compiled_bootstrap(network, now)")
-            e.pop()
         # Scalar fast path for the dominant cycle shape: exactly one busy
         # VC that already holds an output VC.  No sorting and no request
         # lists -- grant, depart and return with plain locals.  A waiting
@@ -1663,14 +1648,6 @@ def kernel_factory(spec: KernelSpec, profiled: bool = False) -> Callable:
         fn = ns["make_step"]
         _FACTORIES[key] = fn
     return fn
-
-
-def compiled_step_for(router) -> Callable:
-    """Build the specialized ``step(network, now)`` bound to ``router``,
-    selecting the variant matching its current profiler state."""
-    return kernel_factory(
-        spec_for_router(router), router.profiler is not None
-    )(router)
 
 
 def iter_template_sources() -> Iterator[Tuple[str, str]]:

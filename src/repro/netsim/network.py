@@ -61,10 +61,10 @@ class Network:
         terminal (pass ``None`` to detach)."""
         self.observer = observer
         for router in self.routers:
-            router.observer = observer
-            # An observer expects per-cycle stall events; drop any
-            # fast-kernel stall latch so the generic path runs again.
-            router._alloc_idle = False
+            # Rebinds the step (observed cycles run the fast kernel) and
+            # drops any stall latch: an observer expects per-cycle stall
+            # events, so the generic path must run again.
+            router.attach_observer(observer)
         for terminal in self.terminals:
             terminal.observer = observer
 
@@ -72,31 +72,15 @@ class Network:
         """Wire a :class:`repro.obs.profiling.PhaseProfiler` into the
         network and every router (pass ``None`` to detach).
 
-        Compiled routers need no explicit re-specialization: the
-        generated step's entry checks ``profiler`` every cycle and
-        re-bootstraps into the matching (profiled/unprofiled) variant.
+        Compiled routers rebind to the matching (profiled/unprofiled)
+        generated variant here, once, rather than testing ``profiler``
+        every cycle.
         """
         self.profiler = profiler
         for router in self.routers:
-            router.profiler = profiler
-            # The profiled network loop marks every allocation segment;
-            # drop any fast-kernel stall latch so it runs again.
-            router._alloc_idle = False
-
-    def set_kernel(self, kernel: str) -> None:
-        """Select the allocation kernel on every router; the registry of
-        valid names is :data:`repro.netsim.codegen.KERNELS` ("reference",
-        "fast", "compiled"); see :attr:`repro.netsim.router.Router.kernel`."""
-        from .codegen import KERNELS
-
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown simulation kernel {kernel!r}; "
-                f"expected one of {', '.join(KERNELS)}"
-            )
-        for router in self.routers:
-            router.kernel = kernel
-            router._alloc_idle = False  # latch belongs to the fast kernel
+            # Also drops any stall latch: the profiled network loop
+            # marks every allocation segment, so it must run again.
+            router.attach_profiler(profiler)
 
     def attach_fault_state(self, fault_state) -> None:
         """Wire a :class:`repro.faults.FaultState` into the network and
@@ -195,9 +179,9 @@ class Network:
         for router in self.routers:
             # allocation_step with its guards hoisted: skip empty or
             # latched-idle routers without a call (the idle latch is
-            # only ever set by the fast kernel, so reference runs see a
-            # plain busy check), and dispatch straight to the selected
-            # kernel's step method.
+            # never set by the reference kernel, so reference runs see a
+            # plain busy check), and dispatch straight to the step
+            # Router._bind_step selected.
             if router._busy and not router._alloc_idle:
                 router._alloc_step(self, now)
 

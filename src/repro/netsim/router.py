@@ -26,6 +26,7 @@ from ..core.vc_allocator import VCAllocator, VCRequest
 from ..core.vc_partition import VCPartition
 from .buffers import InputVC
 from .flit import Flit
+from .kernels import DEFAULT_KERNEL, KERNELS
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.observer import SimObserver
@@ -54,7 +55,7 @@ class Router:
         speculation: str = "pessimistic",
         buffer_depth: int = 8,
         lookahead: bool = True,
-        kernel: str = "fast",
+        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         self.id = router_id
         self.num_ports = num_ports
@@ -67,15 +68,6 @@ class Router:
         #: a head flit spends one cycle in a routing stage before it can
         #: request a VC (the ablation baseline).
         self.lookahead = lookahead
-        #: Allocation kernel: ``"fast"`` (sparse request generation and
-        #: sparse allocator cores) or ``"reference"`` (the original dense
-        #: implementation).  Both produce bit-identical simulations --
-        #: the differential harness in ``tests/perf`` enforces this --
-        #: so ``"reference"`` exists as the equivalence oracle and as a
-        #: debugging fallback, selectable via ``run_simulation(...,
-        #: kernel=...)`` / ``repro simulate --kernel``.  (A property:
-        #: assignment also rebinds the dispatched step method.)
-        self.kernel = kernel
 
         P, V = num_ports, self.num_vcs
         self.input_vcs: List[List[InputVC]] = [
@@ -94,6 +86,15 @@ class Router:
         # upstream[p] = (kind, object, neighbor's output port, latency)
         # for credit return.
         self.upstream: List[Optional[Tuple[str, object, int, int]]] = [None] * P
+        # The same two tables pre-split for the departure path: the
+        # event-tuple prefix ``(kind, object, port)`` and the landing
+        # delay ``2 + latency``.  connect_output()/connect_upstream()
+        # fill them in place, so a generated step made before the
+        # topology is wired sees the links once they exist.
+        self._out_pre: List[Optional[Tuple[str, object, int]]] = [None] * P
+        self._out_del: List[Optional[int]] = [None] * P
+        self._up_pre: List[Optional[Tuple[str, object, int]]] = [None] * P
+        self._up_del: List[Optional[int]] = [None] * P
 
         self.vc_alloc = VCAllocator(
             P, partition, arch=vc_alloc_arch, arbiter=vc_alloc_arbiter, sparse=True
@@ -153,38 +154,80 @@ class Router:
         # unprofiled runs are bit-identical and pay no clock reads.
         self.profiler = None
 
+        # Last: binding the compiled step closes over the state above.
+        self.kernel = kernel
+
     # ------------------------------------------------------------------
     @property
     def kernel(self) -> str:
+        """Allocation kernel, one of :data:`repro.netsim.kernels.KERNELS`.
+
+        ``"compiled"`` (the default, :data:`DEFAULT_KERNEL`) runs a step
+        generated for this router's design point
+        (:mod:`repro.netsim.codegen`); ``"fast"`` is the hand-written
+        sparse step, which also serves every cycle of a compiled router
+        while an observer or fault state is attached (its hook sites are
+        the contract for instrumented runs); ``"reference"`` is the
+        original dense implementation.  All three produce bit-identical
+        simulations -- the differential harness in ``tests/perf``
+        enforces this -- so ``"fast"`` and ``"reference"`` exist as
+        equivalence oracles and debugging fallbacks, selectable via
+        ``run_simulation(..., kernel=...)`` and ``repro bench --kernel``.
+        Assignment rebinds the dispatched step (:meth:`_bind_step`).
+        """
         return self._kernel
 
     @kernel.setter
     def kernel(self, value: str) -> None:
-        # Rebinding the dispatch target here lets the network's cycle
-        # loop call ``_alloc_step`` directly, skipping a per-router
-        # per-cycle wrapper frame and string compare.
+        if value not in KERNELS:
+            raise ValueError(
+                f"unknown simulation kernel {value!r}; "
+                f"expected one of {', '.join(KERNELS)}"
+            )
         self._kernel = value
-        if value == "fast":
+        self._bind_step()
+
+    def _bind_step(self) -> None:
+        """Pick the step the network's cycle loop dispatches to.
+
+        Runs when the kernel is selected and whenever an observer, fault
+        state or profiler is attached or detached, so the per-cycle loop
+        calls ``_alloc_step`` directly -- no wrapper frame, no string
+        compare and no per-cycle instrumentation tests.  A router the
+        generator cannot specialize raises
+        :class:`~repro.netsim.codegen.CodegenUnsupported` here.
+        """
+        kernel = self._kernel
+        if kernel == "fast":
             self._alloc_step = self._allocation_step_fast
-        elif value == "compiled":
-            # Deferred: the setter runs from __init__ before the state
-            # arrays the generated closure binds exist, so the first
-            # allocation cycle triggers codegen and rebinds itself.
-            self._alloc_step = self._compiled_bootstrap
-        else:
+        elif kernel == "reference":
             self._alloc_step = self._allocation_step_reference
+        else:  # compiled
+            from .codegen import kernel_factory, spec_for_router
 
-    def _compiled_bootstrap(self, network: "Network", now: int) -> None:
-        """First-call shim for the ``compiled`` kernel: generate (or
-        fetch from the per-spec cache) the specialized step, rebind the
-        dispatch target, and run the cycle."""
-        from .codegen import compiled_step_for
-
-        step = compiled_step_for(self)
-        self._alloc_step = step
-        step(network, now)
+            # Checked even when the fast step is about to serve: an
+            # unsupported router must not wait for a detach to say so.
+            spec = spec_for_router(self)
+            if self.observer is not None or self.fault_state is not None:
+                self._alloc_step = self._allocation_step_fast
+            else:
+                make_step = kernel_factory(spec, self.profiler is not None)
+                self._alloc_step = make_step(self)
+        # The stall latch is only valid for the step that set it.
+        self._alloc_idle = False
 
     # ------------------------------------------------------------------
+    def attach_observer(self, observer: Optional["SimObserver"]) -> None:
+        """Wire a :class:`repro.obs.SimObserver` in (``None`` detaches)."""
+        self.observer = observer
+        self._bind_step()
+
+    def attach_profiler(self, profiler) -> None:
+        """Wire a :class:`repro.obs.profiling.PhaseProfiler` in (``None``
+        detaches); a compiled router switches generated variant."""
+        self.profiler = profiler
+        self._bind_step()
+
     def attach_fault_state(self, fault_state) -> None:
         """Wire a :class:`repro.faults.FaultState` into this router.
 
@@ -193,7 +236,7 @@ class Router:
         to the faults that actually touch this router.
         """
         self.fault_state = fault_state
-        self._alloc_idle = False
+        self._bind_step()
         if fault_state is None:
             self._stuck_by_port = None
             self.vc_alloc.fault_mask = None
@@ -213,6 +256,8 @@ class Router:
     ) -> None:
         """Attach output ``port`` to a neighbor router or terminal."""
         self.out_links[port] = (kind, neighbor, dest_port, latency)
+        self._out_pre[port] = (kind, neighbor, dest_port)
+        self._out_del[port] = 2 + latency
 
     def connect_upstream(
         self, port: int, kind: str, neighbor: object, neighbor_port: int, latency: int
@@ -223,6 +268,8 @@ class Router:
         input, i.e. the index into its credit table.
         """
         self.upstream[port] = (kind, neighbor, neighbor_port, latency)
+        self._up_pre[port] = (kind, neighbor, neighbor_port)
+        self._up_del[port] = 2 + latency
 
     # ------------------------------------------------------------------
     # flit/credit ingress (called by the network event loop)
@@ -725,4 +772,4 @@ class Router:
     def output_queue_depth(self, port: int) -> int:
         """Credits consumed across the VCs of an output port -- the local
         congestion estimate used by UGAL-L."""
-        return sum(self.buffer_depth - c for c in self.credits[port])
+        return self.buffer_depth * self.num_vcs - sum(self.credits[port])

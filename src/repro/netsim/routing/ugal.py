@@ -52,6 +52,17 @@ class UGALRouting:
         self.cols = cols
         self.concentration = concentration
         self.threshold = threshold
+        # Hop tables, indexed [router][target router]: the minimal
+        # next-hop output port (-1 where the packet has arrived and
+        # ejects at its terminal's port) and the minimal hop count.
+        n = rows * cols
+        self._hop_port = [
+            [self._minimal_port(a, b) for b in range(n)] for a in range(n)
+        ]
+        self._hop_count = [
+            [(a % cols != b % cols) + (a // cols != b // cols) for b in range(n)]
+            for a in range(n)
+        ]
 
     # -- helpers ---------------------------------------------------------
     def dest_router(self, terminal_id: int) -> int:
@@ -61,9 +72,7 @@ class UGALRouting:
         return router_id // self.cols, router_id % self.cols
 
     def hops(self, src_router: int, dst_router: int) -> int:
-        r1, c1 = self._coords(src_router)
-        r2, c2 = self._coords(dst_router)
-        return (c1 != c2) + (r1 != r2)
+        return self._hop_count[src_router][dst_router]
 
     def row_port(self, router_id: int, dest_col: int) -> int:
         """Output port of the row link toward ``dest_col``."""
@@ -81,15 +90,20 @@ class UGALRouting:
         others = [x for x in range(self.rows) if x != r]
         return self.concentration + (self.cols - 1) + others.index(dest_row)
 
-    def first_hop_port(self, router_id: int, target_router: int, dest_terminal: int) -> int:
-        """Minimal next hop from ``router_id`` toward ``target_router``."""
+    def _minimal_port(self, router_id: int, target_router: int) -> int:
+        """Row-first minimal next hop, or -1 at the target itself."""
         r1, c1 = self._coords(router_id)
         r2, c2 = self._coords(target_router)
         if c1 != c2:
             return self.row_port(router_id, c2)
         if r1 != r2:
             return self.col_port(router_id, r2)
-        return dest_terminal % self.concentration
+        return -1
+
+    def first_hop_port(self, router_id: int, target_router: int, dest_terminal: int) -> int:
+        """Minimal next hop from ``router_id`` toward ``target_router``."""
+        port = self._hop_port[router_id][target_router]
+        return port if port >= 0 else dest_terminal % self.concentration
 
     # -- routing hooks ----------------------------------------------------
     def prepare(self, network: "Network", terminal: "Terminal", packet: "Packet") -> None:

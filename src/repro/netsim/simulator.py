@@ -11,14 +11,16 @@ source backlogs grow without bound or latency exceeds a cap.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from ..faults.plan import FaultPlan
 from ..faults.watchdog import Watchdog, WatchdogError
 from .flit import Packet
+from .kernels import DEFAULT_KERNEL
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.observer import SimObserver
+    from .codegen import KernelSpec
 from .network import Network
 from .stats import LatencySummary, batch_means, summarize_latencies
 from .topology import build_fbfly, build_mesh, build_torus
@@ -29,6 +31,8 @@ __all__ = [
     "run_simulation",
     "run_simulation_worker",
     "build_network",
+    "kernel_spec",
+    "prewarm_kernels",
     "topology_num_terminals",
     "SIMULATOR_REV",
 ]
@@ -301,12 +305,15 @@ def _resolve_pattern(
         raise ValueError(f"unknown traffic pattern {name!r}") from None
 
 
-def build_network(cfg: SimulationConfig, kernel: str = "fast") -> Network:
+def build_network(cfg: SimulationConfig, kernel: str = DEFAULT_KERNEL) -> Network:
     """Instantiate the configured topology with traffic attached.
 
-    ``kernel`` selects the routers' allocation implementation:
-    ``"fast"`` (sparse, the default) or ``"reference"`` (the dense
-    oracle).  The two are bit-identical by contract -- see
+    ``kernel`` selects the routers' allocation implementation, one of
+    :data:`repro.netsim.kernels.KERNELS`: ``"compiled"`` (generated per
+    design point; the default, :data:`DEFAULT_KERNEL`), ``"fast"`` (the
+    hand-written sparse step, which also runs the observed and faulted
+    cycles of a compiled network) or ``"reference"`` (the dense
+    oracle).  They are bit-identical by contract -- see
     ``tests/perf/test_kernel_equivalence.py`` -- so the choice never
     affects results, only wall-clock speed, and deliberately does NOT
     enter the simulation config (or its cache key).
@@ -328,6 +335,7 @@ def build_network(cfg: SimulationConfig, kernel: str = "fast") -> Network:
         buffer_depth=cfg.buffer_depth,
         read_fraction=cfg.read_fraction,
         lookahead=cfg.lookahead,
+        kernel=kernel,
     )
     if cfg.topology == "mesh":
         net = build_mesh(_MESH_K, routing=cfg.routing, **kwargs)
@@ -345,8 +353,68 @@ def build_network(cfg: SimulationConfig, kernel: str = "fast") -> Network:
         net = build_torus(_TORUS_K, **kwargs)
     else:
         raise ValueError(f"unknown topology {cfg.topology!r}")
-    net.set_kernel(kernel)
     return net
+
+
+# (ports, message classes, resource classes) of the routers build_network
+# instantiates per (topology, routing mode); tests/perf/test_default_kernel.py
+# pins this against the constructed routers.
+_FBFLY_PORTS = _FBFLY_CONC + (_FBFLY_COLS - 1) + (_FBFLY_ROWS - 1)
+_ROUTER_SHAPES = {
+    ("mesh", "default"): (5, 2, 1),
+    ("mesh", "ft_dor"): (5, 2, 2),
+    ("fbfly", "default"): (_FBFLY_PORTS, 2, 2),
+    ("fbfly", "ft_ugal"): (_FBFLY_PORTS, 2, 2),
+    ("torus", "default"): (5, 2, 4),
+}
+
+
+def kernel_spec(cfg: SimulationConfig) -> "KernelSpec":
+    """The compiled-kernel design point of ``cfg``'s routers, derived
+    from the config alone -- equal to ``spec_for_router`` of any router
+    ``build_network(cfg)`` constructs, without constructing one."""
+    from .codegen import KernelSpec
+
+    try:
+        ports, msg_classes, res_classes = _ROUTER_SHAPES[cfg.topology, cfg.routing]
+    except KeyError:
+        raise ValueError(
+            f"no router shape for topology {cfg.topology!r} with "
+            f"routing mode {cfg.routing!r}"
+        ) from None
+    return KernelSpec(
+        num_ports=ports,
+        num_message_classes=msg_classes,
+        num_resource_classes=res_classes,
+        vcs_per_class=cfg.vcs_per_class,
+        vc_arch=cfg.vc_alloc_arch,
+        vc_arbiter=cfg.vc_alloc_arbiter,
+        sw_arch=cfg.sw_alloc_arch,
+        sw_arbiter=cfg.sw_alloc_arbiter,
+        scheme=cfg.speculation,
+        lookahead=cfg.lookahead,
+    )
+
+
+def prewarm_kernels(configs: Iterable[SimulationConfig]) -> None:
+    """Compile the generated kernel of every distinct design point in
+    ``configs`` into the process-wide factory cache.
+
+    Called by a parent about to fork one child per point: the children
+    inherit the compiled factories instead of each paying codegen on its
+    first router.  A config that names no known router shape is skipped;
+    its own point reports the error.
+    """
+    from .codegen import kernel_factory
+
+    specs = set()
+    for cfg in configs:
+        try:
+            specs.add(kernel_spec(cfg))
+        except ValueError:
+            pass
+    for spec in specs:
+        kernel_factory(spec)
 
 
 def run_simulation_worker(cfg_dict: Dict[str, Any]) -> Dict[str, Any]:
@@ -365,7 +433,7 @@ def run_simulation_worker(cfg_dict: Dict[str, Any]) -> Dict[str, Any]:
 def run_simulation(
     cfg: SimulationConfig,
     observer: Optional["SimObserver"] = None,
-    kernel: str = "fast",
+    kernel: str = DEFAULT_KERNEL,
     profiler=None,
 ) -> SimulationResult:
     """Warm up, measure, drain; return latency/throughput statistics.
@@ -377,9 +445,11 @@ def run_simulation(
     parallel sweep path (:func:`run_simulation_worker`) is always
     uninstrumented; instrumented sweeps run inline.
 
-    ``kernel`` selects the allocation implementation (``"fast"`` /
-    ``"reference"``); results are bit-identical either way (see
-    :func:`build_network`).
+    ``kernel`` selects the allocation implementation (``"compiled"``,
+    the default, ``"fast"`` or ``"reference"``); results are
+    bit-identical whichever runs (see :func:`build_network`).  With an
+    observer or a fault plan, a compiled network runs those cycles on
+    the fast kernel.
 
     ``profiler`` opts the run into phase-attribution timing
     (:class:`repro.obs.profiling.PhaseProfiler`).  Like the observer it

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ...core.vc_partition import VCPartition
+from ..kernels import DEFAULT_KERNEL
 from ..network import Network
 from ..router import Router
 from ..routing.ft import FTUGALRouting
@@ -43,6 +44,7 @@ def build_fbfly(
     lookahead: bool = True,
     ugal_threshold: int = 0,
     routing: str = "default",
+    kernel: str = DEFAULT_KERNEL,
 ) -> Network:
     """Construct the flattened-butterfly network with the paper's router.
 
@@ -82,6 +84,7 @@ def build_fbfly(
                 speculation=speculation,
                 buffer_depth=buffer_depth,
                 lookahead=lookahead,
+                kernel=kernel,
             )
         )
 

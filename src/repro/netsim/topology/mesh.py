@@ -12,6 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ...core.vc_partition import VCPartition
+from ..kernels import DEFAULT_KERNEL
 from ..network import Network
 from ..router import Router
 from ..routing.dor import (
@@ -45,6 +46,7 @@ def build_mesh(
     dest_fn: Optional[Callable] = None,
     lookahead: bool = True,
     routing: str = "default",
+    kernel: str = DEFAULT_KERNEL,
 ) -> Network:
     """Construct a ``k x k`` mesh network with the paper's router.
 
@@ -87,6 +89,7 @@ def build_mesh(
                 speculation=speculation,
                 buffer_depth=buffer_depth,
                 lookahead=lookahead,
+                kernel=kernel,
             )
         )
 

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..kernels import DEFAULT_KERNEL
 from ..network import Network
 from ..router import Router
 from ..routing.dor import (
@@ -44,6 +45,7 @@ def build_torus(
     read_fraction: float = 0.5,
     dest_fn: Optional[Callable] = None,
     lookahead: bool = True,
+    kernel: str = DEFAULT_KERNEL,
 ) -> Network:
     """Construct a ``k x k`` torus with dateline DOR routing."""
     routing = TorusDatelineRouting(k)
@@ -67,6 +69,7 @@ def build_torus(
                 speculation=speculation,
                 buffer_depth=buffer_depth,
                 lookahead=lookahead,
+                kernel=kernel,
             )
         )
 

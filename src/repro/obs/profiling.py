@@ -40,6 +40,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional
 
+from ..netsim.kernels import DEFAULT_KERNEL
+
 __all__ = [
     "PROFILE_SCHEMA",
     "PHASES",
@@ -135,14 +137,15 @@ class PhaseProfiler:
         }
 
 
-def profile_point(cfg, kernel: str = "fast") -> Dict[str, object]:
+def profile_point(cfg, kernel: str = DEFAULT_KERNEL) -> Dict[str, object]:
     """Run one simulation with a profiler attached and return the
     phase breakdown as a :data:`PROFILE_SCHEMA` record.
 
     The profiled run is separate from any timing run -- profiling adds
     per-phase clock reads, so callers that also want clean wall-time
     numbers (``repro bench --profile``) time unprofiled runs and use
-    this only for attribution.
+    this only for attribution.  ``kernel`` defaults to what un-flagged
+    simulations run; a compiled network binds its ``-prof`` variant.
     """
     from ..netsim.simulator import run_simulation
 

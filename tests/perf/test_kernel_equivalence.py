@@ -13,7 +13,9 @@ the reference implementation:
    both paper topologies, under all three kernels, comparing both the
    end-of-run payloads and the complete post-run network state --
    arbiter priorities, credits, buffer occupancy, holder registers and
-   speculation counters.
+   speculation counters.  The lifecycle cases next to layer 1 do the
+   same for the default kernel while an observer, profiler or fault
+   state is attached or detached mid-run.
 3. Component-level property tests: the sparse allocator entry points
    used only by the fast kernel (``allocate_sparse``,
    ``grant_uncontested``, ``allocate_pairs``) against the dense paths
@@ -35,12 +37,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arbiters import (
-    FixedPriorityArbiter,
-    MatrixArbiter,
-    RoundRobinArbiter,
-    TreeArbiter,
-)
 from repro.core.speculative import SpeculativeSwitchAllocator
 from repro.core.switch_allocator import SwitchAllocator
 from repro.core.vc_allocator import VCAllocator, VCRequest
@@ -49,6 +45,8 @@ from repro.core.wavefront import WavefrontAllocator
 from repro.netsim import codegen
 from repro.netsim.codegen import KERNELS
 from repro.netsim.simulator import SimulationConfig, build_network, run_simulation
+from repro.obs.observer import SimObserver
+from repro.obs.profiling import PhaseProfiler
 
 # The CLI face of the harness owns the config matrix; reuse it here so
 # the two can never drift apart.
@@ -117,40 +115,109 @@ def test_kernels_bit_identical(cfg, observed):
             assert rows[kernel] == rows["reference"]
 
 
+# -- bind-time step selection -------------------------------------------------
+#
+# Router._bind_step reselects the dispatched step whenever an observer,
+# profiler or fault state is attached or detached; these drive the
+# default kernel and the reference through the same mid-run changes.
+
+# Shorter again: every case also pays a reference run.
+_LIFECYCLE_WINDOWS = dict(warmup_cycles=60, measure_cycles=140, drain_cycles=200)
+
+
+def _lifecycle_points():
+    return [
+        pytest.param(
+            dataclasses.replace(cfg, **_LIFECYCLE_WINDOWS), case,
+            id=label.replace("/", "-"),
+        )
+        for label, cfg, case in cbi.lifecycle_matrix(quick=True)
+    ]
+
+
+@pytest.mark.parametrize("cfg,case", _lifecycle_points())
+def test_default_kernel_bit_identical_across_attach_and_detach(cfg, case):
+    assert cbi.lifecycle_problems(cfg, case) == []
+
+
+def test_bound_step_follows_what_is_attached():
+    net = build_network(dataclasses.replace(cbi.design_point("wf", "mesh"), **_WINDOWS))
+    router = net.routers[0]
+    plain = router._alloc_step
+    assert plain.__code__.co_filename.startswith("<compiled-kernel:")
+
+    net.attach_observer(SimObserver(sample_every=100))
+    assert router._alloc_step == router._allocation_step_fast
+    net.attach_observer(None)
+    assert router._alloc_step.__code__ is plain.__code__
+
+    net.attach_profiler(PhaseProfiler())
+    assert router._alloc_step.__code__.co_filename.endswith("-prof>")
+    net.attach_profiler(None)
+    assert router._alloc_step.__code__ is plain.__code__
+
+    cbi.attach_faults(net, cbi.design_point("wf", "mesh"))
+    assert router._alloc_step == router._allocation_step_fast
+    net.attach_fault_state(None)
+    assert router._alloc_step.__code__ is plain.__code__
+
+
+def test_generated_step_carries_no_per_cycle_instrumentation_tests():
+    for spec in codegen.template_specs():
+        for profiled in (False, True):
+            step = codegen.source_for(spec, profiled).split("def step(", 1)[1]
+            for name in ("observer", "fault_state", "profiler", "_compiled_bootstrap"):
+                assert name not in step
+
+
+@pytest.mark.parametrize(
+    "break_router,field",
+    [
+        (lambda r: setattr(r.vc_alloc, "sparse", False), "vc_alloc.sparse"),
+        (
+            lambda r: setattr(r.vc_alloc._wavefronts[0], "rotate_priority", False),
+            "vc_alloc wavefront",
+        ),
+        (
+            lambda r: setattr(
+                r.sw_alloc._spec_alloc._wavefront, "rotate_priority", False
+            ),
+            "sw_alloc._spec_alloc wavefront",
+        ),
+    ],
+)
+def test_unsupported_wiring_surfaces_at_bind_time(break_router, field):
+    """Hand-wired configurations the generator does not model must fail
+    when the step is bound -- naming the router and the field -- not on
+    the first busy cycle mid-run."""
+    net = build_network(
+        dataclasses.replace(cbi.design_point("wf", "mesh"), **_WINDOWS), kernel="fast"
+    )
+    router = net.routers[7]
+    break_router(router)
+    with pytest.raises(codegen.CodegenUnsupported) as exc:
+        router.kernel = "compiled"
+    assert "router 7" in str(exc.value)
+    assert field in str(exc.value)
+    # Attaching instrumentation rebinds too, and fails the same way even
+    # though observed cycles would run the fast step.
+    with pytest.raises(codegen.CodegenUnsupported):
+        router.attach_observer(SimObserver(sample_every=100))
+
+
+def test_unknown_kernel_is_rejected_by_the_router():
+    net = build_network(dataclasses.replace(cbi.design_point("wf", "mesh"), **_WINDOWS))
+    with pytest.raises(ValueError, match="unknown simulation kernel"):
+        net.routers[0].kernel = "turbo"
+
+
+def test_ugal_hop_tables_match_port_arithmetic():
+    assert cbi.ugal_hop_table_problems() == []
+
+
 # ---------------------------------------------------------------------------
 # Layer 2: sparse-vs-dense component properties
 # ---------------------------------------------------------------------------
-
-
-def _arb_state(arb):
-    """Complete priority state of an arbiter, as a comparable value."""
-    if isinstance(arb, RoundRobinArbiter):
-        return ("rr", arb.pointer)
-    if isinstance(arb, MatrixArbiter):
-        return ("m", tuple(tuple(row) for row in arb._beats))
-    if isinstance(arb, TreeArbiter):
-        return (
-            "tree",
-            tuple(_arb_state(a) for a in arb._group_arbs),
-            _arb_state(arb._top_arb),
-        )
-    assert isinstance(arb, FixedPriorityArbiter)
-    return ("fixed",)
-
-
-def _sw_state(alloc: SwitchAllocator):
-    state = [_arb_state(a) for a in alloc._vc_arbs]
-    state += [_arb_state(a) for a in alloc._port_arbs]
-    if alloc._wavefront is not None:
-        state.append(("wf", alloc._wavefront.priority_diagonal))
-    return state
-
-
-def _vc_state(alloc: VCAllocator):
-    state = [_arb_state(a) for a in alloc._input_arbs]
-    state += [_arb_state(a) for a in alloc._output_arbs]
-    state += [("wf", wf.priority_diagonal) for wf in alloc._wavefronts]
-    return state
 
 
 # -- wavefront pair sweep ---------------------------------------------------
@@ -226,7 +293,7 @@ def test_switch_sparse_matches_dense(arch, arbiter, cycles):
         dense_grants = dense_alloc.allocate(_sw_dense(items))
         sparse_grants = sparse_alloc.allocate_sparse(items)
         assert sparse_grants == dense_grants
-    assert _sw_state(sparse_alloc) == _sw_state(dense_alloc)
+    assert cbi.sw_state(sparse_alloc) == cbi.sw_state(dense_alloc)
 
 
 @st.composite
@@ -258,7 +325,7 @@ def test_grant_uncontested_matches_sparse(arch, arbiter, warmup, items):
         expected[p] = (v, q)
     assert grants == expected
     # ... and the shortcut leaves the arbiters in the identical state.
-    assert _sw_state(shortcut) == _sw_state(full)
+    assert cbi.sw_state(shortcut) == cbi.sw_state(full)
 
 
 # -- speculative switch allocation ------------------------------------------
@@ -293,10 +360,10 @@ def test_speculative_sparse_matches_dense(scheme, arch, cycles):
         assert sparse.nonspec == dense.nonspec
         assert sparse.spec == dense.spec
         assert sparse.spec_discarded == dense.spec_discarded
-    assert _sw_state(sparse_alloc._nonspec_alloc) == _sw_state(
+    assert cbi.sw_state(sparse_alloc._nonspec_alloc) == cbi.sw_state(
         dense_alloc._nonspec_alloc
     )
-    assert _sw_state(sparse_alloc._spec_alloc) == _sw_state(dense_alloc._spec_alloc)
+    assert cbi.sw_state(sparse_alloc._spec_alloc) == cbi.sw_state(dense_alloc._spec_alloc)
 
 
 def test_speculative_ns_empty_commits_inline():
@@ -311,7 +378,7 @@ def test_speculative_ns_empty_commits_inline():
         assert out_fast.nonspec == out_ref.nonspec
         assert out_fast.spec == out_ref.spec
         assert out_fast.spec_discarded == out_ref.spec_discarded == 0
-        assert _sw_state(fast._spec_alloc) == _sw_state(ref._spec_alloc)
+        assert cbi.sw_state(fast._spec_alloc) == cbi.sw_state(ref._spec_alloc)
 
 
 # -- VC allocator -----------------------------------------------------------
@@ -378,7 +445,7 @@ def test_vc_sparse_matches_dense(part_name, arch, arbiter, masked, data):
         for i in range(n):
             if i not in granted_idx:
                 assert dense_grants[i] is None
-    assert _vc_state(sparse_alloc) == _vc_state(dense_alloc)
+    assert cbi.vc_state(sparse_alloc) == cbi.vc_state(dense_alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -388,54 +455,6 @@ def test_vc_sparse_matches_dense(part_name, arch, arbiter, masked, data):
 #: Cycles for the state-comparison runs: past warmup, deep into
 #: steady-state contention, before the schedule drains.
 _STATE_CYCLES = 330
-
-
-def _net_state(net):
-    """Complete comparable state of every router in a network.
-
-    Packet ids come from a process-global counter, so they are
-    normalized to first-seen order; everything else (arbiter
-    priorities, credits, buffer contents, holder registers, counters)
-    is compared verbatim.
-    """
-    pidmap = {}
-
-    def norm(pid):
-        return pidmap.setdefault(pid, len(pidmap))
-
-    state = []
-    for r in net.routers:
-        state.append(
-            {
-                "busy": sorted(r._busy),
-                "credits": [list(c) for c in r.credits],
-                "holder": [list(h) for h in r.output_holder],
-                "counters": (
-                    r.switch_grants,
-                    r.speculative_wins,
-                    r.misspeculations,
-                ),
-                "ivc": [
-                    (
-                        ivc.output_port,
-                        ivc.output_vc,
-                        [norm(f.packet.pid) for f in ivc.queue],
-                    )
-                    for port in r.input_vcs
-                    for ivc in port
-                ],
-                "va": _vc_state(r.vc_alloc),
-                "sa": [
-                    _sw_state(core)
-                    for core in (
-                        r.sw_alloc._nonspec_alloc,
-                        r.sw_alloc._spec_alloc,
-                    )
-                    if core is not None
-                ],
-            }
-        )
-    return state
 
 
 def _matrix_params():
@@ -470,7 +489,7 @@ def test_three_kernel_matrix_payload_and_state(cfg):
     for kernel in KERNELS:
         net = build_network(cfg, kernel=kernel)
         net.run(_STATE_CYCLES)
-        states[kernel] = _net_state(net)
+        states[kernel] = cbi.net_state(net)
     assert states["fast"] == states["reference"]
     assert states["compiled"] == states["reference"]
 
@@ -531,5 +550,5 @@ def test_compiled_kernel_matches_fast_on_random_traffic(data):
     for kernel in ("fast", "compiled"):
         net = build_network(cfg, kernel=kernel)
         net.run(cycles)
-        states[kernel] = _net_state(net)
+        states[kernel] = cbi.net_state(net)
     assert states["compiled"] == states["fast"]
