@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
-"""Building a custom network from the library's router primitives.
+"""Building a custom network from a topology description.
 
 The paper evaluates an 8x8 mesh and a 4x4 flattened butterfly, but the
-router model is topology-agnostic.  This example wires a small ring
-network by hand -- routers, links, terminals and a custom routing
-function -- and runs request-reply traffic over it, demonstrating the
-substrate API a downstream user would build on:
+router model is topology-agnostic.  This example describes a small ring
+-- routers, links, terminals and a custom routing function -- and runs
+request-reply traffic over it, demonstrating the substrate API a
+downstream user would build on:
 
-* ``Router``           -- ports, VC partition, allocators, pipeline;
-* ``connect_output`` / ``connect_upstream`` -- link wiring (data +
-  credits);
-* a routing object with ``prepare``/``route`` hooks;
-* ``Terminal``         -- traffic generation and the request-reply
-  protocol;
-* ``Network``          -- the cycle loop.
+* ``TopologyDescription`` -- the network as data: router and port
+  counts, one ``(router_a, port_a, router_b, port_b, latency)`` per
+  bidirectional channel, where the terminals sit, the routing modes;
+* ``RoutingMode``         -- a routing object with ``prepare``/``route``
+  hooks plus the VC partition its deadlock argument needs;
+* ``assemble``            -- turns any description into a ``Network``
+  of the paper's routers (the same call builds the mesh, the flattened
+  butterfly and the torus).
 
 Run:  python examples/custom_topology.py
 """
 
+from functools import partial
+
 import numpy as np
 
 from repro.core import VCPartition
-from repro.netsim import Network, Router, Terminal
+from repro.netsim import Network
+from repro.netsim.topology import RoutingMode, TopologyDescription, assemble
 
 # Ring ports: 0 = terminal, 1 = clockwise, 2 = counter-clockwise.
 PORT_TERMINAL, PORT_CW, PORT_CCW = 0, 1, 2
@@ -59,44 +63,31 @@ class RingRouting:
         return port
 
 
-def build_ring(size: int = 8, packet_rate: float = 0.02) -> Network:
+def ring_partition(vcs_per_class: int) -> VCPartition:
     # Dateline deadlock avoidance: 2 resource classes; transitions only
     # 0 -> {0, 1} and 1 -> 1 (same structure as the fbfly partition).
     transitions = np.array([[True, True], [False, True]])
-    partition = VCPartition(2, 2, 1, transitions)
+    return VCPartition(2, 2, vcs_per_class, transitions)
 
-    routing = RingRouting(size)
-    net = Network(routing)
 
-    for rid in range(size):
-        net.routers.append(
-            Router(
-                rid,
-                3,
-                partition,
-                lambda network, router, pkt: routing.route(network, router, pkt),
-                speculation="pessimistic",
-            )
-        )
+def ring_description(size: int) -> TopologyDescription:
+    return TopologyDescription(
+        name="ring",
+        num_routers=size,
+        num_ports=3,
+        links=tuple(
+            (rid, PORT_CW, (rid + 1) % size, PORT_CCW, 1) for rid in range(size)
+        ),
+        terminals=tuple((rid, PORT_TERMINAL) for rid in range(size)),
+        terminal_latency=1,
+        modes={"default": RoutingMode(partial(RingRouting, size), ring_partition)},
+    )
 
-    for rid in range(size):
-        a = net.routers[rid]
-        b = net.routers[(rid + 1) % size]
-        a.connect_output(PORT_CW, "router", b, PORT_CCW, 1)
-        b.connect_upstream(PORT_CCW, "router", a, PORT_CW, 1)
-        b.connect_output(PORT_CCW, "router", a, PORT_CW, 1)
-        a.connect_upstream(PORT_CW, "router", b, PORT_CCW, 1)
 
-    for rid in range(size):
-        router = net.routers[rid]
-        term = Terminal(
-            rid, router, PORT_TERMINAL, 1, packet_rate,
-            np.random.default_rng((7, rid)), num_terminals=size,
-        )
-        net.terminals.append(term)
-        router.connect_output(PORT_TERMINAL, "terminal", term, 0, 1)
-        router.connect_upstream(PORT_TERMINAL, "terminal", term, 0, 1)
-    return net
+def build_ring(size: int = 8, packet_rate: float = 0.02) -> Network:
+    return assemble(
+        ring_description(size), "default", packet_rate=packet_rate, seed=7
+    )
 
 
 def main() -> None:

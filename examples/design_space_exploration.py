@@ -102,8 +102,7 @@ def main() -> None:
     parser.add_argument("--samples", type=int, default=1000)
     args = parser.parse_args()
 
-    ports = 5 if args.topology == "mesh" else 10
-    point = DesignPoint(args.topology, ports, args.vcs_per_class)
+    point = DesignPoint.paper(args.topology, args.vcs_per_class)
     explore_vc_allocators(point, args.load, args.samples)
     explore_switch_allocators(point, args.load, args.samples)
 

@@ -2,7 +2,9 @@
 """Differential bit-identity check across the allocation kernels.
 
 Runs every design point in a seeded config matrix (allocator
-architectures x topologies x faults on/off x observer on/off) under the
+architectures x topologies x faults on/off x observer on/off, plus the
+torus and the fault-tolerant routing modes under a permanent link
+fault, so every topology description is covered) under the
 reference kernel and every kernel under test (default: ``fast`` and the
 generated per-design-point ``compiled`` kernel) and asserts the
 resulting :class:`~repro.netsim.simulator.SimulationResult` payloads --
@@ -71,11 +73,27 @@ FAULT_PLAN = FaultPlan(
 )
 
 
-def design_point(arch: str, topo: str, faults: Optional[FaultPlan] = None) -> SimulationConfig:
+# The networks and routing modes the arch x {mesh, fbfly} matrix does not
+# reach: (topology, routing, fault plan).  The fault-tolerant modes run
+# under a permanent link fault, the case their detour tables exist for.
+EXTRA_DESCRIPTIONS = (
+    ("torus", "default", None),
+    ("mesh", "ft_dor", FaultPlan(link_faults=(LinkFault(9, 1, 0, None),))),
+    ("fbfly", "ft_ugal", FaultPlan(link_faults=(LinkFault(5, 4, 0, None),))),
+)
+
+
+def design_point(
+    arch: str,
+    topo: str,
+    faults: Optional[FaultPlan] = None,
+    routing: str = "default",
+) -> SimulationConfig:
     """One design point of the matrix at the script's windows."""
     arbiter = "m" if arch == "sep_of" else "rr"
     return SimulationConfig(
         topology=topo,
+        routing=routing,
         vcs_per_class=2,
         injection_rate=0.30,
         vc_alloc_arch=arch,
@@ -109,6 +127,12 @@ def config_matrix(quick: bool) -> List[Tuple[str, SimulationConfig, bool]]:
                         f"{'/observer' if observed else ''}"
                     )
                     points.append((label, cfg, observed))
+    for i, (topo, routing, faults) in enumerate(EXTRA_DESCRIPTIONS):
+        # Quick mode: one allocator architecture per description.
+        for arch in [archs[i]] if quick else archs:
+            cfg = design_point(arch, topo, faults, routing)
+            label = f"{arch}/{topo}/{routing}{'/link-down' if faults else ''}"
+            points.append((label, cfg, False))
     return points
 
 
@@ -378,7 +402,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="half matrix (plain + faults-and-observer points); CI smoke",
+        help="half matrix (plain + faults-and-observer points, one point "
+        "per further topology description); CI smoke",
     )
     parser.add_argument(
         "--kernel",

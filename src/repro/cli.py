@@ -65,7 +65,7 @@ from .eval.runner import (
 )
 from .eval.tables import format_cost_results, format_curves, format_table
 from .faults import FaultPlan, parse_fault_spec
-from .netsim.simulator import SimulationConfig, run_simulation
+from .netsim.simulator import SimulationConfig, run_simulation, validate_config
 from .obs.metrics import emit_warning
 from .obs.observer import SimObserver
 
@@ -104,6 +104,43 @@ def _nonnegative_float(value: str) -> float:
     return x
 
 
+class _UsageError(Exception):
+    """Bad command-line input found by a handler; :func:`main` prints
+    ``error: ...`` and exits 2."""
+
+
+def _comma_list(flag: str, text: str, convert, expected: str) -> list:
+    """``"0.1, 0.2"`` -> ``[0.1, 0.2]`` through ``convert``, which
+    raises ValueError for an item it does not accept."""
+    try:
+        items = [convert(t.strip()) for t in text.split(",") if t.strip()]
+    except ValueError:
+        items = []
+    if not items:
+        raise _UsageError(
+            f"{flag} must be a comma list of {expected}, got {text!r}"
+        )
+    return items
+
+
+def _one_of(*names: str):
+    """``convert`` for :func:`_comma_list`: the item must be a name."""
+    def convert(item: str) -> str:
+        if item not in names:
+            raise ValueError(item)
+        return item
+    return convert
+
+
+def _checked(cfg: SimulationConfig) -> SimulationConfig:
+    """``cfg``, once :func:`validate_config` accepts it."""
+    try:
+        validate_config(cfg)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return cfg
+
+
 def _parse_hotspots(text: Optional[str]) -> Optional[List[int]]:
     """``--hotspots "3,17"`` -> ``[3, 17]`` (None passes through)."""
     if text is None:
@@ -122,8 +159,7 @@ def _parse_hotspots(text: Optional[str]) -> Optional[List[int]]:
 
 
 def _point(args) -> DesignPoint:
-    ports = 5 if args.topology == "mesh" else 10
-    return DesignPoint(args.topology, ports, args.vcs_per_class)
+    return DesignPoint.paper(args.topology, args.vcs_per_class)
 
 
 def _add_point_args(p: argparse.ArgumentParser) -> None:
@@ -154,7 +190,7 @@ def cmd_transitions(args) -> int:
 
 def cmd_quality(args) -> int:
     point = _point(args)
-    rates = [float(r) for r in args.rates.split(",")]
+    rates = _comma_list("--rates", args.rates, float, "numbers")
     fn = vc_matching_quality if args.target == "vc" else switch_matching_quality
     curves = fn(point, rates=rates, num_samples=args.samples)
     print(
@@ -179,7 +215,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = SimulationConfig(
+    cfg = _checked(SimulationConfig(
         topology=args.topology,
         vcs_per_class=args.vcs_per_class,
         injection_rate=args.rate,
@@ -192,7 +228,7 @@ def cmd_simulate(args) -> int:
         measure_cycles=args.cycles,
         drain_cycles=args.cycles,
         seed=args.seed,
-    )
+    ))
     res = run_simulation(cfg)
     print(res)
     print(
@@ -235,7 +271,7 @@ def cmd_sweep(args) -> int:
         # instead of burning every configured cycle.
         watchdog = max(1000, args.cycles) if faults is not None else 0
 
-    base = SimulationConfig(
+    base = _checked(SimulationConfig(
         topology=args.topology,
         vcs_per_class=args.vcs_per_class,
         sw_alloc_arch=args.sw_alloc,
@@ -249,8 +285,8 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         faults=faults,
         watchdog_cycles=watchdog,
-    )
-    rates = [float(r) for r in args.rates.split(",")]
+    ))
+    rates = _comma_list("--rates", args.rates, float, "numbers")
     configs = [replace(base, injection_rate=r) for r in rates]
 
     instrumented = bool(args.metrics or args.trace)
@@ -504,13 +540,9 @@ def cmd_faults(args) -> int:
         "links": "link_rate",
         "credits": "credit_drop_rate",
     }[args.kind]
-    archs = [a.strip() for a in args.archs.split(",") if a.strip()]
-    bad = [a for a in archs if a not in ("sep_if", "sep_of", "wf")]
-    if bad or not archs:
-        print(f"error: --archs must be a comma list of sep_if/sep_of/wf, "
-              f"got {args.archs!r}", file=sys.stderr)
-        return 2
-    frates = [float(r) for r in args.rates.split(",")]
+    archs = _comma_list("--archs", args.archs,
+                        _one_of("sep_if", "sep_of", "wf"), "sep_if/sep_of/wf")
+    frates = _comma_list("--rates", args.rates, float, "numbers")
 
     cache = None
     if not args.no_cache:
@@ -527,7 +559,7 @@ def cmd_faults(args) -> int:
             # No watchdog here on purpose: a deadlocked probe point
             # reports as saturated, which is exactly what the metric
             # should say about that load.
-            base = SimulationConfig(
+            base = _checked(SimulationConfig(
                 topology=args.topology,
                 vcs_per_class=args.vcs_per_class,
                 sw_alloc_arch=arch,
@@ -539,7 +571,7 @@ def cmd_faults(args) -> int:
                 drain_cycles=args.cycles,
                 seed=args.seed,
                 faults=plan,
-            )
+            ))
             sats.append(
                 saturation_throughput(
                     base, iterations=args.iterations, cache=cache
@@ -576,19 +608,9 @@ def cmd_resilience(args) -> int:
     )
     from .eval.runner import config_key
 
-    try:
-        counts = [int(c) for c in args.counts.split(",")]
-    except ValueError:
-        print(f"error: --counts must be a comma list of integers, "
-              f"got {args.counts!r}", file=sys.stderr)
-        return 2
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    bad = [m for m in modes if m not in RESILIENCE_MODES]
-    if bad or not modes:
-        print(f"error: --modes must be a comma list of "
-              f"{'/'.join(RESILIENCE_MODES)}, got {args.modes!r}",
-              file=sys.stderr)
-        return 2
+    counts = _comma_list("--counts", args.counts, int, "integers")
+    modes = _comma_list("--modes", args.modes, _one_of(*RESILIENCE_MODES),
+                        "/".join(RESILIENCE_MODES))
 
     campaign = dict(
         fault_counts=counts,
@@ -1419,7 +1441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..core.vc_partition import VCPartition
+from ..netsim.topology import describe
 
 __all__ = [
     "DesignPoint",
@@ -33,11 +34,15 @@ class DesignPoint:
     num_ports: int
     vcs_per_class: int
 
+    @classmethod
+    def paper(cls, topology: str, vcs_per_class: int) -> "DesignPoint":
+        """The paper's router for ``topology``: its description's radix."""
+        return cls(topology, describe(topology).num_ports, vcs_per_class)
+
     @property
     def partition(self) -> VCPartition:
-        if self.topology == "mesh":
-            return VCPartition.mesh(self.vcs_per_class)
-        return VCPartition.fbfly(self.vcs_per_class)
+        mode = describe(self.topology).mode("default")
+        return mode.partition(self.vcs_per_class)
 
     @property
     def num_vcs(self) -> int:
@@ -49,10 +54,10 @@ class DesignPoint:
 
 
 MESH_POINTS: Tuple[DesignPoint, ...] = tuple(
-    DesignPoint("mesh", 5, c) for c in (1, 2, 4)
+    DesignPoint.paper("mesh", c) for c in (1, 2, 4)
 )
 FBFLY_POINTS: Tuple[DesignPoint, ...] = tuple(
-    DesignPoint("fbfly", 10, c) for c in (1, 2, 4)
+    DesignPoint.paper("fbfly", c) for c in (1, 2, 4)
 )
 ALL_POINTS: Tuple[DesignPoint, ...] = MESH_POINTS + FBFLY_POINTS
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..faults import FaultPlan, LinkFault
 from ..netsim.simulator import SimulationConfig, SimulationResult
+from ..netsim.topology import describe, mesh_description
 from .runner import ResultCache, SweepReporter, run_sweep
 from .tables import format_curves
 
@@ -68,24 +69,13 @@ _POINT_METRICS = (
 
 def mesh_link_candidates(k: int = 8) -> List[Tuple[int, int]]:
     """Every directed inter-router link of a ``k x k`` mesh as
-    ``(router, output port)`` pairs, in deterministic scan order.
+    ``(router, output port)`` pairs, in ``(router, port)`` order.
 
     Ejection (terminal) ports are excluded: killing an ejection port
     partitions its terminal from the whole network, which no routing
     scheme can route around -- the campaign studies *fabric* faults.
     """
-    links: List[Tuple[int, int]] = []
-    for rid in range(k * k):
-        x, y = rid % k, rid // k
-        if x + 1 < k:
-            links.append((rid, 1))  # east
-        if x > 0:
-            links.append((rid, 2))  # west
-        if y + 1 < k:
-            links.append((rid, 3))  # north
-        if y > 0:
-            links.append((rid, 4))  # south
-    return links
+    return mesh_description(k).directed_links()
 
 
 def select_faulted_links(
@@ -133,7 +123,7 @@ def _vcs_per_class(mode: str, total_vcs: int) -> int:
     (V = 4C).  Keeping V constant charges the ft scheme for its escape
     buffering.
     """
-    classes = 4 if mode == "ft_dor" else 2
+    classes = describe("mesh").mode(mode).partition(1).num_vcs
     if total_vcs % classes or total_vcs // classes not in (1, 2, 4):
         raise ValueError(
             f"total_vcs={total_vcs} does not divide into {classes} "
@@ -173,7 +163,7 @@ def campaign_configs(
             sw_alloc_arch=sw_alloc_arch,
             vc_alloc_arch=vc_alloc_arch,
             speculation=speculation,
-            routing="ft_dor" if mode == "ft_dor" else "default",
+            routing=mode,
             warmup_cycles=cycles // 3,
             measure_cycles=cycles,
             drain_cycles=cycles,

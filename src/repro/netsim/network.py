@@ -23,6 +23,7 @@ from .traffic import Terminal
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.observer import SimObserver
+    from .topology import TopologyDescription
 
 __all__ = ["Network"]
 
@@ -32,6 +33,10 @@ class Network:
 
     def __init__(self, routing) -> None:
         self.routing = routing
+        # The TopologyDescription this network was assembled from (None
+        # for hand-wired networks); fault-aware routing reads its
+        # neighbor lookup.
+        self.description: Optional["TopologyDescription"] = None
         self.routers: List[Router] = []
         self.terminals: List[Terminal] = []
         self.time = 0
@@ -139,19 +144,10 @@ class Network:
             self.on_birth(birth_time)
 
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance the network by one cycle."""
-        prof = self.profiler
-        if prof is not None:
-            self._step_profiled(prof)
-            return
-        now = self.time
-
-        for kind, obj, port, vc, flit in self._flit_events.pop(now, ()):
-            if kind == "router":
-                obj.receive_flit(self, port, vc, flit)
-            else:  # terminal ejection
-                obj.receive_flit(self, vc, flit, now)
+    def _deliver_credits(self, now: int) -> None:
+        """Hand this cycle's returning credits to their routers and
+        terminals (one call per cycle, so the per-credit loops stay
+        free of any per-event test)."""
         if self._credit_faults_armed:
             fs = self.fault_state
             assert fs is not None  # armed only while a fault plan is installed
@@ -173,6 +169,21 @@ class Network:
                     obj.receive_credit(port, vc)
                 else:
                     obj.receive_credit(vc)
+
+    def step(self) -> None:
+        """Advance the network by one cycle."""
+        prof = self.profiler
+        if prof is not None:
+            self._step_profiled(prof)
+            return
+        now = self.time
+
+        for kind, obj, port, vc, flit in self._flit_events.pop(now, ()):
+            if kind == "router":
+                obj.receive_flit(self, port, vc, flit)
+            else:  # terminal ejection
+                obj.receive_flit(self, vc, flit, now)
+        self._deliver_credits(now)
 
         for term in self.terminals:
             term.step(self, now)
@@ -210,27 +221,7 @@ class Network:
                 obj.receive_flit(self, vc, flit, now)
         t0 = prof.outer("delivery", t0)
 
-        if self._credit_faults_armed:
-            fs = self.fault_state
-            assert fs is not None  # armed only while a fault plan is installed
-            for kind, obj, port, vc in self._credit_events.pop(now, ()):
-                if kind == "router":
-                    event = fs.credit_event(obj.id, port, vc, now)
-                    if event is not None:
-                        if event == "drop":
-                            fs.counters["credits_dropped"] += 1
-                            continue  # the credit vanishes in transit
-                        fs.counters["credits_duplicated"] += 1
-                        obj.receive_credit(port, vc)
-                    obj.receive_credit(port, vc)
-                else:
-                    obj.receive_credit(vc)
-        else:
-            for kind, obj, port, vc in self._credit_events.pop(now, ()):
-                if kind == "router":
-                    obj.receive_credit(port, vc)
-                else:
-                    obj.receive_credit(vc)
+        self._deliver_credits(now)
         t0 = prof.outer("event_calendar", t0)
 
         for term in self.terminals:

@@ -40,10 +40,13 @@ class DORMeshRouting:
         packet.resource_class = 0
 
     def route(self, network: "Network", router: "Router", packet: "Packet") -> int:
-        k = self.k
         # One terminal per router: terminal id == router id.
-        dest_router = packet.dest
-        x, y = router.id % k, router.id // k
+        return self.dor_port(router.id, packet.dest)
+
+    def dor_port(self, router_id: int, dest_router: int) -> int:
+        """X-first output port at ``router_id`` toward ``dest_router``."""
+        k = self.k
+        x, y = router_id % k, router_id // k
         dx, dy = dest_router % k, dest_router // k
         if dx > x:
             return PORT_EAST

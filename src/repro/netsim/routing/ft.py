@@ -44,17 +44,10 @@ stall verdicts while they are active.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ...core.vc_partition import VCPartition
-from .dor import (
-    DORMeshRouting,
-    PORT_EAST,
-    PORT_NORTH,
-    PORT_SOUTH,
-    PORT_TERMINAL,
-    PORT_WEST,
-)
+from .dor import DORMeshRouting, PORT_TERMINAL
 from .ugal import PHASE_MINIMAL, PHASE_NONMINIMAL, UGALRouting
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,49 +55,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..flit import Packet
     from ..network import Network
     from ..router import Router
+    from ..topology import TopologyDescription
     from ..traffic import Terminal
 
 __all__ = ["FTDORMeshRouting", "FTUGALRouting", "ESCAPE_CLASS"]
 
 #: Resource class reserved for up*/down* escape routing on the mesh.
 ESCAPE_CLASS = 1
-
-_MESH_LINK_PORTS = (PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH)
-_REVERSE_PORT = {
-    PORT_EAST: PORT_WEST,
-    PORT_WEST: PORT_EAST,
-    PORT_NORTH: PORT_SOUTH,
-    PORT_SOUTH: PORT_NORTH,
-}
-
-
-def _mesh_neighbor(k: int, rid: int, port: int) -> Optional[int]:
-    """Neighbor router of ``rid`` across ``port``, or None at the edge."""
-    x, y = rid % k, rid // k
-    if port == PORT_EAST:
-        return rid + 1 if x < k - 1 else None
-    if port == PORT_WEST:
-        return rid - 1 if x > 0 else None
-    if port == PORT_NORTH:
-        return rid + k if y < k - 1 else None
-    if port == PORT_SOUTH:
-        return rid - k if y > 0 else None
-    return None
-
-
-def _dor_port(k: int, rid: int, dest_router: int) -> int:
-    """X-first DOR output port (mirrors :class:`DORMeshRouting`)."""
-    x, y = rid % k, rid // k
-    dx, dy = dest_router % k, dest_router // k
-    if dx > x:
-        return PORT_EAST
-    if dx < x:
-        return PORT_WEST
-    if dy > y:
-        return PORT_NORTH
-    if dy < y:
-        return PORT_SOUTH
-    return PORT_TERMINAL
 
 
 class FTDORMeshRouting(DORMeshRouting):
@@ -122,7 +79,8 @@ class FTDORMeshRouting(DORMeshRouting):
         #: (src, dest) router pairs no legal path survives for.
         self.unroutable_pairs: int = 0
 
-    def partition(self, vcs_per_class: int) -> VCPartition:
+    @staticmethod
+    def partition(vcs_per_class: int) -> VCPartition:
         """M=2 (request/reply) x R=2 (DOR + escape), one-way 0 -> 1."""
         return VCPartition(
             num_message_classes=2,
@@ -144,22 +102,21 @@ class FTDORMeshRouting(DORMeshRouting):
             return
         self.fault_state = fault_state
         self._perm = fault_state.permanent_link_faults()
-        self._build_tables()
+        desc = network.description
+        assert desc is not None, "fault-aware routing needs an assembled network"
+        self._build_tables(desc)
 
-    def _build_tables(self) -> None:
-        k = self.k
-        n = k * k
+    def _build_tables(self, desc: "TopologyDescription") -> None:
+        n = desc.num_routers
         perm = self._perm
         # Undirected escape edges: both directions must be healthy.
         adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         for rid in range(n):
-            for port in _MESH_LINK_PORTS:
-                nbr = _mesh_neighbor(k, rid, port)
-                if nbr is None:
+            for port in range(desc.num_ports):
+                far = desc.neighbor(rid, port)
+                if far is None or (rid, port) in perm or far in perm:
                     continue
-                if (rid, port) in perm or (nbr, _REVERSE_PORT[port]) in perm:
-                    continue
-                adj[rid].append((port, nbr))
+                adj[rid].append((port, far[0]))
 
         # BFS spanning-forest levels, one tree per surviving component,
         # rooted at the component's minimum router id.
@@ -246,13 +203,13 @@ class FTDORMeshRouting(DORMeshRouting):
                 ok = (d, PORT_TERMINAL) not in perm
                 r = s
                 while ok and r != d:
-                    p = _dor_port(k, r, d)
+                    p = self.dor_port(r, d)
                     if (r, p) in perm:
                         ok = esc_port[0][r][d] >= 0
                         break
-                    nbr = _mesh_neighbor(k, r, p)
-                    assert nbr is not None
-                    r = nbr
+                    far = desc.neighbor(r, p)
+                    assert far is not None  # DOR never leaves the mesh
+                    r = far[0]
                 routable[s][d] = ok
                 if not ok:
                     bad += 1
@@ -274,7 +231,7 @@ class FTDORMeshRouting(DORMeshRouting):
     def route(self, network: "Network", router: "Router", packet: "Packet") -> int:
         fs = self.fault_state
         if fs is None:
-            return _dor_port(self.k, router.id, packet.dest)
+            return self.dor_port(router.id, packet.dest)
         rid = router.id
         dest_router = packet.dest
         if rid == dest_router:
@@ -284,7 +241,7 @@ class FTDORMeshRouting(DORMeshRouting):
             port = self._esc_port[ph][rid][dest_router]
             packet.escape_phase = self._esc_phase[ph][rid][dest_router]
             return port
-        port = _dor_port(self.k, rid, dest_router)
+        port = self.dor_port(rid, dest_router)
         if (rid, port) in self._perm:
             # One-way transition into the reserved escape class.
             packet.resource_class = ESCAPE_CLASS
@@ -308,6 +265,9 @@ class FTUGALRouting(UGALRouting):
         super().__init__(rows, cols, concentration, threshold)
         self.fault_state: Optional["FaultState"] = None
         self._perm: FrozenSet[Tuple[int, int]] = frozenset()
+        #: ``TopologyDescription.neighbor`` of the network whose faults
+        #: are bound.
+        self._neighbor: Callable[[int, int], Optional[Tuple[int, int]]]
         self._pair_ok: Dict[Tuple[int, int], bool] = {}
         self.unroutable_pairs: int = 0
 
@@ -321,6 +281,9 @@ class FTUGALRouting(UGALRouting):
             return
         self.fault_state = fault_state
         self._perm = fault_state.permanent_link_faults()
+        desc = network.description
+        assert desc is not None, "fault-aware routing needs an assembled network"
+        self._neighbor = desc.neighbor
         n = self.rows * self.cols
         pair_ok: Dict[Tuple[int, int], bool] = {}
         bad = 0
@@ -335,17 +298,6 @@ class FTUGALRouting(UGALRouting):
         self._pair_ok = pair_ok
         self.unroutable_pairs = bad
 
-    def _next_router(self, rid: int, port: int) -> int:
-        """Invert ``row_port``/``col_port`` (inter-router ports only)."""
-        r, c = self._coords(rid)
-        i = port - self.concentration
-        if i < self.cols - 1:
-            others = [x for x in range(self.cols) if x != c]
-            return r * self.cols + others[i]
-        i -= self.cols - 1
-        others = [x for x in range(self.rows) if x != r]
-        return others[i] * self.cols + c
-
     def _leg_clean(self, src_router: int, dst_router: int) -> bool:
         """Is the minimal (row-then-column) leg free of permanent faults?"""
         perm = self._perm
@@ -354,7 +306,9 @@ class FTUGALRouting(UGALRouting):
             p = self.first_hop_port(r, dst_router, 0)
             if (r, p) in perm:
                 return False
-            r = self._next_router(r, p)
+            far = self._neighbor(r, p)
+            assert far is not None  # minimal hops follow wired channels
+            r = far[0]
         return True
 
     def _clean_option(self, src_router: int, dst_router: int) -> Optional[Tuple[int, Optional[int]]]:

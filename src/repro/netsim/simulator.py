@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .codegen import KernelSpec
 from .network import Network
 from .stats import LatencySummary, batch_means, summarize_latencies
-from .topology import build_fbfly, build_mesh, build_torus
+from .topology import assemble, describe
 
 __all__ = [
     "SimulationConfig",
@@ -31,6 +31,7 @@ __all__ = [
     "run_simulation",
     "run_simulation_worker",
     "build_network",
+    "validate_config",
     "kernel_spec",
     "prewarm_kernels",
     "topology_num_terminals",
@@ -252,25 +253,10 @@ class SimulationResult:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-# Geometry of the paper's topology instantiations (Section 3 / 5).
-# build_network hands these same constants to the builders, and
-# topology_num_terminals derives the terminal count from them, so
-# traffic patterns (which permute terminal indices) can never assume a
-# stale network size.
-_MESH_K = 8  # 8x8 mesh, one terminal per router
-_TORUS_K = 8  # 8x8 torus, one terminal per router
-_FBFLY_ROWS, _FBFLY_COLS, _FBFLY_CONC = 4, 4, 4  # c=4 concentration
-
-
 def topology_num_terminals(topology: str) -> int:
-    """Terminal count of the named paper topology."""
-    if topology == "mesh":
-        return _MESH_K * _MESH_K
-    if topology == "fbfly":
-        return _FBFLY_ROWS * _FBFLY_COLS * _FBFLY_CONC
-    if topology == "torus":
-        return _TORUS_K * _TORUS_K
-    raise ValueError(f"unknown topology {topology!r}")
+    """Terminal count of the named topology, so traffic patterns (which
+    permute terminal indices) can never assume a stale network size."""
+    return describe(topology).num_terminals
 
 
 def _resolve_pattern(
@@ -305,6 +291,16 @@ def _resolve_pattern(
         raise ValueError(f"unknown traffic pattern {name!r}") from None
 
 
+def validate_config(cfg: SimulationConfig) -> None:
+    """Raise the ValueError :func:`build_network` would -- unknown
+    topology, routing mode or traffic pattern, hotspot outside the
+    terminal range -- without building anything, so a front end can
+    reject a bad sweep before its first point runs."""
+    desc = describe(cfg.topology)
+    desc.mode(cfg.routing)
+    _resolve_pattern(cfg.traffic_pattern, desc.num_terminals, cfg.hotspot_terminals)
+
+
 def build_network(cfg: SimulationConfig, kernel: str = DEFAULT_KERNEL) -> Network:
     """Instantiate the configured topology with traffic attached.
 
@@ -318,11 +314,12 @@ def build_network(cfg: SimulationConfig, kernel: str = DEFAULT_KERNEL) -> Networ
     affects results, only wall-clock speed, and deliberately does NOT
     enter the simulation config (or its cache key).
     """
-    kwargs = dict(
+    desc = describe(cfg.topology)
+    return assemble(
+        desc,
+        cfg.routing,
         dest_fn=_resolve_pattern(
-            cfg.traffic_pattern,
-            topology_num_terminals(cfg.topology),
-            cfg.hotspot_terminals,
+            cfg.traffic_pattern, desc.num_terminals, cfg.hotspot_terminals
         ),
         vcs_per_class=cfg.vcs_per_class,
         packet_rate=cfg.packet_rate,
@@ -337,36 +334,6 @@ def build_network(cfg: SimulationConfig, kernel: str = DEFAULT_KERNEL) -> Networ
         lookahead=cfg.lookahead,
         kernel=kernel,
     )
-    if cfg.topology == "mesh":
-        net = build_mesh(_MESH_K, routing=cfg.routing, **kwargs)
-    elif cfg.topology == "fbfly":
-        net = build_fbfly(
-            _FBFLY_ROWS, _FBFLY_COLS, _FBFLY_CONC,
-            routing=cfg.routing, **kwargs,
-        )
-    elif cfg.topology == "torus":
-        if cfg.routing != "default":
-            raise ValueError(
-                f"routing mode {cfg.routing!r} is not supported on the "
-                "torus (fault-aware routing covers mesh and fbfly)"
-            )
-        net = build_torus(_TORUS_K, **kwargs)
-    else:
-        raise ValueError(f"unknown topology {cfg.topology!r}")
-    return net
-
-
-# (ports, message classes, resource classes) of the routers build_network
-# instantiates per (topology, routing mode); tests/perf/test_default_kernel.py
-# pins this against the constructed routers.
-_FBFLY_PORTS = _FBFLY_CONC + (_FBFLY_COLS - 1) + (_FBFLY_ROWS - 1)
-_ROUTER_SHAPES = {
-    ("mesh", "default"): (5, 2, 1),
-    ("mesh", "ft_dor"): (5, 2, 2),
-    ("fbfly", "default"): (_FBFLY_PORTS, 2, 2),
-    ("fbfly", "ft_ugal"): (_FBFLY_PORTS, 2, 2),
-    ("torus", "default"): (5, 2, 4),
-}
 
 
 def kernel_spec(cfg: SimulationConfig) -> "KernelSpec":
@@ -375,17 +342,12 @@ def kernel_spec(cfg: SimulationConfig) -> "KernelSpec":
     ``build_network(cfg)`` constructs, without constructing one."""
     from .codegen import KernelSpec
 
-    try:
-        ports, msg_classes, res_classes = _ROUTER_SHAPES[cfg.topology, cfg.routing]
-    except KeyError:
-        raise ValueError(
-            f"no router shape for topology {cfg.topology!r} with "
-            f"routing mode {cfg.routing!r}"
-        ) from None
+    desc = describe(cfg.topology)
+    partition = desc.mode(cfg.routing).partition(cfg.vcs_per_class)
     return KernelSpec(
-        num_ports=ports,
-        num_message_classes=msg_classes,
-        num_resource_classes=res_classes,
+        num_ports=desc.num_ports,
+        num_message_classes=partition.num_message_classes,
+        num_resource_classes=partition.num_resource_classes,
         vcs_per_class=cfg.vcs_per_class,
         vc_arch=cfg.vc_alloc_arch,
         vc_arbiter=cfg.vc_alloc_arbiter,
@@ -402,8 +364,8 @@ def prewarm_kernels(configs: Iterable[SimulationConfig]) -> None:
 
     Called by a parent about to fork one child per point: the children
     inherit the compiled factories instead of each paying codegen on its
-    first router.  A config that names no known router shape is skipped;
-    its own point reports the error.
+    first router.  A config naming an unknown topology or routing mode
+    is skipped; its own point reports the error.
     """
     from .codegen import kernel_factory
 

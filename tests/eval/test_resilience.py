@@ -41,6 +41,20 @@ class TestLinkSelection:
             == select_faulted_links(5, seed=7)[:2]
         )
 
+    @pytest.mark.parametrize("seed,links", [
+        (1, [(44, 3), (54, 1), (38, 4), (50, 2), (6, 1), (19, 3), (16, 3),
+             (4, 3), (43, 2), (28, 3), (27, 1), (27, 2), (17, 3), (29, 2),
+             (26, 4), (20, 3)]),
+        (7, [(50, 1), (49, 3), (44, 4), (46, 2), (57, 1), (38, 2), (26, 3),
+             (54, 1), (1, 2), (30, 4), (4, 1), (18, 1), (38, 4), (40, 4),
+             (42, 4), (42, 3)]),
+    ])
+    def test_selection_is_pinned(self, seed, links):
+        # Captured from the coordinate scan that preceded the topology
+        # description: the nested fault sets, and with them the CI
+        # ``--require-full-delivery 4`` gate, must not shift.
+        assert select_faulted_links(16, seed) == links
+
     def test_different_seeds_differ(self):
         assert select_faulted_links(8, 1) != select_faulted_links(8, 2)
 

@@ -113,7 +113,7 @@ def test_kernel_spec_from_config_matches_the_built_routers(topology, routing):
 
 
 def test_kernel_spec_rejects_an_unknown_shape():
-    with pytest.raises(ValueError, match="no router shape"):
+    with pytest.raises(ValueError, match="'ft_ugal' is not supported on the mesh"):
         kernel_spec(SimulationConfig(topology="mesh", routing="ft_ugal"))
     prewarm_kernels([SimulationConfig(topology="hypercube")])  # skipped, not raised
 

@@ -190,6 +190,36 @@ class TestCommands:
         assert rc == 2
         assert "bad --faults spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--pattern", "bogus"],
+         "error: unknown traffic pattern 'bogus'"),
+        (["sweep", "--pattern", "hotspot", "--hotspots", "9999", "--no-cache"],
+         "error: hotspot terminal(s) [9999] out of range for a "
+         "64-terminal network"),
+        (["sweep", "--rates", "0.1,abc", "--no-cache"],
+         "error: --rates must be a comma list of numbers, got '0.1,abc'"),
+        (["quality", "--rates", ","],
+         "error: --rates must be a comma list of numbers, got ','"),
+        (["faults", "--rates", "0.0,lots", "--no-cache"],
+         "error: --rates must be a comma list of numbers, got '0.0,lots'"),
+        (["faults", "--pattern", "bogus", "--no-cache"],
+         "error: unknown traffic pattern 'bogus'"),
+    ])
+    def test_bad_input_is_one_error_line_and_exit_2(
+        self, argv, message, capsys, monkeypatch
+    ):
+        # Rejected before any point runs, not by a traceback from the
+        # first one.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a point ran before the input was rejected")
+
+        monkeypatch.setattr("repro.cli.run_simulation", no_simulation)
+        monkeypatch.setattr("repro.eval.runner.run_simulation", no_simulation)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
     def test_sweep_resume_checkpoint_cycle(self, capsys, tmp_path):
         ckpt = tmp_path / "sweep.ckpt.jsonl"
         argv = ["sweep", "--rates", "0.05", "--cycles", "240", "--no-cache",
