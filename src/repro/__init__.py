@@ -19,20 +19,25 @@ Subpackages
     Experiment harness regenerating every figure of the paper.
 """
 
-from . import core, eval, hw, netsim
-from .core import (
-    MatrixArbiter,
-    MaximumSizeAllocator,
-    RoundRobinArbiter,
-    SeparableInputFirstAllocator,
-    SeparableOutputFirstAllocator,
-    SpeculativeSwitchAllocator,
-    SwitchAllocator,
-    VCAllocator,
-    VCPartition,
-    VCRequest,
-    WavefrontAllocator,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from . import core, eval, hw, netsim
+    from .core import (
+        MatrixArbiter,
+        MaximumSizeAllocator,
+        RoundRobinArbiter,
+        SeparableInputFirstAllocator,
+        SeparableOutputFirstAllocator,
+        SpeculativeSwitchAllocator,
+        SwitchAllocator,
+        VCAllocator,
+        VCPartition,
+        VCRequest,
+        WavefrontAllocator,
+    )
 
 __version__ = "1.0.0"
 
@@ -54,3 +59,25 @@ __all__ = [
     "WavefrontAllocator",
     "__version__",
 ]
+
+# Resolved on first access (PEP 562), so ``import repro`` -- which every
+# ``python -m repro`` command pays -- loads no subsystem.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": [
+            "MatrixArbiter",
+            "MaximumSizeAllocator",
+            "RoundRobinArbiter",
+            "SeparableInputFirstAllocator",
+            "SeparableOutputFirstAllocator",
+            "SpeculativeSwitchAllocator",
+            "SwitchAllocator",
+            "VCAllocator",
+            "VCPartition",
+            "VCRequest",
+            "WavefrontAllocator",
+        ],
+    },
+    submodules=["core", "eval", "hw", "netsim"],
+)

@@ -22,12 +22,17 @@ findings, and the baseline itself is ratcheted
 grow.  See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue.
 """
 
-from .drc import DrcConfig, NetlistDRC, run_drc
-from .findings import Baseline, Finding, format_findings
-from .netlists import iter_paper_netlists, lint_paper_netlists
-from .ratchet import check_baseline_ratchet
-from .revguard import check_simulator_rev
-from .srclint import lint_generated_kernels, lint_source_file, lint_source_tree
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .drc import DrcConfig, NetlistDRC, run_drc
+    from .findings import Baseline, Finding, format_findings
+    from .netlists import iter_paper_netlists, lint_paper_netlists
+    from .ratchet import check_baseline_ratchet
+    from .revguard import check_simulator_rev
+    from .srclint import lint_generated_kernels, lint_source_file, lint_source_tree
 
 __all__ = [
     "Baseline",
@@ -44,3 +49,19 @@ __all__ = [
     "lint_generated_kernels",
     "run_drc",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".drc": ["DrcConfig", "NetlistDRC", "run_drc"],
+        ".findings": ["Baseline", "Finding", "format_findings"],
+        ".netlists": ["iter_paper_netlists", "lint_paper_netlists"],
+        ".ratchet": ["check_baseline_ratchet"],
+        ".revguard": ["check_simulator_rev"],
+        ".srclint": [
+            "lint_generated_kernels",
+            "lint_source_file",
+            "lint_source_tree",
+        ],
+    },
+)

@@ -1,6 +1,6 @@
 """Git-aware ``SIMULATOR_REV`` guard.
 
-``SIMULATOR_REV`` (:mod:`repro.netsim.simulator`) salts every on-disk
+``SIMULATOR_REV`` (:mod:`repro.netsim.config`) salts every on-disk
 sweep-result cache: when a change alters the numbers a simulation
 produces for an unchanged config, the rev must be bumped or stale
 cached results silently masquerade as current ones.  The discipline so
@@ -43,7 +43,11 @@ SEMANTIC_PATHS: Sequence[str] = ("src/repro/core/", "src/repro/netsim/")
 OVERRIDE_TRAILER = "Simulator-Rev:"
 
 _REV_RE = re.compile(r"^SIMULATOR_REV\s*=\s*(\d+)", re.MULTILINE)
-_SIMULATOR_FILE = "src/repro/netsim/simulator.py"
+#: Where ``SIMULATOR_REV`` is assigned; the first file that has it wins.
+#: ``simulator.py`` carried it until the import-light names moved to
+#: ``config.py``, so a base ref from before the move is still readable.
+_REV_FILES = ("src/repro/netsim/config.py", "src/repro/netsim/simulator.py")
+_SIMULATOR_FILE = _REV_FILES[0]
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -58,15 +62,18 @@ def _git(repo: Path, *args: str) -> str:
 
 def _read_rev_at(repo: Path, ref: Optional[str]) -> Optional[int]:
     """SIMULATOR_REV at ``ref``; ``None`` ref reads the working tree."""
-    try:
-        if ref is None:
-            text = (repo / _SIMULATOR_FILE).read_text()
-        else:
-            text = _git(repo, "show", f"{ref}:{_SIMULATOR_FILE}")
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    m = _REV_RE.search(text)
-    return int(m.group(1)) if m else None
+    for rev_file in _REV_FILES:
+        try:
+            if ref is None:
+                text = (repo / rev_file).read_text()
+            else:
+                text = _git(repo, "show", f"{ref}:{rev_file}")
+        except (OSError, subprocess.CalledProcessError):
+            continue
+        m = _REV_RE.search(text)
+        if m:
+            return int(m.group(1))
+    return None
 
 
 def _changed_files(repo: Path, base_ref: str, head_ref: Optional[str]) -> List[str]:

@@ -46,35 +46,36 @@ Exposes the experiment harness without writing any Python:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, Container, Dict, List, NamedTuple, Optional
 
-from .eval.cost import switch_allocator_costs, vc_allocator_costs
-from .eval.figures import format_experiment_index
-from .eval.design_points import DesignPoint
-from .eval.matching import switch_matching_quality, vc_matching_quality
-from .eval.netperf import latency_sweep
-from .eval.runner import (
-    ConsoleReporter,
-    MultiReporter,
-    ResultCache,
-    SweepReporter,
-    default_cache_path,
-)
-from .eval.tables import format_cost_results, format_curves, format_table
-from .faults import FaultPlan, parse_fault_spec
-from .netsim.simulator import SimulationConfig, run_simulation, validate_config
-from .obs.metrics import emit_warning
-from .obs.observer import SimObserver
+# No ``repro`` subsystem is imported here: every handler imports what
+# it needs when it runs, so a command pays at start-up only for itself
+# (docs/PERFORMANCE.md, "Start-up"; tests/test_import_budget.py).
+if TYPE_CHECKING:  # pragma: no cover
+    from .eval.design_points import DesignPoint
+    from .netsim.config import SimulationConfig
 
-__all__ = ["main"]
+__all__ = ["main", "build_parser", "COMMANDS"]
+
+
+def _number(convert, value: str):
+    """``convert(value)``, failing with argparse's own wording (a bare
+    ValueError would name the type function in the message)."""
+    try:
+        return convert(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {convert.__name__} value: {value!r}"
+        ) from None
 
 
 def _positive_int(value: str) -> int:
-    """argparse type: integer >= 1 (e.g. worker counts)."""
-    n = int(value)
+    """argparse type: integer >= 1 (e.g. worker counts, cycle counts)."""
+    n = _number(int, value)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
@@ -82,7 +83,7 @@ def _positive_int(value: str) -> int:
 
 def _nonnegative_int(value: str) -> int:
     """argparse type: integer >= 0 (e.g. retry counts)."""
-    n = int(value)
+    n = _number(int, value)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
@@ -90,7 +91,7 @@ def _nonnegative_int(value: str) -> int:
 
 def _positive_float(value: str) -> float:
     """argparse type: float > 0 (e.g. wall-clock timeouts)."""
-    x = float(value)
+    x = _number(float, value)
     if x <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {x}")
     return x
@@ -98,7 +99,7 @@ def _positive_float(value: str) -> float:
 
 def _nonnegative_float(value: str) -> float:
     """argparse type: float >= 0 (e.g. retry backoff)."""
-    x = float(value)
+    x = _number(float, value)
     if x < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {x}")
     return x
@@ -134,6 +135,8 @@ def _one_of(*names: str):
 
 def _checked(cfg: SimulationConfig) -> SimulationConfig:
     """``cfg``, once :func:`validate_config` accepts it."""
+    from .netsim.config import validate_config
+
     try:
         validate_config(cfg)
     except ValueError as exc:
@@ -159,20 +162,21 @@ def _parse_hotspots(text: Optional[str]) -> Optional[List[int]]:
 
 
 def _point(args) -> DesignPoint:
+    from .eval.design_points import DesignPoint
+
     return DesignPoint.paper(args.topology, args.vcs_per_class)
 
 
-def _add_point_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", choices=["mesh", "fbfly"], default="mesh")
-    p.add_argument("--vcs-per-class", type=int, default=1, choices=[1, 2, 4])
-
-
 def cmd_figures(args) -> int:
+    from .eval.figures import format_experiment_index
+
     print(format_experiment_index())
     return 0
 
 
 def cmd_transitions(args) -> int:
+    from .eval.tables import format_table
+
     part = _point(args).partition
     mat = part.transition_matrix()
     rows = []
@@ -189,6 +193,9 @@ def cmd_transitions(args) -> int:
 
 
 def cmd_quality(args) -> int:
+    from .eval.matching import switch_matching_quality, vc_matching_quality
+    from .eval.tables import format_curves
+
     point = _point(args)
     rates = _comma_list("--rates", args.rates, float, "numbers")
     fn = vc_matching_quality if args.target == "vc" else switch_matching_quality
@@ -205,6 +212,9 @@ def cmd_quality(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    from .eval.cost import switch_allocator_costs, vc_allocator_costs
+    from .eval.tables import format_cost_results
+
     point = _point(args)
     if args.target == "vc":
         results = vc_allocator_costs(point)
@@ -215,6 +225,8 @@ def cmd_cost(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .netsim.config import SimulationConfig
+
     cfg = _checked(SimulationConfig(
         topology=args.topology,
         vcs_per_class=args.vcs_per_class,
@@ -229,6 +241,8 @@ def cmd_simulate(args) -> int:
         drain_cycles=args.cycles,
         seed=args.seed,
     ))
+    from .netsim.simulator import run_simulation
+
     res = run_simulation(cfg)
     print(res)
     print(
@@ -240,19 +254,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-class _StatsCapture(SweepReporter):
-    """Keeps the final :class:`SweepStats` for the run manifest."""
-
-    def __init__(self) -> None:
-        self.stats = None
-
-    def sweep_finished(self, stats) -> None:
-        self.stats = stats
-
-
 def cmd_sweep(args) -> int:
     from dataclasses import replace
 
+    from .eval.netperf import latency_sweep
+    from .eval.runner import (
+        ConsoleReporter,
+        MultiReporter,
+        ResultCache,
+        StatsCapture,
+        default_cache_path,
+    )
+    from .eval.tables import format_curves
+    from .faults.plan import parse_fault_spec
+    from .netsim.config import SimulationConfig
     from .obs.telemetry import (
         JsonlReporter,
         build_run_manifest,
@@ -287,7 +302,7 @@ def cmd_sweep(args) -> int:
         watchdog_cycles=watchdog,
     ))
     rates = _comma_list("--rates", args.rates, float, "numbers")
-    configs = [replace(base, injection_rate=r) for r in rates]
+    configs = [_checked(replace(base, injection_rate=r)) for r in rates]
 
     instrumented = bool(args.metrics or args.trace)
     metrics_dir = Path(args.metrics) if args.metrics else None
@@ -299,6 +314,10 @@ def cmd_sweep(args) -> int:
         # Instrumented points must run inline (the observer lives in
         # this process) and uncached (a cache hit would skip the hooks
         # entirely, leaving holes in the metrics/trace).
+        from .netsim.simulator import run_simulation
+        from .obs.metrics import emit_warning
+        from .obs.observer import SimObserver
+
         if jobs > 1:
             emit_warning(
                 "instrumented_sweep_forced_serial",
@@ -377,7 +396,7 @@ def cmd_sweep(args) -> int:
             print(f"resume: recovered {len(checkpoint.recovered)} completed "
                   f"point(s) from {ckpt_path}", file=sys.stderr)
 
-    capture = _StatsCapture()
+    capture = StatsCapture()
     reporters = [capture]
     if args.progress:
         reporters.append(ConsoleReporter())
@@ -534,6 +553,10 @@ def cmd_faults(args) -> int:
     the same binary-search saturation metric as ``repro sweep``, with a
     seeded :class:`~repro.faults.FaultPlan` scaled along one axis."""
     from .eval.netperf import saturation_throughput
+    from .eval.runner import ResultCache, default_cache_path
+    from .eval.tables import format_curves
+    from .faults.plan import FaultPlan
+    from .netsim.config import SimulationConfig
 
     kind_field = {
         "vcs": "stuck_vc_rate",
@@ -606,7 +629,14 @@ def cmd_resilience(args) -> int:
         run_resilience_campaign,
         write_resilience_artifact,
     )
-    from .eval.runner import config_key
+    from .eval.runner import (
+        ConsoleReporter,
+        MultiReporter,
+        ResultCache,
+        StatsCapture,
+        config_key,
+        default_cache_path,
+    )
 
     counts = _comma_list("--counts", args.counts, int, "integers")
     modes = _comma_list("--modes", args.modes, _one_of(*RESILIENCE_MODES),
@@ -650,7 +680,7 @@ def cmd_resilience(args) -> int:
             print(f"resume: recovered {len(checkpoint.recovered)} completed "
                   f"point(s) from {ckpt_path}", file=sys.stderr)
 
-    capture = _StatsCapture()
+    capture = StatsCapture()
     reporters = [capture]
     if args.progress:
         reporters.append(ConsoleReporter())
@@ -1011,123 +1041,116 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Becker & Dally SC'09 allocator study, reproduced.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- arguments, one function per command ------------------------------
 
-    p = sub.add_parser("figures", help="list every reproducible figure")
-    p.set_defaults(fn=cmd_figures)
+def _add_point_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--topology", choices=["mesh", "fbfly"], default="mesh")
+    p.add_argument("--vcs-per-class", type=int, default=1, choices=[1, 2, 4])
 
-    p = sub.add_parser("transitions", help="VC transition matrix (Fig 4)")
-    _add_point_args(p)
-    p.set_defaults(fn=cmd_transitions)
 
-    p = sub.add_parser("quality", help="matching quality (Figs 7/12)")
+def _add_quality_args(p: argparse.ArgumentParser) -> None:
     _add_point_args(p)
     p.add_argument("--target", choices=["vc", "switch"], default="switch")
     p.add_argument("--rates", default="0.1,0.2,0.4,0.6,0.8,1.0")
-    p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(fn=cmd_quality)
+    p.add_argument("--samples", type=_positive_int, default=1000)
 
-    p = sub.add_parser("cost", help="synthesis cost (Figs 5/6/10/11)")
+
+def _add_cost_args(p: argparse.ArgumentParser) -> None:
     _add_point_args(p)
     p.add_argument("--target", choices=["vc", "switch"], default="vc")
-    p.set_defaults(fn=cmd_cost)
 
-    for name, helptext in (
-        ("simulate", "one network simulation point"),
-        ("sweep", "latency vs load (Figs 13/14)"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_point_args(p)
-        p.add_argument("--sw-alloc", choices=["sep_if", "sep_of", "wf"],
-                       default="sep_if")
-        p.add_argument("--vc-alloc", choices=["sep_if", "sep_of", "wf"],
-                       default="sep_if")
-        p.add_argument("--speculation",
-                       choices=["nonspec", "pessimistic", "conventional"],
-                       default="pessimistic")
-        p.add_argument("--pattern", default="uniform")
-        p.add_argument("--hotspots", type=_parse_hotspots, default=None,
-                       metavar="T0,T1,...",
-                       help="hotspot terminal indices for --pattern "
-                            "hotspot (default: terminals 0 and N/2)")
-        p.add_argument("--cycles", type=int, default=2000)
-        p.add_argument("--seed", type=int, default=1)
-        if name == "simulate":
-            p.add_argument("--rate", type=float, default=0.2)
-            p.set_defaults(fn=cmd_simulate)
-        else:
-            p.add_argument("--rates", default="0.05,0.15,0.25,0.35")
-            p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="worker processes (1 = serial; results "
-                                "are identical either way)")
-            p.add_argument("--no-cache", action="store_true",
-                           help="always re-simulate; do not touch the "
-                                "sweep result cache")
-            p.add_argument("--cache-path", default=None,
-                           help="sweep cache file (default: "
-                                "$REPRO_SWEEP_CACHE or "
-                                "~/.cache/repro-noc-sweeps.json)")
-            p.add_argument("--progress", action="store_true",
-                           help="report per-point progress on stderr")
-            p.add_argument("--metrics", default=None, metavar="DIR",
-                           help="collect per-router metrics + sweep "
-                                "telemetry into DIR (metrics.jsonl, "
-                                "sweep.jsonl, manifest.json); forces a "
-                                "serial, uncached run")
-            p.add_argument("--trace", default=None, metavar="FILE",
-                           help="record a flit-lifecycle trace to FILE "
-                                "(Chrome trace-event JSON; open in "
-                                "Perfetto); forces a serial, uncached run")
-            p.add_argument("--sample-every", type=int, default=100,
-                           metavar="N",
-                           help="metrics sampling cadence in cycles "
-                                "(default: 100)")
-            p.add_argument("--faults", default=None, metavar="PLAN",
-                           help="inject faults: a JSON FaultPlan file or "
-                                "a compact spec like "
-                                "'links=0.01,vcs=0.02,drop=0.001,seed=7'")
-            p.add_argument("--watchdog", type=int, default=None, metavar="N",
-                           help="abort a point after N cycles without "
-                                "forward progress (default: off, or "
-                                "max(1000, --cycles) when --faults is "
-                                "given; 0 disables)")
-            p.add_argument("--timeout", type=_positive_float, default=None,
-                           metavar="SECONDS",
-                           help="per-point wall-clock limit; a point "
-                                "still running is killed and retried "
-                                "(implies worker processes)")
-            p.add_argument("--retries", type=_nonnegative_int, default=0,
-                           metavar="K",
-                           help="re-run a crashed/timed-out/failed point "
-                                "up to K times before recording a "
-                                "failure (default: 0)")
-            p.add_argument("--backoff", type=_nonnegative_float, default=1.0,
-                           metavar="SECONDS",
-                           help="base retry delay, doubled per attempt "
-                                "(default: 1.0)")
-            p.add_argument("--resume", action="store_true",
-                           help="journal completed points to a per-sweep "
-                                "checkpoint and recover them after an "
-                                "interrupted run")
-            p.add_argument("--checkpoint", default=None, metavar="FILE",
-                           help="checkpoint journal path (implies "
-                                "--resume; default: derived from the "
-                                "cache path)")
-            p.add_argument("--connect", default=None, metavar="HOST:PORT",
-                           help="compute pending points on a 'repro "
-                                "serve' job-queue server instead of "
-                                "locally (results are bit-identical; "
-                                "see docs/DISTRIBUTED.md)")
-            p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser(
-        "serve",
-        help="distributed sweep job-queue server (docs/DISTRIBUTED.md)")
+def _add_network_args(p: argparse.ArgumentParser) -> None:
+    """What ``simulate`` and ``sweep`` share: one network design point."""
+    _add_point_args(p)
+    p.add_argument("--sw-alloc", choices=["sep_if", "sep_of", "wf"],
+                   default="sep_if")
+    p.add_argument("--vc-alloc", choices=["sep_if", "sep_of", "wf"],
+                   default="sep_if")
+    p.add_argument("--speculation",
+                   choices=["nonspec", "pessimistic", "conventional"],
+                   default="pessimistic")
+    p.add_argument("--pattern", default="uniform")
+    p.add_argument("--hotspots", type=_parse_hotspots, default=None,
+                   metavar="T0,T1,...",
+                   help="hotspot terminal indices for --pattern "
+                        "hotspot (default: terminals 0 and N/2)")
+    p.add_argument("--cycles", type=_positive_int, default=2000)
+    p.add_argument("--seed", type=int, default=1)
+
+
+def _add_simulate_args(p: argparse.ArgumentParser) -> None:
+    _add_network_args(p)
+    p.add_argument("--rate", type=float, default=0.2)
+
+
+def _add_sweep_args(p: argparse.ArgumentParser) -> None:
+    _add_network_args(p)
+    p.add_argument("--rates", default="0.05,0.15,0.25,0.35")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (1 = serial; results "
+                        "are identical either way)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="always re-simulate; do not touch the "
+                        "sweep result cache")
+    p.add_argument("--cache-path", default=None,
+                   help="sweep cache file (default: "
+                        "$REPRO_SWEEP_CACHE or "
+                        "~/.cache/repro-noc-sweeps.json)")
+    p.add_argument("--progress", action="store_true",
+                   help="report per-point progress on stderr")
+    p.add_argument("--metrics", default=None, metavar="DIR",
+                   help="collect per-router metrics + sweep "
+                        "telemetry into DIR (metrics.jsonl, "
+                        "sweep.jsonl, manifest.json); forces a "
+                        "serial, uncached run")
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help="record a flit-lifecycle trace to FILE "
+                        "(Chrome trace-event JSON; open in "
+                        "Perfetto); forces a serial, uncached run")
+    p.add_argument("--sample-every", type=int, default=100,
+                   metavar="N",
+                   help="metrics sampling cadence in cycles "
+                        "(default: 100)")
+    p.add_argument("--faults", default=None, metavar="PLAN",
+                   help="inject faults: a JSON FaultPlan file or "
+                        "a compact spec like "
+                        "'links=0.01,vcs=0.02,drop=0.001,seed=7'")
+    p.add_argument("--watchdog", type=int, default=None, metavar="N",
+                   help="abort a point after N cycles without "
+                        "forward progress (default: off, or "
+                        "max(1000, --cycles) when --faults is "
+                        "given; 0 disables)")
+    p.add_argument("--timeout", type=_positive_float, default=None,
+                   metavar="SECONDS",
+                   help="per-point wall-clock limit; a point "
+                        "still running is killed and retried "
+                        "(implies worker processes)")
+    p.add_argument("--retries", type=_nonnegative_int, default=0,
+                   metavar="K",
+                   help="re-run a crashed/timed-out/failed point "
+                        "up to K times before recording a "
+                        "failure (default: 0)")
+    p.add_argument("--backoff", type=_nonnegative_float, default=1.0,
+                   metavar="SECONDS",
+                   help="base retry delay, doubled per attempt "
+                        "(default: 1.0)")
+    p.add_argument("--resume", action="store_true",
+                   help="journal completed points to a per-sweep "
+                        "checkpoint and recover them after an "
+                        "interrupted run")
+    p.add_argument("--checkpoint", default=None, metavar="FILE",
+                   help="checkpoint journal path (implies "
+                        "--resume; default: derived from the "
+                        "cache path)")
+    p.add_argument("--connect", default=None, metavar="HOST:PORT",
+                   help="compute pending points on a 'repro "
+                        "serve' job-queue server instead of "
+                        "locally (results are bit-identical; "
+                        "see docs/DISTRIBUTED.md)")
+
+
+def _add_serve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default: 127.0.0.1; use 0.0.0.0 "
                         "to accept remote workers)")
@@ -1165,11 +1188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-fn", default=None, metavar="MOD:FN",
                    help="compute function for --workers subprocesses "
                         "(default: the real simulator worker)")
-    p.set_defaults(fn=cmd_serve)
 
-    p = sub.add_parser(
-        "work",
-        help="attach a worker to a 'repro serve' server")
+
+def _add_work_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--connect", required=True, metavar="HOST:PORT",
                    help="server address (printed by 'repro serve')")
     p.add_argument("--worker-fn", default=None, metavar="MOD:FN",
@@ -1179,11 +1200,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="exit after computing N points (default: serve "
                         "until the server goes away)")
-    p.set_defaults(fn=cmd_work)
 
-    p = sub.add_parser(
-        "faults",
-        help="saturation throughput vs fault rate (robustness extension)")
+
+def _add_faults_args(p: argparse.ArgumentParser) -> None:
     _add_point_args(p)
     p.add_argument("--archs", default="sep_if,sep_of,wf",
                    help="comma list of allocator architectures "
@@ -1199,7 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["nonspec", "pessimistic", "conventional"],
                    default="pessimistic")
     p.add_argument("--pattern", default="uniform")
-    p.add_argument("--cycles", type=int, default=1000)
+    p.add_argument("--cycles", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--iterations", type=int, default=5,
                    help="binary-search depth per saturation probe "
@@ -1210,12 +1229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-path", default=None,
                    help="sweep cache file (default: $REPRO_SWEEP_CACHE "
                         "or ~/.cache/repro-noc-sweeps.json)")
-    p.set_defaults(fn=cmd_faults)
 
-    p = sub.add_parser(
-        "resilience",
-        help="degradation curves vs permanent link faults, with and "
-             "without fault-tolerant routing (docs/ROBUSTNESS.md)")
+
+def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--counts", default="0,1,2,4,8",
                    help="comma list of faulted-link counts "
                         "(default: 0,1,2,4,8)")
@@ -1237,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speculation",
                    choices=["nonspec", "pessimistic", "conventional"],
                    default="pessimistic")
-    p.add_argument("--cycles", type=int, default=1000)
+    p.add_argument("--cycles", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1,
                    help="seeds both the traffic and the faulted-link "
                         "selection (default: 1)")
@@ -1279,11 +1295,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "offered packet (no degraded-mode trip) for "
                         "every point with at most K faulted links "
                         "(the CI resilience gate)")
-    p.set_defaults(fn=cmd_resilience)
 
-    p = sub.add_parser(
-        "bench",
-        help="kernel throughput benchmark (BENCH_kernel.json)")
+
+def _add_bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quick", action="store_true",
                    help="short windows, mesh points only (CI smoke)")
     p.add_argument("--output", default="BENCH_kernel.json",
@@ -1315,11 +1329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", default=None, metavar="BASE",
                    help="diff this run against BASE: a bench report JSON "
                         "or a history ledger (uses its latest record)")
-    p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser(
-        "lint",
-        help="static verification: netlist DRC, source linter, rev guard")
+
+def _add_lint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--netlists", action="store_true",
                    help="run the gate-level DRC over every paper design "
                         "point (default: netlists + source)")
@@ -1355,13 +1367,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "installed repro package)")
     p.add_argument("--progress", action="store_true",
                    help="report per-netlist progress on stderr")
-    p.set_defaults(fn=cmd_lint)
 
-    p = sub.add_parser(
-        "verify",
-        help="formal verification: gate/behavioural equivalence proofs, "
-             "allocator properties, mutation coverage "
-             "(docs/STATIC_ANALYSIS.md)")
+
+def _add_verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", action="store_true",
                    help="prove every paper design-point netlist against "
                         "the behavioural models (components + end-to-end; "
@@ -1401,18 +1409,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the report to FILE instead of stdout")
     p.add_argument("--progress", action="store_true",
                    help="report per-stage progress on stderr")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser(
-        "report", help="summarize a --metrics telemetry directory")
+
+def _add_report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("dir", help="directory written by `repro sweep --metrics`")
     p.add_argument("--top", type=int, default=5,
                    help="number of stall-source routers to show")
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser(
-        "perf",
-        help="performance observatory (docs/PERFORMANCE.md)")
+
+def _add_perf_args(p: argparse.ArgumentParser) -> None:
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
     pr = perf_sub.add_parser(
         "report",
@@ -1435,17 +1440,115 @@ def build_parser() -> argparse.ArgumentParser:
                          "(optional)")
     pr.add_argument("--output", default="perf_report.html", metavar="FILE",
                     help="output HTML path (default: perf_report.html)")
-    pr.set_defaults(fn=cmd_perf_report)
+
+
+def _no_args(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+class Command(NamedTuple):
+    """One ``repro <name>`` subcommand."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    #: ``args -> exit status``; imports its subsystem when called.
+    handler: Callable[[argparse.Namespace], int]
+
+
+#: Every subcommand, in ``repro --help`` order.
+COMMANDS: Dict[str, Command] = {
+    "figures": Command(
+        "list every reproducible figure", _no_args, cmd_figures),
+    "transitions": Command(
+        "VC transition matrix (Fig 4)", _add_point_args, cmd_transitions),
+    "quality": Command(
+        "matching quality (Figs 7/12)", _add_quality_args, cmd_quality),
+    "cost": Command(
+        "synthesis cost (Figs 5/6/10/11)", _add_cost_args, cmd_cost),
+    "simulate": Command(
+        "one network simulation point", _add_simulate_args, cmd_simulate),
+    "sweep": Command(
+        "latency vs load (Figs 13/14)", _add_sweep_args, cmd_sweep),
+    "serve": Command(
+        "distributed sweep job-queue server (docs/DISTRIBUTED.md)",
+        _add_serve_args, cmd_serve),
+    "work": Command(
+        "attach a worker to a 'repro serve' server",
+        _add_work_args, cmd_work),
+    "faults": Command(
+        "saturation throughput vs fault rate (robustness extension)",
+        _add_faults_args, cmd_faults),
+    "resilience": Command(
+        "degradation curves vs permanent link faults, with and "
+        "without fault-tolerant routing (docs/ROBUSTNESS.md)",
+        _add_resilience_args, cmd_resilience),
+    "bench": Command(
+        "kernel throughput benchmark (BENCH_kernel.json)",
+        _add_bench_args, cmd_bench),
+    "lint": Command(
+        "static verification: netlist DRC, source linter, rev guard",
+        _add_lint_args, cmd_lint),
+    "verify": Command(
+        "formal verification: gate/behavioural equivalence proofs, "
+        "allocator properties, mutation coverage "
+        "(docs/STATIC_ANALYSIS.md)",
+        _add_verify_args, cmd_verify),
+    "report": Command(
+        "summarize a --metrics telemetry directory",
+        _add_report_args, cmd_report),
+    "perf": Command(
+        "performance observatory (docs/PERFORMANCE.md)",
+        _add_perf_args, cmd_perf_report),
+}
+
+
+def _build_parser(names: Container[str]) -> argparse.ArgumentParser:
+    """The ``repro`` parser with the arguments of ``names`` attached.
+
+    Every command is registered, so usage lines and the unknown-command
+    error always list them all; only a command in ``names`` has its
+    arguments built and can be parsed.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Becker & Dally SC'09 allocator study, reproduced.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name in names:
+            command.add_arguments(p)
+            p.set_defaults(fn=command.handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every subcommand's arguments attached."""
+    return _build_parser(COMMANDS)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            # Build the arguments of the one command that will parse;
+            # ``--help``, no command and an unknown command end in the
+            # top-level parser.
+            args = _build_parser(argv[:1]).parse_args(argv)
+            return args.fn(args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            # A reader that went away is often only noticed here.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # ``repro figures | head -2``: no traceback.  Point stdout at
+        # devnull so the interpreter's exit flush stays quiet, and
+        # leave with the shell's status for death by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

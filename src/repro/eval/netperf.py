@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..netsim.simulator import SimulationConfig, SimulationResult, run_simulation
+from ..netsim.config import SimulationConfig, SimulationResult
 from .runner import ResultCache, SweepReporter, run_point, run_sweep
 
 __all__ = [
@@ -172,7 +172,7 @@ def latency_sweep(
                 break
     else:
         for rate, cfg in zip(rates, configs):
-            res = run_point(cfg, cache=cache, sim_fn=sim_fn or run_simulation)
+            res = run_point(cfg, cache=cache, sim_fn=sim_fn)
             points.append(_to_point(rate, res))
             if stop_after_saturation and res.saturated:
                 break
@@ -188,7 +188,7 @@ def zero_load_latency(
 ) -> float:
     """Average latency at (near) zero load."""
     cfg = replace(base, injection_rate=rate)
-    return run_point(cfg, cache=cache, sim_fn=run_simulation).avg_latency
+    return run_point(cfg, cache=cache).avg_latency
 
 
 def saturation_throughput(
@@ -209,10 +209,7 @@ def saturation_throughput(
     limit = threshold_factor * z
 
     def stable(rate: float) -> bool:
-        res = run_point(
-            replace(base, injection_rate=rate), cache=cache,
-            sim_fn=run_simulation,
-        )
+        res = run_point(replace(base, injection_rate=rate), cache=cache)
         return not res.saturated and res.avg_latency <= limit
 
     try:

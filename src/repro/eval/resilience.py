@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults import FaultPlan, LinkFault
-from ..netsim.simulator import SimulationConfig, SimulationResult
+from ..netsim.config import SimulationConfig, SimulationResult
 from ..netsim.topology import describe, mesh_description
 from .runner import ResultCache, SweepReporter, run_sweep
 from .tables import format_curves

@@ -38,23 +38,17 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import multiprocessing as mp
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
 
-from ..netsim.simulator import (
-    SIMULATOR_REV,
-    SimulationConfig,
-    SimulationResult,
-    prewarm_kernels,
-    run_simulation,
-    run_simulation_worker,
-)
+# The import-light half of the simulator only: a sweep served from the
+# cache never loads the machine (``repro.netsim.simulator``, numpy) or
+# ``multiprocessing``; whoever has to run a point imports them then.
+from ..netsim.config import SIMULATOR_REV, SimulationConfig, SimulationResult
 from ..obs.metrics import emit_warning
 
 __all__ = [
@@ -66,6 +60,7 @@ __all__ = [
     "NullReporter",
     "ConsoleReporter",
     "MultiReporter",
+    "StatsCapture",
     "SweepStats",
     "PointFailure",
     "SweepPointError",
@@ -463,6 +458,17 @@ class MultiReporter(SweepReporter):
             r.sweep_finished(stats)
 
 
+class StatsCapture(SweepReporter):
+    """Keeps the final :class:`SweepStats` (the CLI's run manifest and
+    failure summary read it after the sweep)."""
+
+    def __init__(self) -> None:
+        self.stats: Optional[SweepStats] = None
+
+    def sweep_finished(self, stats: SweepStats) -> None:
+        self.stats = stats
+
+
 class ConsoleReporter(SweepReporter):
     """Human-readable progress on ``stream`` (default: stderr)."""
 
@@ -504,6 +510,13 @@ class ConsoleReporter(SweepReporter):
         )
 
 
+def _run_simulation(cfg: SimulationConfig) -> SimulationResult:
+    """The real simulator, loaded when the first point has to run."""
+    from ..netsim.simulator import run_simulation
+
+    return run_simulation(cfg)
+
+
 def run_point(
     cfg: SimulationConfig,
     cache: Optional[ResultCache] = None,
@@ -514,7 +527,7 @@ def run_point(
         hit = cache.get(cfg)
         if hit is not None:
             return hit
-    result = (sim_fn or run_simulation)(cfg)
+    result = (sim_fn or _run_simulation)(cfg)
     if cache is not None:
         cache.put(cfg, result)
     return result
@@ -562,6 +575,9 @@ def _run_hardened_pool(
     to ``fail`` -- which either records a :class:`PointFailure` or
     raises, per the sweep's ``on_failure`` policy.
     """
+    import multiprocessing as mp
+    from multiprocessing import connection as mp_connection
+
     ctx = mp.get_context()
     # (not-before time, index, attempt#) -- a heap so backoff-delayed
     # retries interleave correctly with first attempts.
@@ -717,7 +733,7 @@ class InlineScheduler(PointScheduler):
         retries: int = 0,
         backoff: float = 1.0,
     ) -> None:
-        self.sim_fn = sim_fn or run_simulation
+        self.sim_fn = sim_fn or _run_simulation
         self.retries = retries
         self.backoff = backoff
 
@@ -759,20 +775,26 @@ class ProcessPoolScheduler(PointScheduler):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.worker_fn = worker_fn or run_simulation_worker
+        self.worker_fn = worker_fn
 
     def run(self, configs, pending, record, fail, stats) -> None:
-        # Forked children inherit the parent's compiled kernels, so pay
-        # codegen once per design point here rather than once per
-        # point process.  A custom worker_fn may never simulate.
-        if (
-            self.worker_fn is run_simulation_worker
-            and mp.get_start_method() == "fork"
-        ):
-            prewarm_kernels(configs[i] for i in pending)
+        import multiprocessing as mp
+
+        worker_fn = self.worker_fn
+        if worker_fn is None:
+            # Forked children inherit this interpreter, so pay for the
+            # machine once, here, rather than once per point process:
+            # importing the simulator loads everything a point touches,
+            # and prewarm_kernels compiles each design point's kernel.
+            # A custom worker_fn may never simulate.
+            from ..netsim.simulator import prewarm_kernels, run_simulation_worker
+
+            worker_fn = run_simulation_worker
+            if mp.get_start_method() == "fork":
+                prewarm_kernels(configs[i] for i in pending)
         _run_hardened_pool(
             configs, pending, self.jobs, record, fail, stats,
-            self.timeout, self.retries, self.backoff, self.worker_fn,
+            self.timeout, self.retries, self.backoff, worker_fn,
         )
 
 

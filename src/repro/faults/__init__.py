@@ -31,9 +31,14 @@ PAPERS.md).  Three layers:
     instead of silently burning to ``max_cycles``.
 """
 
-from .plan import CreditFault, FaultPlan, LinkFault, StuckVC, parse_fault_spec
-from .state import FaultState
-from .watchdog import Watchdog, WatchdogError, deadlock_snapshot
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .plan import CreditFault, FaultPlan, LinkFault, StuckVC, parse_fault_spec
+    from .state import FaultState
+    from .watchdog import Watchdog, WatchdogError, deadlock_snapshot
 
 __all__ = [
     "CreditFault",
@@ -46,3 +51,18 @@ __all__ = [
     "WatchdogError",
     "deadlock_snapshot",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".plan": [
+            "CreditFault",
+            "FaultPlan",
+            "LinkFault",
+            "StuckVC",
+            "parse_fault_spec",
+        ],
+        ".state": ["FaultState"],
+        ".watchdog": ["Watchdog", "WatchdogError", "deadlock_snapshot"],
+    },
+)

@@ -34,8 +34,6 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "LinkFault",
     "StuckVC",
@@ -261,7 +259,11 @@ class FaultPlan:
         ``(plan, dimensions)`` pair always expands to the same event
         set regardless of where it runs.
         """
-        from .state import FaultState  # local import avoids a cycle
+        # Imported here: a plan is part of every config and cache key,
+        # and reading one must not load numpy (``.state``: a cycle).
+        import numpy as np
+
+        from .state import FaultState
 
         self.validate_topology(router_ports, num_vcs)
 

@@ -8,27 +8,32 @@ reproduces the paper's out-of-memory failures.  See DESIGN.md for the
 substitution rationale.
 """
 
-from .area import area_by_cell, total_area
-from .cells import CELLS, Cell, cell_by_name
-from .netlist import Netlist
-from .power import PowerReport, analyze_power, signal_probabilities
-from .sizing import SizingResult, recover_timing
-from .synthesis import (
-    DEFAULT_MAX_CELLS,
-    SynthesisCapacityError,
-    SynthesisReport,
-    synthesize,
-    synthesize_switch_allocator,
-    synthesize_vc_allocator,
-)
-from .verilog import to_verilog
-from .timing import (
-    TimingReport,
-    analyze_timing,
-    compute_arrivals,
-    compute_loads,
-    format_critical_path,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .area import area_by_cell, total_area
+    from .cells import CELLS, Cell, cell_by_name
+    from .netlist import Netlist
+    from .power import PowerReport, analyze_power, signal_probabilities
+    from .sizing import SizingResult, recover_timing
+    from .synthesis import (
+        DEFAULT_MAX_CELLS,
+        SynthesisCapacityError,
+        SynthesisReport,
+        synthesize,
+        synthesize_switch_allocator,
+        synthesize_vc_allocator,
+    )
+    from .verilog import to_verilog
+    from .timing import (
+        TimingReport,
+        analyze_timing,
+        compute_arrivals,
+        compute_loads,
+        format_critical_path,
+    )
 
 __all__ = [
     "CELLS",
@@ -55,3 +60,30 @@ __all__ = [
     "to_verilog",
     "total_area",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".area": ["area_by_cell", "total_area"],
+        ".cells": ["CELLS", "Cell", "cell_by_name"],
+        ".netlist": ["Netlist"],
+        ".power": ["PowerReport", "analyze_power", "signal_probabilities"],
+        ".sizing": ["SizingResult", "recover_timing"],
+        ".synthesis": [
+            "DEFAULT_MAX_CELLS",
+            "SynthesisCapacityError",
+            "SynthesisReport",
+            "synthesize",
+            "synthesize_switch_allocator",
+            "synthesize_vc_allocator",
+        ],
+        ".verilog": ["to_verilog"],
+        ".timing": [
+            "TimingReport",
+            "analyze_timing",
+            "compute_arrivals",
+            "compute_loads",
+            "format_critical_path",
+        ],
+    },
+)

@@ -8,17 +8,22 @@ with UGAL routing.  Traffic is the request-reply transaction mix of
 Section 3.2.
 """
 
-from .flit import Flit, Packet, PacketType
-from .network import Network
-from .router import Router
-from .simulator import (
-    SimulationConfig,
-    SimulationResult,
-    build_network,
-    run_simulation,
-)
-from .topology import build_fbfly, build_mesh, build_torus
-from .traffic import Terminal, uniform_random_dest
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .flit import Flit, Packet, PacketType
+    from .network import Network
+    from .router import Router
+    from .simulator import (
+        SimulationConfig,
+        SimulationResult,
+        build_network,
+        run_simulation,
+    )
+    from .topology import build_fbfly, build_mesh, build_torus
+    from .traffic import Terminal, uniform_random_dest
 
 __all__ = [
     "Flit",
@@ -36,3 +41,20 @@ __all__ = [
     "run_simulation",
     "uniform_random_dest",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".flit": ["Flit", "Packet", "PacketType"],
+        ".network": ["Network"],
+        ".router": ["Router"],
+        ".simulator": [
+            "SimulationConfig",
+            "SimulationResult",
+            "build_network",
+            "run_simulation",
+        ],
+        ".topology": ["build_fbfly", "build_mesh", "build_torus"],
+        ".traffic": ["Terminal", "uniform_random_dest"],
+    },
+)

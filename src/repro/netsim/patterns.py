@@ -9,18 +9,22 @@ ch. 3) let the benchmarks check that claim.  Each helper returns a
 Deterministic permutations that map a terminal to itself fall back to
 a uniform random destination for that terminal (a self-addressed packet
 would never enter the network).
+
+Only annotations name numpy here: validating a config's pattern
+(:func:`repro.netsim.config.validate_config`) imports this module, and
+that must not load numpy or the terminal model.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import TYPE_CHECKING, Callable, List
 
-import numpy as np
-
-from .traffic import uniform_random_dest
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
+    "uniform_random_dest",
     "transpose_pattern",
     "bit_complement_pattern",
     "bit_reverse_pattern",
@@ -29,7 +33,13 @@ __all__ = [
     "hotspot_pattern",
 ]
 
-DestFn = Callable[[np.random.Generator, int, int], int]
+DestFn = Callable[["np.random.Generator", int, int], int]
+
+
+def uniform_random_dest(rng: np.random.Generator, src: int, num_terminals: int) -> int:
+    """Uniform random traffic: any destination but self."""
+    dest = int(rng.integers(num_terminals - 1))
+    return dest if dest < src else dest + 1
 
 
 def _permutation_fn(mapping: List[int]) -> DestFn:

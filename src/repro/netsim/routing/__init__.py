@@ -10,8 +10,22 @@ A routing object provides two hooks:
   returns the output port and may advance ``packet.resource_class``.
 """
 
-from .dor import DORMeshRouting
-from .ft import FTDORMeshRouting, FTUGALRouting
-from .ugal import UGALRouting
+from typing import TYPE_CHECKING
+
+from ..._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .dor import DORMeshRouting
+    from .ft import FTDORMeshRouting, FTUGALRouting
+    from .ugal import UGALRouting
 
 __all__ = ["DORMeshRouting", "FTDORMeshRouting", "FTUGALRouting", "UGALRouting"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".dor": ["DORMeshRouting"],
+        ".ft": ["FTDORMeshRouting", "FTUGALRouting"],
+        ".ugal": ["UGALRouting"],
+    },
+)

@@ -46,11 +46,11 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ...core.vc_partition import VCPartition
 from .dor import DORMeshRouting, PORT_TERMINAL
 from .ugal import PHASE_MINIMAL, PHASE_NONMINIMAL, UGALRouting
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...core.vc_partition import VCPartition
     from ...faults.state import FaultState
     from ..flit import Packet
     from ..network import Network
@@ -82,6 +82,8 @@ class FTDORMeshRouting(DORMeshRouting):
     @staticmethod
     def partition(vcs_per_class: int) -> VCPartition:
         """M=2 (request/reply) x R=2 (DOR + escape), one-way 0 -> 1."""
+        from ...core.vc_partition import VCPartition
+
         return VCPartition(
             num_message_classes=2,
             num_resource_classes=2,

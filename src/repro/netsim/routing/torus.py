@@ -23,12 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ...core.vc_partition import VCPartition
 from .dor import PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_TERMINAL, PORT_WEST
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...core.vc_partition import VCPartition
     from ..flit import Packet
     from ..network import Network
     from ..router import Router
@@ -58,6 +56,10 @@ class TorusDatelineRouting:
         X-pre to Y-post when its first Y hop crosses the Y dateline) but
         never move back.
         """
+        import numpy as np
+
+        from ...core.vc_partition import VCPartition
+
         transitions = np.triu(np.ones((4, 4), dtype=bool))
         return VCPartition(2, 4, vcs_per_class, transitions)
 

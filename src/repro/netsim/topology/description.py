@@ -13,14 +13,22 @@ counts) reads the description instead of restating it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
-import numpy as np
+from ..patterns import uniform_random_dest
 
-from ...core.vc_partition import VCPartition
-from ..network import Network
-from ..router import Router
-from ..traffic import Terminal, uniform_random_dest
+if TYPE_CHECKING:  # pragma: no cover
+    from ...core.vc_partition import VCPartition
+    from ..network import Network
 
 __all__ = ["RoutingMode", "TopologyDescription", "assemble"]
 
@@ -128,6 +136,15 @@ def assemble(
     scheme, buffer depth, lookahead, kernel) go to every
     :class:`~repro.netsim.router.Router` unchanged.
     """
+    # The machine is imported here, not by the module: a description is
+    # data, and a process that only reads one (cache keys, config
+    # checks) must not load numpy, the router or the allocator core.
+    import numpy as np
+
+    from ..network import Network
+    from ..router import Router
+    from ..traffic import Terminal
+
     mode = desc.mode(routing)
     routing_obj = mode.routing()
     partition = mode.partition(vcs_per_class)

@@ -10,16 +10,27 @@ resource classes (non-minimal phase -> minimal phase).
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
-from ...core.vc_partition import VCPartition
-from ..network import Network
 from ..routing.ft import FTUGALRouting
 from ..routing.ugal import UGALRouting
 from .description import RoutingMode, TopologyDescription, assemble
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ...core.vc_partition import VCPartition
+    from ..network import Network
+
 __all__ = ["fbfly_description", "build_fbfly"]
 
 TERMINAL_LINK_LATENCY = 1
+
+
+def _partition(vcs_per_class: int) -> VCPartition:
+    """``VCPartition.fbfly``, imported when a partition is built (the
+    allocator core is numpy code; a description is plain data)."""
+    from ...core.vc_partition import VCPartition
+
+    return VCPartition.fbfly(vcs_per_class)
 
 
 def fbfly_description(
@@ -63,8 +74,8 @@ def fbfly_description(
         ),
         terminal_latency=TERMINAL_LINK_LATENCY,
         modes={
-            "default": RoutingMode(partial(UGALRouting, *shape), VCPartition.fbfly),
-            "ft_ugal": RoutingMode(partial(FTUGALRouting, *shape), VCPartition.fbfly),
+            "default": RoutingMode(partial(UGALRouting, *shape), _partition),
+            "ft_ugal": RoutingMode(partial(FTUGALRouting, *shape), _partition),
         },
     )
 

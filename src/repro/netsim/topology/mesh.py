@@ -8,9 +8,8 @@ V = 2 * C VCs for C VCs per class.
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
-from ...core.vc_partition import VCPartition
-from ..network import Network
 from ..routing.dor import (
     DORMeshRouting,
     PORT_EAST,
@@ -22,9 +21,21 @@ from ..routing.dor import (
 from ..routing.ft import FTDORMeshRouting
 from .description import RoutingMode, TopologyDescription, assemble
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ...core.vc_partition import VCPartition
+    from ..network import Network
+
 __all__ = ["mesh_description", "build_mesh", "grid_links"]
 
 LINK_LATENCY = 1
+
+
+def _partition(vcs_per_class: int) -> VCPartition:
+    """``VCPartition.mesh``, imported when a partition is built (the
+    allocator core is numpy code; a description is plain data)."""
+    from ...core.vc_partition import VCPartition
+
+    return VCPartition.mesh(vcs_per_class)
 
 
 def grid_links(k: int, wrap: bool) -> tuple:
@@ -59,7 +70,7 @@ def mesh_description(k: int) -> TopologyDescription:
         terminals=tuple((rid, PORT_TERMINAL) for rid in range(k * k)),
         terminal_latency=LINK_LATENCY,
         modes={
-            "default": RoutingMode(partial(DORMeshRouting, k), VCPartition.mesh),
+            "default": RoutingMode(partial(DORMeshRouting, k), _partition),
             "ft_dor": RoutingMode(
                 partial(FTDORMeshRouting, k), FTDORMeshRouting.partition
             ),

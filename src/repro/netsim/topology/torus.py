@@ -10,12 +10,15 @@ V = 2 message classes x 4 dateline resource classes x C.
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
-from ..network import Network
 from ..routing.dor import PORT_TERMINAL
 from ..routing.torus import TorusDatelineRouting
 from .description import RoutingMode, TopologyDescription, assemble
 from .mesh import LINK_LATENCY, grid_links
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..network import Network
 
 __all__ = ["torus_description", "build_torus"]
 

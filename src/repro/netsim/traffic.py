@@ -19,22 +19,17 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
-import numpy as np
-
 from .flit import Flit, Packet, PacketType
+from .patterns import uniform_random_dest
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from ..obs.observer import SimObserver
     from .network import Network
     from .router import Router
 
 __all__ = ["Terminal", "uniform_random_dest", "permutation_dest"]
-
-
-def uniform_random_dest(rng: np.random.Generator, src: int, num_terminals: int) -> int:
-    """Uniform random traffic: any destination but self."""
-    dest = int(rng.integers(num_terminals - 1))
-    return dest if dest < src else dest + 1
 
 
 def permutation_dest(permutation: List[int]) -> Callable:

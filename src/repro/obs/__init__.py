@@ -26,29 +26,41 @@ path):
     behind the same ``profiler is None`` fast path; all simulator
     wall-clock reads live there.
 
-``repro.obs.telemetry`` (imported lazily -- it depends on
-``repro.eval``) adds structured *sweep* telemetry: a
+``repro.obs.telemetry`` adds structured *sweep* telemetry: a
 :class:`JsonlReporter` for the sweep engine, per-run manifests, and the
-``repro report`` summarizer.  ``repro.obs.perf_report`` (also lazy)
-renders the self-contained HTML performance dashboard behind
-``repro perf report``.
+``repro report`` summarizer.  ``repro.obs.perf_report`` renders the
+self-contained HTML performance dashboard behind ``repro perf report``.
+
+Every name below is resolved on first access (:mod:`repro._lazy`), so
+importing one layer never loads the others.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    StructuredWarning,
-    add_warning_sink,
-    clear_recent_warnings,
-    emit_warning,
-    recent_warnings,
-    remove_warning_sink,
-)
-from .observer import NullObserver, SimObserver
-from .profiling import PHASES, PROFILE_SCHEMA, PhaseProfiler, profile_point
-from .tracing import FlitTracer, LatencyBreakdown
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        StructuredWarning,
+        add_warning_sink,
+        clear_recent_warnings,
+        emit_warning,
+        recent_warnings,
+        remove_warning_sink,
+    )
+    from .observer import NullObserver, SimObserver
+    from .profiling import PHASES, PROFILE_SCHEMA, PhaseProfiler, profile_point
+    from .telemetry import (
+        JsonlReporter,
+        build_run_manifest,
+        summarize_metrics_dir,
+        write_run_manifest,
+    )
+    from .tracing import FlitTracer, LatencyBreakdown
 
 __all__ = [
     "Counter",
@@ -69,24 +81,40 @@ __all__ = [
     "PROFILE_SCHEMA",
     "PhaseProfiler",
     "profile_point",
-    # lazily resolved from .telemetry (avoids a repro.eval import cycle)
     "JsonlReporter",
     "build_run_manifest",
     "write_run_manifest",
     "summarize_metrics_dir",
 ]
 
-_TELEMETRY_NAMES = {
-    "JsonlReporter",
-    "build_run_manifest",
-    "write_run_manifest",
-    "summarize_metrics_dir",
-}
-
-
-def __getattr__(name: str):
-    if name in _TELEMETRY_NAMES:
-        from . import telemetry
-
-        return getattr(telemetry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": [
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "StructuredWarning",
+            "add_warning_sink",
+            "clear_recent_warnings",
+            "emit_warning",
+            "recent_warnings",
+            "remove_warning_sink",
+        ],
+        ".observer": ["NullObserver", "SimObserver"],
+        ".profiling": [
+            "PHASES",
+            "PROFILE_SCHEMA",
+            "PhaseProfiler",
+            "profile_point",
+        ],
+        ".tracing": ["FlitTracer", "LatencyBreakdown"],
+        ".telemetry": [
+            "JsonlReporter",
+            "build_run_manifest",
+            "write_run_manifest",
+            "summarize_metrics_dir",
+        ],
+    },
+)

@@ -224,6 +224,7 @@ def add_warning_sink(sink: WarningSink) -> None:
 
 
 def remove_warning_sink(sink: WarningSink) -> None:
+    """Detach ``sink``; a sink that was never added is not an error."""
     try:
         _sinks.remove(sink)
     except ValueError:
@@ -253,4 +254,5 @@ def recent_warnings() -> List[StructuredWarning]:
 
 
 def clear_recent_warnings() -> None:
+    """Empty the recent-warnings ring (tests start from a clean slate)."""
     _recent.clear()

@@ -34,7 +34,7 @@ from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, TextIO
 
 from ..eval.runner import SweepReporter, SweepStats, config_key
 from ..eval.tables import format_table
-from ..netsim.simulator import SIMULATOR_REV, SimulationConfig, SimulationResult
+from ..netsim.config import SIMULATOR_REV, SimulationConfig, SimulationResult
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -214,6 +214,7 @@ def build_run_manifest(
 
 
 def write_run_manifest(path: "Path | str", manifest: Dict[str, Any]) -> Path:
+    """Write ``manifest`` as JSON to ``path``, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=1))

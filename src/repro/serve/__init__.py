@@ -27,8 +27,13 @@ Because every simulation seeds its RNG streams purely from
 which worker -- or which machine -- computed them.
 """
 
-from .client import RemoteScheduler
-from .protocol import PROTOCOL_VERSION, ProtocolError, parse_address
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .client import RemoteScheduler
+    from .protocol import PROTOCOL_VERSION, ProtocolError, parse_address
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -36,3 +41,11 @@ __all__ = [
     "RemoteScheduler",
     "parse_address",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".client": ["RemoteScheduler"],
+        ".protocol": ["PROTOCOL_VERSION", "ProtocolError", "parse_address"],
+    },
+)

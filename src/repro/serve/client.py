@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from ..eval.runner import PointScheduler, SweepStats
-from ..netsim.simulator import SimulationConfig, SimulationResult
+from ..netsim.config import SimulationConfig, SimulationResult
 from .protocol import (
     MessageSocket,
     ProtocolError,

@@ -46,7 +46,7 @@ import json
 import socket
 from typing import Any, Dict, Optional, Tuple
 
-from ..netsim.simulator import SIMULATOR_REV
+from ..netsim.config import SIMULATOR_REV
 
 __all__ = [
     "PROTOCOL_VERSION",

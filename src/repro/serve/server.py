@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..eval.checkpoint import SweepCheckpoint, sweep_signature
 from ..eval.runner import PointFailure, SweepStats, config_key
-from ..netsim.simulator import SimulationConfig, SimulationResult
+from ..netsim.config import SimulationConfig, SimulationResult
 from ..obs.metrics import emit_warning
 from ..obs.telemetry import JsonlReporter
 from .cache import ShardedResultCache

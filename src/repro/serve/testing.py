@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..netsim.simulator import SimulationConfig, SimulationResult
+from ..netsim.config import SimulationConfig, SimulationResult
 
 __all__ = ["analytic_result", "analytic_sim", "analytic_worker", "failing_worker"]
 

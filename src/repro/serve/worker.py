@@ -23,7 +23,6 @@ import sys
 import time
 from typing import Any, Callable, Dict, Optional
 
-from ..netsim.simulator import run_simulation_worker
 from .protocol import MessageSocket, check_welcome, hello_message, parse_address
 
 __all__ = ["resolve_worker_fn", "run_worker"]
@@ -35,6 +34,8 @@ def resolve_worker_fn(spec: Optional[str]) -> Callable[[Dict], Dict]:
     """Resolve ``"pkg.module:callable"`` (or ``None`` for the real
     simulator worker)."""
     if spec is None:
+        from ..netsim.simulator import run_simulation_worker
+
         return run_simulation_worker
     module_name, sep, attr = spec.partition(":")
     if not sep:

@@ -25,11 +25,16 @@ sweep costs a single pass over the cone.  The mutation harness
 mutations and asserting they are killed.
 """
 
-from .engine import ConeEvaluator, MAX_EXHAUSTIVE_BITS, check_or_cone, sweep
-from .equivalence import check_netlist, e2e_check_matrix
-from .mutate import MutationReport, run_mutation_campaign
-from .properties import ARBITER_PROPERTIES, rr_starvation_bound
-from .runner import VERIFY_RULES, verify_paper_netlists
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import ConeEvaluator, MAX_EXHAUSTIVE_BITS, check_or_cone, sweep
+    from .equivalence import check_netlist, e2e_check_matrix
+    from .mutate import MutationReport, run_mutation_campaign
+    from .properties import ARBITER_PROPERTIES, rr_starvation_bound
+    from .runner import VERIFY_RULES, verify_paper_netlists
 
 __all__ = [
     "ConeEvaluator",
@@ -45,3 +50,19 @@ __all__ = [
     "VERIFY_RULES",
     "verify_paper_netlists",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".engine": [
+            "ConeEvaluator",
+            "MAX_EXHAUSTIVE_BITS",
+            "check_or_cone",
+            "sweep",
+        ],
+        ".equivalence": ["check_netlist", "e2e_check_matrix"],
+        ".mutate": ["MutationReport", "run_mutation_campaign"],
+        ".properties": ["ARBITER_PROPERTIES", "rr_starvation_bound"],
+        ".runner": ["VERIFY_RULES", "verify_paper_netlists"],
+    },
+)

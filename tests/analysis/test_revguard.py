@@ -114,3 +114,25 @@ class TestFailureModes:
         findings = check_simulator_rev(repo, "base")
         assert [f.rule for f in findings] == ["SRC-SIM-REV"]
         assert "SIMULATOR_REV" in findings[0].message
+
+
+class TestRevLocation:
+    """``SIMULATOR_REV`` moved to ``netsim/config.py``; a base ref from
+    before the move still carries it in ``simulator.py``."""
+
+    def move_rev(self, repo, rev):
+        netsim = repo / "src/repro/netsim"
+        (netsim / "config.py").write_text(f"SIMULATOR_REV = {rev}\n")
+        (netsim / "simulator.py").write_text("from .config import SIMULATOR_REV\n")
+
+    def test_move_without_a_bump_is_still_a_semantic_change(self, repo):
+        self.move_rev(repo, 3)
+        findings = check_simulator_rev(repo, "base")
+        assert [f.rule for f in findings] == ["SRC-SIM-REV"]
+        assert "SIMULATOR_REV = 3" in findings[0].location
+
+    def test_bump_is_read_from_the_new_file(self, repo):
+        self.move_rev(repo, 4)
+        assert check_simulator_rev(repo, "base") == []
+        commit_all(repo, "move and bump")
+        assert check_simulator_rev(repo, "base", "HEAD") == []

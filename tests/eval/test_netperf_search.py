@@ -40,7 +40,8 @@ class _FakeNetwork:
 @pytest.fixture
 def fake(monkeypatch):
     net = _FakeNetwork()
-    monkeypatch.setattr(netperf, "run_simulation", net.run)
+    # run_point resolves the simulator from its module on a miss.
+    monkeypatch.setattr("repro.netsim.simulator.run_simulation", net.run)
     return net
 
 

@@ -1,7 +1,7 @@
 """Topology-derived terminal counts and configurable hotspot placement.
 
 Two satellite fixes ride together here: ``build_network`` used to hand
-``_resolve_pattern`` a hardcoded 64 terminals (a silent mis-mapping
+``resolve_pattern`` a hardcoded 64 terminals (a silent mis-mapping
 trap for any future non-64-terminal topology), and the hotspot pattern
 hardcoded its hotspot set to ``[0, N // 2]`` (unsweepable, invisible
 to the cache key).

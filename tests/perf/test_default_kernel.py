@@ -6,20 +6,24 @@
   table and cache do not depend on which kernel produced them;
 * the compiled-kernel design point derives from the config alone
   (``kernel_spec``), which is what lets the hardened pool compile each
-  one in the parent so forked point processes inherit the factories.
+  one in the parent so forked point processes inherit the factories;
+* the pool also *imports* in the parent: a forked point process finds
+  every module it needs already loaded.
 """
 
 import functools
 import inspect
 import multiprocessing as mp
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.eval import runner
 from repro.eval.runner import run_sweep
-from repro.netsim import codegen
+from repro.netsim import codegen, simulator
 from repro.netsim.kernels import DEFAULT_KERNEL, KERNELS
 from repro.netsim.router import Router
 from repro.netsim.simulator import (
@@ -80,7 +84,7 @@ def test_sweep_table_and_cache_do_not_depend_on_the_kernel(
     default_table, line = table("default.json")
     assert "0 hit(s), 2 miss(es)" in line
     with monkeypatch.context() as m:
-        m.setattr(runner, "run_simulation",
+        m.setattr(simulator, "run_simulation",
                   functools.partial(run_simulation, kernel="reference"))
         reference_table, line = table("reference.json")
         assert "0 hit(s), 2 miss(es)" in line
@@ -90,7 +94,7 @@ def test_sweep_table_and_cache_do_not_depend_on_the_kernel(
     def no_simulation(cfg, **kwargs):
         raise AssertionError("cache miss: the point was re-simulated")
 
-    monkeypatch.setattr(runner, "run_simulation", no_simulation)
+    monkeypatch.setattr(simulator, "run_simulation", no_simulation)
     for cache_name in ("default.json", "reference.json"):
         served, line = table(cache_name)
         assert "2 hit(s), 0 miss(es)" in line
@@ -158,3 +162,66 @@ class TestPoolPrewarm:
         assert [r.injected_flit_rate for r in results] == [0.1, 0.2]
         assert compile_log() == []
         assert codegen._FACTORIES == {}
+
+
+# Run in a fresh interpreter (this one has long since imported
+# everything): log every import that reaches the finders -- i.e. every
+# module not yet in sys.modules -- with the pid that asked for it, then
+# sweep three points through the pool.  Forked children inherit the
+# finder, so an import paid after the fork is logged under their pid.
+_LOGGED_SWEEP = """\
+import os, sys
+
+class LogImports:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{os.getpid()} {name}\\n")
+
+sys.meta_path.insert(0, LogImports)
+
+from repro.eval.runner import run_sweep
+from repro.faults.plan import FaultPlan
+from repro.netsim.config import SimulationConfig
+from repro.serve.testing import analytic_worker
+
+windows = dict(warmup_cycles=40, measure_cycles=120, drain_cycles=120)
+configs = [
+    SimulationConfig(injection_rate=0.05, **windows),
+    SimulationConfig(topology="fbfly", traffic_pattern="transpose", **windows),
+    SimulationConfig(faults=FaultPlan(stuck_vc_rate=0.05, seed=3), **windows),
+]
+worker_fn = analytic_worker if sys.argv[2] == "custom" else None
+results = run_sweep(configs, timeout=60, worker_fn=worker_fn)
+assert all(r is not None for r in results)
+print(os.getpid(), "numpy" in sys.modules, "repro.netsim.simulator" in sys.modules)
+"""
+
+
+def _logged_sweep(tmp_path, worker):
+    log = tmp_path / "imports.log"
+    log.touch()
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _LOGGED_SWEEP, str(log), worker],
+        env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    parent, numpy_loaded, simulator_loaded = done.stdout.split()
+    imports = [line.split() for line in log.read_text().splitlines()]
+    late = sorted({name for pid, name in imports if pid != parent})
+    return late, numpy_loaded == "True", simulator_loaded == "True"
+
+
+def test_forked_point_processes_import_nothing(tmp_path):
+    if mp.get_start_method() != "fork":
+        pytest.skip("spawned children import afresh")
+    late, numpy_loaded, simulator_loaded = _logged_sweep(tmp_path, "default")
+    assert numpy_loaded and simulator_loaded  # by the parent, before forking
+    assert late == []
+
+
+def test_custom_worker_triggers_no_preload(tmp_path):
+    _, numpy_loaded, simulator_loaded = _logged_sweep(tmp_path, "custom")
+    assert not numpy_loaded and not simulator_loaded

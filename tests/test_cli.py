@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,12 @@ class TestParser:
         ["sweep", "--timeout", "-5"],
         ["sweep", "--retries", "-1"],
         ["sweep", "--backoff", "-0.5"],
+        # Used to exit 0 with a table of zeros (or of 1.000).
+        ["simulate", "--cycles", "-5"],
+        ["sweep", "--cycles", "0"],
+        ["faults", "--cycles", "-1"],
+        ["resilience", "--cycles", "0"],
+        ["quality", "--samples", "0", "--rates", "0.5"],
     ])
     def test_sweep_rejects_nonsensical_runner_values(self, argv, capsys):
         # Bad worker/hardening values must die at the argparse layer
@@ -204,6 +214,10 @@ class TestCommands:
          "error: --rates must be a comma list of numbers, got '0.0,lots'"),
         (["faults", "--pattern", "bogus", "--no-cache"],
          "error: unknown traffic pattern 'bogus'"),
+        (["simulate", "--rate", "-1", "--cycles", "50"],
+         "error: injection_rate must be >= 0, got -1.0"),
+        (["sweep", "--rates", "0.1,-0.2", "--no-cache"],
+         "error: injection_rate must be >= 0, got -0.2"),
     ])
     def test_bad_input_is_one_error_line_and_exit_2(
         self, argv, message, capsys, monkeypatch
@@ -213,8 +227,11 @@ class TestCommands:
         def no_simulation(*args, **kwargs):
             raise AssertionError("a point ran before the input was rejected")
 
-        monkeypatch.setattr("repro.cli.run_simulation", no_simulation)
-        monkeypatch.setattr("repro.eval.runner.run_simulation", no_simulation)
+        # Every caller resolves the simulator from its module when a
+        # point has to run, so this one patch covers them all.
+        monkeypatch.setattr(
+            "repro.netsim.simulator.run_simulation", no_simulation
+        )
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
@@ -536,3 +553,50 @@ class TestLintCommand:
         rc = main(["lint", "--rev-guard", "HEAD"])
         assert rc == 1
         assert "SRC-SIM-REV" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    """``repro <command> | head -1``: the reader going away is not an
+    error worth a traceback."""
+
+    @staticmethod
+    def run_until_first_line(argv, cwd):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], cwd=cwd, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            return first, stderr, proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
+    def test_reader_closing_after_the_first_line(self, tmp_path):
+        # ~180 kB of findings: more than a pipe holds, so the command is
+        # still writing (blocked) when the reader closes -- no race.
+        noisy = tmp_path / "repro" / "netsim" / "noisy.py"
+        noisy.parent.mkdir(parents=True)
+        noisy.write_text("import random\n" + "".join(
+            f"x{i} = random.random()\n" for i in range(1200)
+        ))
+        first, stderr, status = self.run_until_first_line(
+            ["lint", "--source", "--src-root", str(tmp_path / "repro")],
+            tmp_path,
+        )
+        assert b"SRC-UNSEEDED-RANDOM" in first
+        assert stderr == b""
+        assert status == 141
+
+    def test_short_output_read_to_the_first_line(self, tmp_path):
+        # The whole listing may fit the pipe before the reader closes
+        # (then the command simply succeeds); either way, no traceback.
+        first, stderr, status = self.run_until_first_line(["figures"], tmp_path)
+        assert first.startswith(b"Experiment index")
+        assert stderr == b""
+        assert status in (0, 141)

@@ -1,0 +1,149 @@
+"""Start-up budget: a command loads only what it needs.
+
+``import repro`` / ``import repro.cli`` load no subsystem, and the paths
+a user re-runs all day -- ``repro figures``, a ``repro sweep`` served
+from the cache, the ``repro serve`` scheduler -- never load numpy or the
+simulator (docs/PERFORMANCE.md, "Start-up").  Each case runs in a fresh
+interpreter through ``scripts/import_report.py``'s ``loaded_modules``
+and is checked against forbidden module prefixes, so putting one
+module-level ``import numpy`` back on the light path fails here and the
+report names the module that did it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import cli
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "scripts"))
+import import_report  # noqa: E402
+
+#: The simulator and everything only a computing process needs.
+MACHINE = (
+    "numpy",
+    "repro.netsim.router",
+    "repro.netsim.network",
+    "repro.netsim.codegen",
+    "repro.hw",
+    "repro.verify",
+    "repro.analysis",
+    "repro.serve",
+)
+NO_SUBSYSTEM = MACHINE + ("repro.core", "repro.eval", "repro.netsim", "repro.obs",
+                          "repro.faults", "multiprocessing")
+
+SWEEP = ["sweep", "--rates", "0.05,0.15", "--cycles", "60"]
+
+
+def offenders(modules, forbidden):
+    return sorted(
+        m for m in modules
+        if any(m == f or m.startswith(f + ".") for f in forbidden)
+    )
+
+
+@pytest.mark.parametrize("what,forbidden", [
+    ("import repro", NO_SUBSYSTEM),
+    ("import repro.cli", NO_SUBSYSTEM),
+    (["--help"], NO_SUBSYSTEM),
+    (["figures"], MACHINE + ("multiprocessing",)),
+    # The input boundary runs without the machine too.
+    (["sweep", "--pattern", "bogus", "--no-cache"], MACHINE),
+], ids=["import repro", "import repro.cli", "--help", "figures", "rejected sweep"])
+def test_light_paths_load_no_machine(what, forbidden, tmp_path):
+    modules = import_report.loaded_modules(what, cwd=tmp_path)
+    assert offenders(modules, forbidden) == []
+
+
+def test_warm_sweep_loads_no_numpy(tmp_path):
+    argv = SWEEP + ["--pattern", "transpose",
+                    "--cache-path", str(tmp_path / "c.json")]
+    cold = import_report.loaded_modules(argv, cwd=tmp_path)
+    assert "numpy" in cold and "repro.netsim.router" in cold
+    warm = import_report.loaded_modules(argv, cwd=tmp_path)
+    # serve only through --connect; multiprocessing only for a pool.
+    assert offenders(warm, MACHINE + ("repro.core", "multiprocessing")) == []
+    assert "repro.netsim.patterns" in warm  # validate_config still ran
+
+
+def test_serve_scheduler_loads_no_numpy(tmp_path):
+    modules = import_report.loaded_modules(
+        ["serve", "--port", "0", "--state-dir", str(tmp_path / "state")],
+        cwd=tmp_path, interrupt_after="serving on",
+    )
+    assert "repro.serve.server" in modules
+    assert offenders(modules, ("numpy", "repro.netsim.router", "repro.core",
+                               "repro.hw", "repro.verify", "repro.analysis")) == []
+
+
+def test_cache_written_by_the_parent_commit_is_all_hits(tmp_path):
+    # tests/data/sweep_cache_parent.json: written by `repro sweep` at the
+    # commit before the config/simulator split (plain mesh points plus a
+    # faulted, transposed fbfly point).  Keys, salt and payloads must
+    # still be read as they were written.
+    cache = tmp_path / "c.json"
+    shutil.copy(REPO / "tests" / "data" / "sweep_cache_parent.json", cache)
+    for argv, hits in [
+        (SWEEP, 2),
+        (["sweep", "--rates", "0.1", "--cycles", "60", "--topology", "fbfly",
+          "--pattern", "transpose", "--faults", "vcs=0.05,seed=3"], 1),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--cache-path", str(cache)],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert f"cache: {hits} hit(s), 0 miss(es)" in done.stdout
+
+
+class TestCommandTable:
+    def test_every_command_resolves_its_parser_and_handler(self):
+        parser = cli.build_parser()
+        for name, command in cli.COMMANDS.items():
+            assert callable(command.add_arguments) and callable(command.handler)
+            assert command.handler.__module__ == "repro.cli"
+            # Required positionals aside, the bare command must parse.
+            tail = {"work": ["--connect", "h:1"], "report": ["d"],
+                    "perf": ["report"]}.get(name, [])
+            args = parser.parse_args([name, *tail])
+            assert args.fn is command.handler, name
+
+    def test_the_report_has_a_cheap_argv_for_every_command(self, tmp_path):
+        covered = {name.split()[0] for name in import_report.cheap_argvs(tmp_path)}
+        assert set(cli.COMMANDS) <= covered
+
+    def test_help_and_unknown_command_list_every_command(self, capsys):
+        listing = "{" + ",".join(cli.COMMANDS) + "}"
+        assert listing == (
+            "{figures,transitions,quality,cost,simulate,sweep,serve,work,"
+            "faults,resilience,bench,lint,verify,report,perf}"
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        # argparse wraps the usage line; compare without the wrapping.
+        out = "".join(capsys.readouterr().out.split())
+        assert f"usage:repro[-h]{listing}..." in out
+        for command in cli.COMMANDS.values():
+            assert "".join(command.help.split()) in out
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        choices = ", ".join(repr(name) for name in cli.COMMANDS)
+        assert f"invalid choice: 'bogus' (choose from {choices})" in err
+
+    def test_one_command_builds_one_set_of_arguments(self):
+        parser = cli._build_parser(["sweep"])
+        assert parser.parse_args(["sweep"]).fn is cli.cmd_sweep
+        # Registered (so messages list it) but its arguments are not built.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["quality", "--samples", "5"])
