@@ -17,8 +17,10 @@ Fidelity knobs (environment variables):
 
 Simulation sweeps are memoized in ``benchmarks/.sweep_cache.json``
 (keyed by the full config + simulator revision, so fidelity-knob or
-code changes re-simulate automatically); synthesis results likewise in
-``benchmarks/.cost_cache.json``.
+simulator changes re-simulate automatically); synthesis results in
+``benchmarks/.cost_cache.json``, salted with a digest of the whole
+``repro`` package, so any source edit re-synthesizes -- neither file
+ever needs deleting by hand, and the cost cache is not committed.
 """
 
 import os

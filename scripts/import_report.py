@@ -125,16 +125,24 @@ def _closed_port() -> int:
 
 def cheap_argvs(tmp: Path) -> Dict[str, dict]:
     """One cheap invocation per CLI command, as :func:`traced_run`
-    keyword arguments; state goes under ``tmp``.  ``sweep (warm)``
-    re-runs ``sweep`` on the cache it filled, so order matters."""
+    keyword arguments; state goes under ``tmp``.  A ``(warm)`` row
+    re-runs its command on the cache or result store the row before it
+    filled, so order matters."""
     sweep = ["sweep", "--rates", "0.05", "--cycles", "60",
              "--cache-path", str(tmp / "sweep.json")]
+    store = ["--cache-path", str(tmp / "offline-store.json")]
+    quality = ["quality", "--samples", "20", "--rates", "0.5"] + store
+    cost = ["cost"] + store
+    lint = ["lint", "--netlists", "--quick"] + store
+    verify = ["verify", "--quick"] + store
     return {
         "(import repro.cli)": dict(what="import repro.cli"),
         "figures": dict(what=["figures"]),
         "transitions": dict(what=["transitions"]),
-        "quality": dict(what=["quality", "--samples", "20", "--rates", "0.5"]),
-        "cost": dict(what=["cost"]),
+        "quality": dict(what=quality),
+        "quality (warm)": dict(what=quality),
+        "cost": dict(what=cost),
+        "cost (warm)": dict(what=cost),
         "simulate": dict(what=["simulate", "--cycles", "60"]),
         "sweep": dict(what=sweep),
         "sweep (warm)": dict(what=sweep),
@@ -150,8 +158,10 @@ def cheap_argvs(tmp: Path) -> Dict[str, dict]:
                                  "default", "--cycles", "60", "--no-cache"]),
         "bench": dict(what=["bench", "--dump-kernel", str(tmp / "kernels"),
                             "--dump-only"]),
-        "lint": dict(what=["lint", "--netlists", "--quick"]),
-        "verify": dict(what=["verify", "--properties", "--quick"]),
+        "lint": dict(what=lint),
+        "lint (warm)": dict(what=lint),
+        "verify": dict(what=verify),
+        "verify (warm)": dict(what=verify),
         "report": dict(what=["report", str(tmp)]),
         "perf": dict(what=["perf", "report", "--output", str(tmp / "perf.html")]),
     }

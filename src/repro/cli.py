@@ -192,35 +192,94 @@ def cmd_transitions(args) -> int:
     return 0
 
 
+def _memoised(args, key: str, compute: Callable[[], dict]) -> dict:
+    """``compute()``'s JSON-ready result, through the offline result
+    store: the :class:`~repro.eval.store.ResultStore` salted with a
+    digest of this package's source, so an unchanged tree answers
+    ``quality``, ``cost``, ``lint --netlists`` and ``verify`` without
+    importing what computes them (docs/PERFORMANCE.md, "Warm offline
+    commands").  The hit and the miss hand back the same payload, so
+    what a command prints from it cannot differ between the two; the
+    ``cache:`` line goes to stderr for the same reason.
+    """
+    if args.no_cache:
+        return compute()
+    from .eval.store import ResultStore, code_salt, default_store_path
+    from .obs.metrics import add_warning_sink, remove_warning_sink
+
+    salt = code_salt()
+    if salt is None:
+        print("note: result store disabled: the repro package has no "
+              "readable .py sources to salt it with", file=sys.stderr)
+        return compute()
+
+    def on_stderr(warning) -> None:  # a quarantined or unwritable file
+        print(f"warning: {warning.message}", file=sys.stderr)
+
+    add_warning_sink(on_stderr)
+    try:
+        store = ResultStore(args.cache_path or default_store_path(), salt)
+        payload = store.fetch(key, compute)
+    finally:
+        remove_warning_sink(on_stderr)
+    print(f"cache: {store.hits} hit(s), {store.misses} computed "
+          f"({store.path})", file=sys.stderr)
+    return payload
+
+
 def cmd_quality(args) -> int:
-    from .eval.matching import switch_matching_quality, vc_matching_quality
     from .eval.tables import format_curves
 
-    point = _point(args)
     rates = _comma_list("--rates", args.rates, float, "numbers")
-    fn = vc_matching_quality if args.target == "vc" else switch_matching_quality
-    curves = fn(point, rates=rates, num_samples=args.samples)
+
+    def compute() -> dict:
+        from .eval.matching import switch_matching_quality, vc_matching_quality
+
+        point = _point(args)
+        fn = (vc_matching_quality if args.target == "vc"
+              else switch_matching_quality)
+        curves = fn(point, rates=rates, num_samples=args.samples)
+        return {"label": point.label,
+                "curves": {k: c.quality for k, c in curves.items()}}
+
+    # Keyed on the arguments, not the design point: building the point
+    # is what loads numpy.
+    result = _memoised(
+        args,
+        f"quality|{args.topology}|{args.vcs_per_class}|{args.target}|"
+        f"{rates}|{args.samples}",
+        compute,
+    )
     print(
         format_curves(
             "req/VC/cycle",
             rates,
-            {k: c.quality for k, c in curves.items()},
-            title=f"{args.target} allocator matching quality, {point.label}",
+            result["curves"],
+            title=f"{args.target} allocator matching quality, {result['label']}",
         )
     )
     return 0
 
 
 def cmd_cost(args) -> int:
-    from .eval.cost import switch_allocator_costs, vc_allocator_costs
+    from dataclasses import asdict
+
+    from .eval.cost import CostResult, switch_allocator_costs, vc_allocator_costs
     from .eval.tables import format_cost_results
 
-    point = _point(args)
-    if args.target == "vc":
-        results = vc_allocator_costs(point)
-    else:
-        results = switch_allocator_costs(point)
-    print(format_cost_results(results, title=f"{args.target} allocator cost, {point.label}"))
+    def compute() -> dict:
+        point = _point(args)
+        fn = vc_allocator_costs if args.target == "vc" else switch_allocator_costs
+        return {"label": point.label,
+                "results": [asdict(r) for r in fn(point)]}
+
+    result = _memoised(
+        args, f"cost|{args.topology}|{args.vcs_per_class}|{args.target}", compute
+    )
+    print(format_cost_results(
+        [CostResult(**r) for r in result["results"]],
+        title=f"{args.target} allocator cost, {result['label']}",
+    ))
     return 0
 
 
@@ -809,70 +868,52 @@ def cmd_perf_report(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Static verification: netlist DRC + source linter + rev guard."""
-    from .analysis import (
-        Baseline,
-        DrcConfig,
-        check_baseline_ratchet,
-        check_simulator_rev,
-        format_findings,
-        lint_generated_kernels,
-        lint_paper_netlists,
-        lint_source_tree,
-    )
-    from .analysis.findings import findings_to_json
+def _matrix_args(args) -> dict:
+    """What ``--quick``, ``--max-cells`` and ``--progress`` mean to a run
+    over the paper matrix (DRC or proofs), as keyword arguments."""
+    kwargs = {"quick": args.quick, "progress": None}
+    if args.progress:
+        kwargs["progress"] = lambda msg: print(msg, file=sys.stderr)
+    if args.max_cells is not None:
+        kwargs["max_cells"] = args.max_cells
+    return kwargs
 
-    run_netlists = args.netlists
-    run_source = args.source
-    run_rev = args.rev_guard is not None
-    run_ratchet = args.ratchet is not None
-    if not (run_netlists or run_source or run_rev or run_ratchet):
-        run_netlists = run_source = True
 
-    findings = []
-    meta = {}
-    if run_netlists:
-        progress = (
-            (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-        )
-        drc_kwargs = {}
-        if args.max_cells is not None:
-            drc_kwargs["max_cells"] = args.max_cells
-        drc_findings, skipped, checked = lint_paper_netlists(
-            config=DrcConfig(),
-            quick=args.quick,
-            progress=progress,
-            **drc_kwargs,
-        )
-        findings.extend(drc_findings)
-        meta["netlists_checked"] = checked
-        meta["netlists_skipped"] = [
-            {"label": label, "reason": reason} for label, reason in skipped
-        ]
-        for label, reason in skipped:
-            print(f"note: skipped {label}: {reason}", file=sys.stderr)
-    if run_source:
-        src_root = Path(args.src_root) if args.src_root else Path(__file__).parent
-        findings.extend(lint_source_tree(src_root))
-        # The compiled kernel's generated modules never exist on disk;
-        # render the template design points and lint them too.
-        findings.extend(lint_generated_kernels())
-        meta["source_root"] = str(src_root)
-    if run_rev:
-        findings.extend(check_simulator_rev(Path.cwd(), args.rev_guard))
+def _matrix_payload(outcome) -> dict:
+    """``(findings, skipped, checked)`` of a run over the paper matrix,
+    as the JSON the offline result store keeps."""
+    findings, skipped, checked = outcome
+    return {
+        "findings": [f.to_dict() for f in findings],
+        "skipped": [list(pair) for pair in skipped],
+        "checked": checked,
+    }
 
-    baseline_path = args.baseline
-    if baseline_path is None and Path("lint-baseline.json").exists():
-        baseline_path = "lint-baseline.json"
-    if run_ratchet:
-        findings.extend(
-            check_baseline_ratchet(
-                Path.cwd(),
-                baseline_path=baseline_path or "lint-baseline.json",
-                base_ref=args.ratchet,
-            )
-        )
+
+def _matrix_findings(result: dict, meta: dict, counted_as: str) -> list:
+    """Findings of a :func:`_matrix_payload`; books the netlist counts
+    into ``meta`` and notes the capacity skips on stderr."""
+    from .analysis.findings import Finding
+
+    meta[counted_as] = result["checked"]
+    meta["netlists_skipped"] = [
+        {"label": label, "reason": reason} for label, reason in result["skipped"]
+    ]
+    for label, reason in result["skipped"]:
+        print(f"note: skipped {label}: {reason}", file=sys.stderr)
+    return [Finding.from_dict(f) for f in result["findings"]]
+
+
+def _gate_on_findings(
+    args, findings, meta, baseline_path: Optional[str], *,
+    as_json: bool, title: str = "", note_stale: bool = True,
+) -> int:
+    """What ``lint`` and ``verify`` end with: split ``findings`` by the
+    baseline, print (or ``--output``) the report, exit 1 on a finding
+    the baseline does not accept.  Runs after the result store, so an
+    edited baseline takes effect on stored findings too."""
+    from .analysis.findings import Baseline, findings_to_json, format_findings
+
     if baseline_path is not None:
         try:
             baseline = Baseline.load(Path(baseline_path))
@@ -882,9 +923,7 @@ def cmd_lint(args) -> int:
     else:
         baseline = Baseline()
     unsuppressed, suppressed = baseline.partition(findings)
-    if run_netlists or run_source:
-        # Staleness is only meaningful when the stages that produce
-        # baseline-matched findings actually ran.
+    if note_stale:
         for entry in baseline.unused_entries():
             print(
                 f"note: stale baseline entry matched nothing: {entry}",
@@ -907,10 +946,12 @@ def cmd_lint(args) -> int:
         print(f"wrote {len(new.entries)} suppression(s) to "
               f"{args.write_baseline}", file=sys.stderr)
 
-    if args.format == "json":
+    if as_json:
         report = findings_to_json(unsuppressed, suppressed, meta=meta)
     else:
-        report = format_findings(unsuppressed, suppressed=len(suppressed))
+        report = format_findings(
+            unsuppressed, suppressed=len(suppressed), title=title
+        )
     if args.output:
         Path(args.output).write_text(report + "\n")
         print(f"wrote {args.output}")
@@ -919,46 +960,114 @@ def cmd_lint(args) -> int:
     return 1 if unsuppressed else 0
 
 
+def _default_baseline(args, name: str) -> Optional[str]:
+    """``--baseline``, else ``name`` when the working directory has it."""
+    if args.baseline is None and Path(name).exists():
+        return name
+    return args.baseline
+
+
+def cmd_lint(args) -> int:
+    """Static verification: netlist DRC + source linter + rev guard."""
+    run_netlists = args.netlists
+    run_source = args.source
+    run_rev = args.rev_guard is not None
+    run_ratchet = args.ratchet is not None
+    if not (run_netlists or run_source or run_rev or run_ratchet):
+        run_netlists = run_source = True
+
+    findings = []
+    meta = {}
+    if run_netlists:
+        def drc_matrix() -> dict:
+            from .analysis.drc import DrcConfig
+            from .analysis.netlists import lint_paper_netlists
+
+            return _matrix_payload(lint_paper_netlists(
+                config=DrcConfig(), **_matrix_args(args)
+            ))
+
+        # The DRC matrix depends on this package alone, which is what
+        # the store's salt digests; the other stages read the working
+        # tree or git, so a run that includes one never touches it.
+        if run_source or run_rev or run_ratchet:
+            result = drc_matrix()
+        else:
+            result = _memoised(
+                args, f"lint-netlists|{args.quick}|{args.max_cells}", drc_matrix
+            )
+        findings.extend(_matrix_findings(result, meta, "netlists_checked"))
+    if run_source:
+        from .analysis.srclint import lint_generated_kernels, lint_source_tree
+
+        src_root = Path(args.src_root) if args.src_root else Path(__file__).parent
+        findings.extend(lint_source_tree(src_root))
+        # The compiled kernel's generated modules never exist on disk;
+        # render the template design points and lint them too.
+        findings.extend(lint_generated_kernels())
+        meta["source_root"] = str(src_root)
+    if run_rev:
+        from .analysis.revguard import check_simulator_rev
+
+        findings.extend(check_simulator_rev(Path.cwd(), args.rev_guard))
+
+    baseline_path = _default_baseline(args, "lint-baseline.json")
+    if run_ratchet:
+        from .analysis.ratchet import check_baseline_ratchet
+
+        findings.extend(
+            check_baseline_ratchet(
+                Path.cwd(),
+                baseline_path=baseline_path or "lint-baseline.json",
+                base_ref=args.ratchet,
+            )
+        )
+    # Staleness is only meaningful when the stages that produce
+    # baseline-matched findings actually ran.
+    return _gate_on_findings(
+        args, findings, meta, baseline_path,
+        as_json=args.format == "json", note_stale=run_netlists or run_source,
+    )
+
+
 def cmd_verify(args) -> int:
     """Formal verification: equivalence proofs, properties, mutation."""
-    from .analysis import Baseline, format_findings
-    from .analysis.findings import findings_to_json
-    from .verify import run_mutation_campaign, verify_paper_netlists
-
     run_points = args.points
     run_props = args.properties
     run_mutation = args.mutation
     if not (run_points or run_props or run_mutation):
         run_points = run_props = True
 
-    progress = (
-        (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-    )
     findings = []
     meta = {}
     if run_points or run_props:
-        kwargs = {}
-        if args.max_cells is not None:
-            kwargs["max_cells"] = args.max_cells
-        found, skipped, checked = verify_paper_netlists(
-            include_vc=run_points,
-            include_sw=run_points,
-            include_e2e=run_points,
-            include_models=run_props,
-            quick=args.quick,
-            progress=progress,
-            **kwargs,
-        )
-        findings.extend(found)
-        meta["netlists_proved"] = checked
-        meta["netlists_skipped"] = [
-            {"label": label, "reason": reason} for label, reason in skipped
-        ]
-        for label, reason in skipped:
-            print(f"note: skipped {label}: {reason}", file=sys.stderr)
+        def prove_matrix() -> dict:
+            from .verify.runner import verify_paper_netlists
+
+            return _matrix_payload(verify_paper_netlists(
+                include_vc=run_points,
+                include_sw=run_points,
+                include_e2e=run_points,
+                include_models=run_props,
+                **_matrix_args(args),
+            ))
+
+        # A run that also measures the checker (--mutation) proves
+        # afresh: it never touches the store.
+        if run_mutation:
+            result = prove_matrix()
+        else:
+            result = _memoised(
+                args,
+                f"verify|{run_points}|{run_props}|{args.quick}|{args.max_cells}",
+                prove_matrix,
+            )
+        findings.extend(_matrix_findings(result, meta, "netlists_proved"))
 
     mutation_failed = False
     if run_mutation:
+        from .verify.mutate import run_mutation_campaign
+
         report = run_mutation_campaign(
             seed=args.seed, mutants_per_target=args.mutants
         )
@@ -982,52 +1091,11 @@ def cmd_verify(args) -> int:
             print(f"FAIL: mutation kill rate {report.kill_rate:.1%} below "
                   f"the {args.min_kill_rate:.0%} floor", file=sys.stderr)
 
-    baseline_path = args.baseline
-    if baseline_path is None and Path("verify-baseline.json").exists():
-        baseline_path = "verify-baseline.json"
-    if baseline_path is not None:
-        try:
-            baseline = Baseline.load(Path(baseline_path))
-        except (OSError, ValueError) as exc:
-            print(f"error: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        baseline = Baseline()
-    unsuppressed, suppressed = baseline.partition(findings)
-    for entry in baseline.unused_entries():
-        print(f"note: stale baseline entry matched nothing: {entry}",
-              file=sys.stderr)
-
-    if args.write_baseline:
-        new = Baseline(
-            [
-                {
-                    "rule": f.rule,
-                    "scope": f.scope,
-                    "location": f.location,
-                    "reason": "baselined by --write-baseline",
-                }
-                for f in unsuppressed
-            ]
-        )
-        new.dump(Path(args.write_baseline))
-        print(f"wrote {len(new.entries)} suppression(s) to "
-              f"{args.write_baseline}", file=sys.stderr)
-
-    if args.json:
-        report_text = findings_to_json(unsuppressed, suppressed, meta=meta)
-    else:
-        report_text = format_findings(
-            unsuppressed, suppressed=len(suppressed),
-            title="formal verification findings",
-        )
-    if args.output:
-        Path(args.output).write_text(report_text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(report_text)
-    return 1 if (unsuppressed or mutation_failed) else 0
+    status = _gate_on_findings(
+        args, findings, meta, _default_baseline(args, "verify-baseline.json"),
+        as_json=args.json, title="formal verification findings",
+    )
+    return 1 if status == 0 and mutation_failed else status
 
 
 def cmd_report(args) -> int:
@@ -1043,6 +1111,24 @@ def cmd_report(args) -> int:
 
 # -- arguments, one function per command ------------------------------
 
+def _add_cache_args(p: argparse.ArgumentParser, *, sweep: bool) -> None:
+    """``--no-cache`` / ``--cache-path``, spelled alike on every command
+    that answers from a store: the sweep result cache (``sweep=True``)
+    or the offline result store."""
+    if sweep:
+        redo, what, default = ("re-simulate", "sweep result cache",
+                               "$REPRO_SWEEP_CACHE or "
+                               "~/.cache/repro-noc-sweeps.json")
+    else:
+        redo, what, default = ("recompute", "offline result store",
+                               "$REPRO_COST_CACHE or "
+                               "~/.cache/repro-noc-alloc-costs.json")
+    p.add_argument("--no-cache", action="store_true",
+                   help=f"always {redo}; do not touch the {what}")
+    p.add_argument("--cache-path", default=None,
+                   help=f"{what} file (default: {default})")
+
+
 def _add_point_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", choices=["mesh", "fbfly"], default="mesh")
     p.add_argument("--vcs-per-class", type=int, default=1, choices=[1, 2, 4])
@@ -1053,11 +1139,13 @@ def _add_quality_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", choices=["vc", "switch"], default="switch")
     p.add_argument("--rates", default="0.1,0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--samples", type=_positive_int, default=1000)
+    _add_cache_args(p, sweep=False)
 
 
 def _add_cost_args(p: argparse.ArgumentParser) -> None:
     _add_point_args(p)
     p.add_argument("--target", choices=["vc", "switch"], default="vc")
+    _add_cache_args(p, sweep=False)
 
 
 def _add_network_args(p: argparse.ArgumentParser) -> None:
@@ -1090,13 +1178,7 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (1 = serial; results "
                         "are identical either way)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="always re-simulate; do not touch the "
-                        "sweep result cache")
-    p.add_argument("--cache-path", default=None,
-                   help="sweep cache file (default: "
-                        "$REPRO_SWEEP_CACHE or "
-                        "~/.cache/repro-noc-sweeps.json)")
+    _add_cache_args(p, sweep=True)
     p.add_argument("--progress", action="store_true",
                    help="report per-point progress on stderr")
     p.add_argument("--metrics", default=None, metavar="DIR",
@@ -1223,12 +1305,7 @@ def _add_faults_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, default=5,
                    help="binary-search depth per saturation probe "
                         "(default: 5)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="always re-simulate; do not touch the sweep "
-                        "result cache")
-    p.add_argument("--cache-path", default=None,
-                   help="sweep cache file (default: $REPRO_SWEEP_CACHE "
-                        "or ~/.cache/repro-noc-sweeps.json)")
+    _add_cache_args(p, sweep=True)
 
 
 def _add_resilience_args(p: argparse.ArgumentParser) -> None:
@@ -1260,12 +1337,7 @@ def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (1 = serial; results are "
                         "identical either way)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="always re-simulate; do not touch the sweep "
-                        "result cache")
-    p.add_argument("--cache-path", default=None,
-                   help="sweep cache file (default: $REPRO_SWEEP_CACHE "
-                        "or ~/.cache/repro-noc-sweeps.json)")
+    _add_cache_args(p, sweep=True)
     p.add_argument("--progress", action="store_true",
                    help="report per-point progress on stderr")
     p.add_argument("--timeout", type=_positive_float, default=None,
@@ -1367,6 +1439,7 @@ def _add_lint_args(p: argparse.ArgumentParser) -> None:
                         "installed repro package)")
     p.add_argument("--progress", action="store_true",
                    help="report per-netlist progress on stderr")
+    _add_cache_args(p, sweep=False)
 
 
 def _add_verify_args(p: argparse.ArgumentParser) -> None:
@@ -1409,6 +1482,7 @@ def _add_verify_args(p: argparse.ArgumentParser) -> None:
                    help="write the report to FILE instead of stdout")
     p.add_argument("--progress", action="store_true",
                    help="report per-stage progress on stderr")
+    _add_cache_args(p, sweep=False)
 
 
 def _add_report_args(p: argparse.ArgumentParser) -> None:

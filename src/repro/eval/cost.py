@@ -3,29 +3,23 @@
 Runs the gate-level synthesis flow over every (design point, allocator
 variant) combination and collects delay/area/power, recording capacity
 failures where Design Compiler ran out of memory in the paper.  Results
-are memoized in a JSON cache because the larger netlists take seconds
-to build and characterize.
+can be memoized in a :class:`CostCache` because the larger netlists take
+seconds to build and characterize.
+
+Importing this module loads neither the synthesis flow nor numpy (the
+sweeps import them when they run), so ``repro cost`` can render stored
+:class:`CostResult` rows for the price of the interpreter.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..hw.synthesis import (
-    SynthesisCapacityError,
-    synthesize_switch_allocator,
-    synthesize_vc_allocator,
-)
-from .design_points import (
-    SPECULATION_SCHEMES,
-    SWITCH_VARIANTS,
-    VC_VARIANTS,
-    DesignPoint,
-)
+from .store import ResultStore, code_salt, default_store_path
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .design_points import DesignPoint
 
 __all__ = [
     "CostResult",
@@ -56,34 +50,34 @@ class CostResult:
         return f"{self.arch}/{self.arbiter}"
 
 
-class CostCache:
-    """JSON-backed memo for synthesis results."""
+class CostCache(ResultStore):
+    """On-disk memo of synthesis results: the
+    :class:`~repro.eval.store.ResultStore` salted with
+    :func:`~repro.eval.store.code_salt`, so editing any source file of
+    the package drops every stored number (no version suffix to bump).
+    Writes are batched; the cost sweeps flush when they return.
+    """
 
     def __init__(self, path: Optional[str] = None) -> None:
-        if path is None:
-            path = os.environ.get(
-                "REPRO_COST_CACHE",
-                str(Path.home() / ".cache" / "repro-noc-alloc-costs.json"),
-            )
-        self.path = Path(path)
-        self._data: Dict[str, dict] = {}
-        if self.path.exists():
-            try:
-                self._data = json.loads(self.path.read_text())
-            except (OSError, json.JSONDecodeError):
-                self._data = {}
+        super().__init__(
+            path if path is not None else default_store_path(),
+            salt=code_salt(),
+            validate=lambda raw: CostResult(**raw),
+            label="cost cache",
+        )
 
     def get(self, key: str) -> Optional[CostResult]:
-        raw = self._data.get(key)
-        return CostResult(**raw) if raw else None
+        raw = self._entries.get(key)
+        if raw is None:
+            return None
+        try:
+            return CostResult(**raw)
+        except TypeError:  # not a CostResult (hand edit): recompute
+            self.drop(key)
+            return None
 
     def put(self, key: str, result: CostResult) -> None:
-        self._data[key] = asdict(result)
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(self._data, indent=1))
-        except OSError:
-            pass  # cache is best-effort
+        self.put_payload(key, asdict(result))
 
 
 def _run(key, cache, label, arch, arbiter, variant, fn) -> CostResult:
@@ -91,6 +85,8 @@ def _run(key, cache, label, arch, arbiter, variant, fn) -> CostResult:
         hit = cache.get(key)
         if hit is not None:
             return hit
+    from ..hw.synthesis import SynthesisCapacityError
+
     try:
         rep = fn()
         result = CostResult(
@@ -106,22 +102,26 @@ def _run(key, cache, label, arch, arbiter, variant, fn) -> CostResult:
 
 def vc_allocator_costs(
     point: DesignPoint,
-    variants: Sequence[Tuple[str, str]] = tuple(VC_VARIANTS),
+    variants: Optional[Sequence[Tuple[str, str]]] = None,
     cache: Optional[CostCache] = None,
     size_iterations: int = 8,
 ) -> List[CostResult]:
-    """Figures 5/6: each variant synthesized dense and sparse.
+    """Figures 5/6: each variant (default: ``VC_VARIANTS``) synthesized
+    dense and sparse.
 
     Dense = the un-optimized baseline (runtime VC masks over the full
     range); sparse = with the Section 4.2 optimizations.  Failed points
     are reported with ``failed=True`` (single-point curves in the
     paper's figures).
     """
+    from ..hw.synthesis import synthesize_vc_allocator
+    from .design_points import VC_VARIANTS
+
     results = []
-    for arch, arbiter in variants:
+    for arch, arbiter in VC_VARIANTS if variants is None else variants:
         for sparse in (False, True):
             variant = "sparse" if sparse else "dense"
-            key = f"vc|{point.label}|{arch}|{arbiter}|{variant}|v3"
+            key = f"vc|{point.label}|{arch}|{arbiter}|{variant}|{size_iterations}"
             results.append(
                 _run(
                     key, cache, point.label, arch, arbiter, variant,
@@ -131,21 +131,27 @@ def vc_allocator_costs(
                     ),
                 )
             )
+    if cache is not None:
+        cache.flush()
     return results
 
 
 def switch_allocator_costs(
     point: DesignPoint,
-    variants: Sequence[Tuple[str, str]] = tuple(SWITCH_VARIANTS),
-    schemes: Sequence[str] = SPECULATION_SCHEMES,
+    variants: Optional[Sequence[Tuple[str, str]]] = None,
+    schemes: Optional[Sequence[str]] = None,
     cache: Optional[CostCache] = None,
     size_iterations: int = 8,
 ) -> List[CostResult]:
-    """Figures 10/11: three speculation points per variant curve."""
+    """Figures 10/11: three speculation points (default:
+    ``SPECULATION_SCHEMES``) per variant curve (``SWITCH_VARIANTS``)."""
+    from ..hw.synthesis import synthesize_switch_allocator
+    from .design_points import SPECULATION_SCHEMES, SWITCH_VARIANTS
+
     results = []
-    for arch, arbiter in variants:
-        for scheme in schemes:
-            key = f"sw|{point.label}|{arch}|{arbiter}|{scheme}|v3"
+    for arch, arbiter in SWITCH_VARIANTS if variants is None else variants:
+        for scheme in SPECULATION_SCHEMES if schemes is None else schemes:
+            key = f"sw|{point.label}|{arch}|{arbiter}|{scheme}|{size_iterations}"
             results.append(
                 _run(
                     key, cache, point.label, arch, arbiter, scheme,
@@ -155,6 +161,8 @@ def switch_allocator_costs(
                     ),
                 )
             )
+    if cache is not None:
+        cache.flush()
     return results
 
 

@@ -16,9 +16,10 @@ This module supplies the machinery the per-figure drivers share:
 * :class:`ResultCache` memoizes completed
   :class:`~repro.netsim.simulator.SimulationResult` objects on disk,
   keyed by a stable hash of the *full* config plus a code-version salt
-  (``SIMULATOR_REV``), with atomic writes and per-entry corruption
-  recovery.  Re-running a figure benchmark pays only for points whose
-  configuration (or the simulator itself) actually changed.
+  (``SIMULATOR_REV``), in a :class:`~repro.eval.store.ResultStore`
+  (atomic writes, per-entry corruption recovery).  Re-running a figure
+  benchmark pays only for points whose configuration (or the simulator
+  itself) actually changed.
 
 * :class:`SweepReporter` is a pluggable progress sink;
   :class:`ConsoleReporter` prints points done, cache hits, sims/sec
@@ -49,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
 # cache never loads the machine (``repro.netsim.simulator``, numpy) or
 # ``multiprocessing``; whoever has to run a point imports them then.
 from ..netsim.config import SIMULATOR_REV, SimulationConfig, SimulationResult
-from ..obs.metrics import emit_warning
+from .store import STORE_SCHEMA_VERSION, ResultStore
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -71,9 +72,8 @@ __all__ = [
     "run_sweep",
 ]
 
-# Schema of the cache *file* (layout/keying).  Orthogonal to
-# SIMULATOR_REV, which tracks the semantics of the cached *values*.
-CACHE_SCHEMA_VERSION = 1
+# Schema of the cache *file*: the store's (kept under its old name).
+CACHE_SCHEMA_VERSION = STORE_SCHEMA_VERSION
 
 
 def config_key(cfg: SimulationConfig, salt: Optional[str] = None) -> str:
@@ -100,40 +100,22 @@ def default_cache_path() -> Path:
     )
 
 
-def _entries_checksum(entries: Dict[str, dict]) -> str:
-    """Content checksum of the entry table (detects bit-rot/truncation)."""
-    canonical = json.dumps(entries, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:32]
-
-
-class ResultCache:
-    """Versioned on-disk memo of completed simulation results.
+class ResultCache(ResultStore):
+    """On-disk memo of completed simulation results: the
+    :class:`~repro.eval.store.ResultStore` salted ``sim-rev-N``.
 
     File layout::
 
         {"schema": 1, "salt": "sim-rev-1", "checksum": "...",
          "entries": {key: payload}}
 
-    A schema or salt mismatch discards the stored entries (stale
-    numbers must never be served).  Real *corruption* is never silently
-    swallowed: an unparsable file is quarantined to ``<path>.corrupt``
-    with a structured warning, a checksum mismatch triggers per-entry
-    recovery (individually valid entries survive, bad ones are dropped
-    and counted), and an individually corrupt entry is also dropped at
-    lookup time as a last line of defense.  Files written before the
-    checksum existed load normally.  Writes go through a temp file +
-    ``os.replace`` so a crash mid-write can never truncate an existing
-    cache.
-
-    Persistence is *batched*: :meth:`put` only marks the store dirty,
-    and the full-file rewrite happens once ``flush_every`` inserts or
-    ``flush_interval`` seconds have accumulated (whichever comes
-    first), or on an explicit :meth:`flush` -- the sweep engine flushes
-    at sweep end.  Rewriting the whole document per insert was O(n^2)
-    I/O across a sweep; entries are recomputable simulation results, so
-    losing the last unflushed batch to a crash is degraded service, not
-    data loss (crash-safe durability is the checkpoint journal's job,
-    see :mod:`repro.eval.checkpoint`).
+    Staleness, corruption, atomic writes and batched persistence are
+    the store's (a ``SIMULATOR_REV`` bump drops every entry; the sweep
+    engine flushes at sweep end); this class adds the typed view: keys
+    are :func:`config_key` hashes, values round-trip through
+    :class:`~repro.netsim.config.SimulationResult` payloads, and an
+    individually corrupt entry is dropped at lookup time as a last line
+    of defense.
     """
 
     def __init__(
@@ -142,101 +124,14 @@ class ResultCache:
         flush_every: int = 32,
         flush_interval: float = 5.0,
     ) -> None:
-        self.path = Path(path) if path is not None else default_cache_path()
-        self.salt = f"sim-rev-{SIMULATOR_REV}"
-        self.flush_every = max(int(flush_every), 1)
-        self.flush_interval = flush_interval
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0  # full-file rewrites actually performed
-        self._dirty = 0  # inserts since the last successful flush
-        self._last_flush = time.monotonic()
-        self._entries: Dict[str, dict] = {}
-        self._load()
-
-    def _quarantine(self, reason: str) -> None:
-        """Preserve a corrupt cache file for inspection instead of
-        letting the next flush overwrite the evidence."""
-        target = Path(f"{self.path}.corrupt")
-        try:
-            os.replace(self.path, target)
-        except OSError as exc:
-            emit_warning(
-                "cache_quarantine_failed",
-                f"sweep cache {self.path} is corrupt ({reason}) and could "
-                f"not be moved aside: {exc}",
-                path=str(self.path),
-                reason=reason,
-            )
-            return
-        emit_warning(
-            "cache_corrupt",
-            f"sweep cache {self.path} is corrupt ({reason}); moved to "
-            f"{target} and starting empty",
-            path=str(self.path),
-            quarantined_to=str(target),
-            reason=reason,
+        super().__init__(
+            path if path is not None else default_cache_path(),
+            salt=f"sim-rev-{SIMULATOR_REV}",
+            validate=SimulationResult.from_payload,
+            label="sweep cache",
+            flush_every=flush_every,
+            flush_interval=flush_interval,
         )
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except FileNotFoundError:
-            return  # first run: nothing cached yet
-        except OSError as exc:
-            emit_warning(
-                "cache_unreadable",
-                f"cannot read sweep cache {self.path}: {exc}; starting empty",
-                path=str(self.path),
-            )
-            return
-        try:
-            raw = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine("not valid JSON")
-            return
-        if not isinstance(raw, dict):
-            self._quarantine("top level is not a JSON object")
-            return
-        if raw.get("schema") != CACHE_SCHEMA_VERSION or raw.get("salt") != self.salt:
-            return  # versioned invalidation: drop stale entries wholesale
-        entries = raw.get("entries")
-        if not isinstance(entries, dict):
-            self._quarantine("entry table missing or malformed")
-            return
-        checksum = raw.get("checksum")
-        if checksum is not None and checksum != _entries_checksum(entries):
-            # The file parsed but its content does not match what was
-            # written (hand edit, concurrent writer, bit-rot).  Recover
-            # whatever still deserializes instead of dropping the lot.
-            good: Dict[str, dict] = {}
-            dropped = 0
-            for k, v in entries.items():
-                if isinstance(v, dict):
-                    try:
-                        SimulationResult.from_payload(v)
-                    except (TypeError, KeyError, ValueError, AttributeError):
-                        dropped += 1
-                        continue
-                    good[k] = v
-                else:
-                    dropped += 1
-            emit_warning(
-                "cache_checksum_mismatch",
-                f"sweep cache {self.path} failed its content checksum; "
-                f"recovered {len(good)} entrie(s), dropped {dropped}",
-                path=str(self.path),
-                recovered=len(good),
-                dropped=dropped,
-            )
-            self._entries = good
-            return
-        self._entries = {
-            k: v for k, v in entries.items() if isinstance(v, dict)
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def key(self, cfg: SimulationConfig) -> str:
         return config_key(cfg, self.salt)
@@ -261,69 +156,11 @@ class ResultCache:
         except (TypeError, KeyError, ValueError, AttributeError):
             # Corrupt entry (hand-edited, or written by an
             # incompatible build): drop it and recompute.
-            del self._entries[key]
-            self._dirty += 1  # the drop must eventually persist too
+            self.drop(key)
             return None
-
-    def get_payload(self, key: str) -> Optional[dict]:
-        """Raw stored payload for a precomputed key (no validation)."""
-        return self._entries.get(key)
 
     def put(self, cfg: SimulationConfig, result: SimulationResult) -> None:
         self.put_payload(self.key(cfg), result.to_payload())
-
-    def put_payload(self, key: str, payload: dict) -> None:
-        """Insert a raw payload under a precomputed key (batched)."""
-        self._entries[key] = payload
-        self._dirty += 1
-        if (
-            self._dirty >= self.flush_every
-            or time.monotonic() - self._last_flush >= self.flush_interval
-        ):
-            self.flush()
-
-    def flush(self) -> None:
-        """Atomically persist the cache (no-op while nothing is dirty).
-
-        Write-to-temp + ``os.replace`` guarantees the on-disk file is
-        always a complete document -- a crash mid-write leaves the old
-        cache untouched.  A failed flush keeps the in-memory entries and
-        emits a structured warning (results are recomputable, so this is
-        degraded service, not an error).
-        """
-        if self._dirty == 0:
-            return
-        doc = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "salt": self.salt,
-            "checksum": _entries_checksum(self._entries),
-            "entries": self._entries,
-        }
-        tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(doc, indent=1))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            self._dirty = 0
-            self._last_flush = time.monotonic()
-            self.flushes += 1
-        except OSError as exc:
-            # Entries stay dirty (a later flush retries); resetting the
-            # interval clock keeps a dead disk from warning per insert.
-            self._last_flush = time.monotonic()
-            emit_warning(
-                "cache_flush_failed",
-                f"cannot persist sweep cache to {self.path}: {exc} "
-                "(results stay in memory for this run)",
-                path=str(self.path),
-            )
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
 
 
 @dataclass

@@ -143,6 +143,10 @@ class MessageSocket:
         # The lease loop blocks indefinitely waiting for work; only the
         # connect itself gets a timeout.
         sock.settimeout(None)
+        # A worker writes ``result`` then ``lease`` before it reads:
+        # with Nagle on, the second small write waits out the server's
+        # delayed ACK (~40 ms per point).  asyncio sets this server-side.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(sock)
 
     def send(self, msg: Dict[str, Any]) -> None:

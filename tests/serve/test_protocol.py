@@ -94,3 +94,16 @@ class TestMessageSocket:
             assert right.recv() is None
         finally:
             right.close()
+
+    def test_connect_disables_nagle(self):
+        # The worker sends ``result`` then ``lease`` back to back; with
+        # Nagle on, the second write waits out the peer's delayed ACK.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            channel = MessageSocket.connect(*listener.getsockname())
+            try:
+                assert channel._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                ) != 0
+                assert channel._sock.gettimeout() is None
+            finally:
+                channel.close()

@@ -28,6 +28,15 @@ class TestParser:
         assert args.cache_path is None
         assert args.progress is False
 
+    @pytest.mark.parametrize("command", ["quality", "cost", "lint", "verify",
+                                         "sweep", "faults", "resilience"])
+    def test_store_flags_are_spelled_alike(self, command, tmp_path):
+        parse = build_parser().parse_args
+        args = parse([command])
+        assert args.no_cache is False and args.cache_path is None
+        args = parse([command, "--no-cache", "--cache-path", str(tmp_path)])
+        assert args.no_cache is True and args.cache_path == str(tmp_path)
+
     def test_sweep_observability_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.metrics is None
@@ -422,10 +431,18 @@ class TestCommands:
 
     def test_cost_switch(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_COST_CACHE", str(tmp_path / "c.json"))
-        rc = main(["cost", "--target", "switch", "--vcs-per-class", "1"])
+        argv = ["cost", "--target", "switch", "--vcs-per-class", "1"]
+        rc = main(argv)
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "nonspec" in out and "pessimistic" in out
+        cold = capsys.readouterr()
+        assert "nonspec" in cold.out and "pessimistic" in cold.out
+        # The second run is answered from the store the variable names;
+        # the table is the same and the accounting stays off stdout.
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out and "cache:" not in warm.out
+        assert cold.err == f"cache: 0 hit(s), 1 computed ({tmp_path / 'c.json'})\n"
+        assert warm.err == f"cache: 1 hit(s), 0 computed ({tmp_path / 'c.json'})\n"
 
 
 class TestFiguresCommand:

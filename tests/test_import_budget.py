@@ -72,6 +72,28 @@ def test_warm_sweep_loads_no_numpy(tmp_path):
     assert "repro.netsim.patterns" in warm  # validate_config still ran
 
 
+@pytest.mark.parametrize("argv", [
+    ["cost"],
+    ["quality", "--samples", "20", "--rates", "0.5"],
+    ["lint", "--netlists", "--quick"],
+    ["verify", "--quick"],
+], ids=["cost", "quality", "lint", "verify"])
+def test_warm_offline_command_loads_nothing_that_computes(argv, tmp_path):
+    # A hit is interpreter start + one digest + one lookup: keyed on the
+    # arguments (building the DesignPoint loads numpy), salted without
+    # importing numpy to ask its version.
+    argv = argv + ["--cache-path", str(tmp_path / "store.json")]
+    cold = import_report.loaded_modules(argv, cwd=tmp_path)
+    assert "numpy" in cold and "repro.core.vc_partition" in cold
+    warm = import_report.loaded_modules(argv, cwd=tmp_path)
+    assert offenders(warm, (
+        "numpy", "repro.hw", "repro.core", "repro.netsim", "repro.verify",
+        "repro.analysis.drc", "repro.analysis.netlists", "repro.eval.matching",
+        "repro.eval.design_points", "importlib.metadata", "multiprocessing",
+    )) == []
+    assert "repro.eval.store" in warm
+
+
 def test_serve_scheduler_loads_no_numpy(tmp_path):
     modules = import_report.loaded_modules(
         ["serve", "--port", "0", "--state-dir", str(tmp_path / "state")],
