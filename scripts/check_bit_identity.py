@@ -33,6 +33,11 @@ kernels should keep it green at full depth:
 against the kernel registry (``repro.netsim.kernels.KERNELS``) and an
 unknown name exits with status 2 listing the available kernels.
 
+When a compiled point differs, read what was generated: ``--dump-kernel
+DIR`` writes the source of every template design point (plain and
+``-prof`` variant, one ``<slug>.py`` each) into DIR and exits without
+comparing anything.
+
 Exit status 0 iff every point is identical.
 """
 
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.arbiters import (
@@ -50,6 +56,7 @@ from repro.core.arbiters import (
     TreeArbiter,
 )
 from repro.faults.plan import FaultPlan, LinkFault, StuckVC
+from repro.netsim.codegen import iter_template_sources
 from repro.netsim.kernels import DEFAULT_KERNEL, KERNELS
 from repro.netsim.routing.ugal import UGALRouting
 from repro.netsim.simulator import SimulationConfig, build_network, run_simulation
@@ -414,9 +421,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{', '.join(DEFAULT_KERNELS)})",
     )
     parser.add_argument(
+        "--dump-kernel",
+        default=None,
+        metavar="DIR",
+        help="write the generated compiled-kernel source of every template "
+        "design point into DIR and exit",
+    )
+    parser.add_argument(
         "-v", "--verbose", action="store_true", help="print per-point timing"
     )
     args = parser.parse_args(argv)
+
+    if args.dump_kernel is not None:
+        dump_dir = Path(args.dump_kernel)
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        sources = dict(iter_template_sources())
+        for slug, source in sources.items():
+            (dump_dir / f"{slug}.py").write_text(source)
+        print(f"dumped {len(sources)} generated kernel source(s) to "
+              f"{dump_dir}/", file=sys.stderr)
+        return 0
 
     bad = validate_kernels(args.kernel)
     if bad is not None:

@@ -156,8 +156,6 @@ def cheap_argvs(tmp: Path) -> Dict[str, dict]:
                              "--no-cache"]),
         "resilience": dict(what=["resilience", "--counts", "0", "--modes",
                                  "default", "--cycles", "60", "--no-cache"]),
-        "bench": dict(what=["bench", "--dump-kernel", str(tmp / "kernels"),
-                            "--dump-only"]),
         "lint": dict(what=lint),
         "lint (warm)": dict(what=lint),
         "verify": dict(what=verify),

@@ -7,19 +7,15 @@ required keys, the run manifest must match the documented schema, and
 the trace file must be loadable Chrome trace JSON with paired async
 events.  Exits non-zero with a description of the first problem found.
 
-Beyond sweep telemetry, the same script gates the performance
-observatory's schemas: ``--bench FILE`` validates a bench report
-(including per-phase profiles when present), ``--ledger FILE``
-validates the append-only bench-history ledger and ``--resilience
-FILE`` validates a ``repro resilience`` degradation-curve artifact.
-``--serve STATE_DIR`` validates a sweep server's state directory:
+Beyond sweep telemetry, ``--resilience FILE`` validates a ``repro
+resilience`` degradation-curve artifact and ``--serve STATE_DIR``
+validates a sweep server's state directory:
 the ``serve_event`` scheduling log (``telemetry/server.jsonl``) and
 every per-sweep ``telemetry/sweep-*.jsonl`` written by ``repro serve``.
 
 Usage::
 
     python scripts/validate_telemetry.py [DIR] [--trace FILE]
-        [--bench BENCH_kernel.json] [--ledger BENCH_history.jsonl]
         [--resilience resilience.json] [--serve STATE_DIR]
 """
 
@@ -38,9 +34,6 @@ MANIFEST_KEYS = {
 }
 MANIFEST_SCHEMA = "repro-run-manifest/1"
 INSTRUMENT_TYPES = {"counter", "gauge", "histogram"}
-BENCH_SCHEMA = "repro/kernel-bench/v1"
-PROFILE_SCHEMA = "repro/phase-profile/v1"
-HISTORY_SCHEMA = "repro/bench-history/v1"
 RESILIENCE_SCHEMA = "repro/resilience/v1"
 RESILIENCE_KEYS = {
     "schema", "topology", "total_vcs", "injection_rate", "sw_alloc_arch",
@@ -48,14 +41,6 @@ RESILIENCE_KEYS = {
     "faulted_links", "curves",
 }
 RESILIENCE_POINT_KEYS = {"link_faults", "delivered_fraction", "degraded_mode"}
-HISTORY_KEYS = {
-    "schema", "created", "git", "simulator_rev", "quick", "kernels",
-    "host", "points",
-}
-PHASES = {
-    "setup", "delivery", "event_calendar", "traffic", "routing",
-    "vc_alloc", "sw_alloc", "link_traversal", "stats",
-}
 # serve_event rows (repro serve scheduling log): per-event required
 # fields beyond the common {kind, event, ts} envelope.
 SERVE_EVENT_FIELDS = {
@@ -169,70 +154,6 @@ def check_trace(path: Path) -> None:
     print(f"  trace: {len(events)} events, {len(begins)} packets paired")
 
 
-def check_profile(owner: str, prof: dict) -> None:
-    """One per-kernel phase profile inside a bench report or ledger."""
-    if prof.get("schema") != PROFILE_SCHEMA:
-        fail(f"{owner}: profile schema {prof.get('schema')!r} "
-             f"!= {PROFILE_SCHEMA!r}")
-    phases = prof.get("phases")
-    if not isinstance(phases, dict) or not phases:
-        fail(f"{owner}: profile has no phases")
-    unknown = set(phases) - PHASES
-    if unknown:
-        fail(f"{owner}: unknown profile phase(s) {sorted(unknown)}")
-    for name, secs in phases.items():
-        if not isinstance(secs, (int, float)) or secs < 0:
-            fail(f"{owner}: phase {name!r} has bad value {secs!r}")
-    coverage = prof.get("coverage")
-    if not isinstance(coverage, (int, float)) or not 0 < coverage <= 1.5:
-        fail(f"{owner}: implausible coverage {coverage!r}")
-
-
-def check_bench(path: Path) -> None:
-    report = json.loads(path.read_text())
-    if report.get("schema") != BENCH_SCHEMA:
-        fail(f"{path}: schema {report.get('schema')!r} != {BENCH_SCHEMA!r}")
-    points = report.get("points")
-    if not isinstance(points, list) or not points:
-        fail(f"{path}: no points")
-    profiled = 0
-    for p in points:
-        if "label" not in p:
-            fail(f"{path}: point without a label: {p}")
-        for kernel in ("fast", "reference", "compiled"):
-            if kernel in p and "warm_s" not in p[kernel]:
-                fail(f"{path}: {p['label']}/{kernel} lacks warm_s")
-        for kernel, prof in p.get("profile", {}).items():
-            check_profile(f"{path}: {p['label']}/{kernel}", prof)
-            profiled += 1
-    print(f"  bench report: {len(points)} point(s), "
-          f"{profiled} phase profile(s)")
-
-
-def check_ledger(path: Path) -> None:
-    records = load_jsonl(path)
-    if not records:
-        fail(f"{path}: ledger holds no records")
-    for i, rec in enumerate(records, 1):
-        missing = HISTORY_KEYS - set(rec)
-        if missing:
-            fail(f"{path}: record {i} missing keys {sorted(missing)}")
-        if rec["schema"] != HISTORY_SCHEMA:
-            fail(f"{path}: record {i} schema {rec['schema']!r} "
-                 f"!= {HISTORY_SCHEMA!r}")
-        git = rec["git"]
-        if not isinstance(git, dict) or "sha" not in git:
-            fail(f"{path}: record {i} has no git fingerprint")
-        for p in rec["points"]:
-            if "label" not in p:
-                fail(f"{path}: record {i} point without a label")
-            for kernel, prof in p.get("profile", {}).items():
-                check_profile(
-                    f"{path}: record {i} {p['label']}/{kernel}", prof
-                )
-    print(f"  ledger: {len(records)} record(s)")
-
-
 def check_resilience(path: Path) -> None:
     artifact = json.loads(path.read_text())
     missing = RESILIENCE_KEYS - set(artifact)
@@ -319,10 +240,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", default=None,
                         help="trace file (defaults to DIR/trace.json if "
                              "present)")
-    parser.add_argument("--bench", default=None,
-                        help="bench report (BENCH_kernel.json) to validate")
-    parser.add_argument("--ledger", default=None,
-                        help="bench-history ledger (JSONL) to validate")
     parser.add_argument("--resilience", default=None,
                         help="resilience artifact (repro resilience "
                              "--output) to validate")
@@ -331,10 +248,9 @@ def main(argv=None) -> int:
                              "--state-dir) to validate")
     args = parser.parse_args(argv)
 
-    if (args.dir is None and args.bench is None and args.ledger is None
-            and args.resilience is None and args.serve is None):
-        fail("nothing to validate: give a telemetry DIR, --bench, "
-             "--ledger, --resilience or --serve")
+    if args.dir is None and args.resilience is None and args.serve is None:
+        fail("nothing to validate: give a telemetry DIR, --resilience "
+             "or --serve")
     if args.dir is not None:
         directory = Path(args.dir)
         if not directory.is_dir():
@@ -346,18 +262,6 @@ def main(argv=None) -> int:
         trace = Path(args.trace) if args.trace else directory / "trace.json"
         if trace.exists():
             check_trace(trace)
-    if args.bench is not None:
-        bench = Path(args.bench)
-        if not bench.exists():
-            fail(f"{bench} does not exist")
-        print(f"validating bench report {bench}")
-        check_bench(bench)
-    if args.ledger is not None:
-        ledger = Path(args.ledger)
-        if not ledger.exists():
-            fail(f"{ledger} does not exist")
-        print(f"validating bench-history ledger {ledger}")
-        check_ledger(ledger)
     if args.resilience is not None:
         resilience = Path(args.resilience)
         if not resilience.exists():

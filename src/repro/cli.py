@@ -22,15 +22,10 @@ Exposes the experiment harness without writing any Python:
   allocator architecture (robustness extension, beyond the paper);
 * ``report``      -- summarize a ``--metrics`` telemetry directory
   (top stall sources, matching efficiency vs. injection rate);
-* ``bench``       -- reference/fast/compiled kernel throughput
-  benchmark (writes ``BENCH_kernel.json``; ``--dump-kernel DIR`` saves
-  the generated per-design-point sources; ``--profile`` records a
-  per-phase breakdown, every run appends to the bench-history ledger
-  and ``--compare BASE`` diffs against a recorded run; see
-  docs/PERFORMANCE.md);
 * ``perf``        -- performance observatory: ``perf report`` renders a
-  self-contained HTML dashboard from bench reports, the history ledger
-  and sweep telemetry;
+  self-contained HTML dashboard from a result file of the repo
+  benchmark (``python3 bench/run.py``), sweep telemetry and a
+  resilience artifact;
 * ``verify``      -- formal verification (docs/STATIC_ANALYSIS.md):
   proves every paper design-point netlist equivalent to the behavioural
   allocators over all inputs and reachable states, checks the allocator
@@ -49,8 +44,18 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Container, Dict, List, NamedTuple, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Container,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+)
 
 # No ``repro`` subsystem is imported here: every handler imports what
 # it needs when it runs, so a command pays at start-up only for itself
@@ -192,6 +197,22 @@ def cmd_transitions(args) -> int:
     return 0
 
 
+@contextmanager
+def _warnings_on_stderr() -> Iterator[None]:
+    """Print each structured warning raised inside the block (a
+    quarantined store, a torn telemetry line) as one ``warning:`` line."""
+    from .obs.metrics import add_warning_sink, remove_warning_sink
+
+    def on_stderr(warning) -> None:
+        print(f"warning: {warning.message}", file=sys.stderr)
+
+    add_warning_sink(on_stderr)
+    try:
+        yield
+    finally:
+        remove_warning_sink(on_stderr)
+
+
 def _memoised(args, key: str, compute: Callable[[], dict]) -> dict:
     """``compute()``'s JSON-ready result, through the offline result
     store: the :class:`~repro.eval.store.ResultStore` salted with a
@@ -205,7 +226,6 @@ def _memoised(args, key: str, compute: Callable[[], dict]) -> dict:
     if args.no_cache:
         return compute()
     from .eval.store import ResultStore, code_salt, default_store_path
-    from .obs.metrics import add_warning_sink, remove_warning_sink
 
     salt = code_salt()
     if salt is None:
@@ -213,15 +233,9 @@ def _memoised(args, key: str, compute: Callable[[], dict]) -> dict:
               "readable .py sources to salt it with", file=sys.stderr)
         return compute()
 
-    def on_stderr(warning) -> None:  # a quarantined or unwritable file
-        print(f"warning: {warning.message}", file=sys.stderr)
-
-    add_warning_sink(on_stderr)
-    try:
+    with _warnings_on_stderr():  # a quarantined or unwritable file
         store = ResultStore(args.cache_path or default_store_path(), salt)
         payload = store.fetch(key, compute)
-    finally:
-        remove_warning_sink(on_stderr)
     print(f"cache: {store.hits} hit(s), {store.misses} computed "
           f"({store.path})", file=sys.stderr)
     return payload
@@ -313,17 +327,60 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_cache(args):
+    """The sweep result cache ``--no-cache`` / ``--cache-path`` select
+    (``None``: do not touch it)."""
+    if args.no_cache:
+        return None
+    from .eval.runner import ResultCache, default_cache_path
+
+    return ResultCache(args.cache_path or default_cache_path())
+
+
+def _sweep_harness(args, configs, command: str, reporters=()):
+    """What ``sweep`` and ``resilience`` run their points through:
+    ``(cache, checkpoint, capture, reporter)``; ``reporters`` follow the
+    stats capture and the ``--progress`` console.
+
+    The ``--resume`` journal is ``--checkpoint``, else it sits beside
+    the cache (``<stem>.ckpt.jsonl``; ``<stem>.<command>.ckpt.jsonl``
+    for a command other than ``sweep``), else in the working directory.
+    """
+    from .eval.runner import ConsoleReporter, MultiReporter, StatsCapture
+
+    cache = _sweep_cache(args)
+
+    checkpoint = None
+    if args.resume or args.checkpoint is not None:
+        from .eval.checkpoint import SweepCheckpoint, sweep_signature
+        from .eval.runner import config_key
+
+        salt = cache.salt if cache is not None else None
+        keys = [config_key(cfg, salt) for cfg in configs]
+        infix = "" if command == "sweep" else f".{command}"
+        if args.checkpoint is not None:
+            ckpt_path = Path(args.checkpoint)
+        elif cache is not None:
+            ckpt_path = cache.path.with_name(
+                f"{cache.path.stem}{infix}.ckpt.jsonl"
+            )
+        else:
+            ckpt_path = Path(f".repro-{command}.ckpt.jsonl")
+        checkpoint = SweepCheckpoint(ckpt_path, sweep_signature(keys))
+        if checkpoint.recovered:
+            print(f"resume: recovered {len(checkpoint.recovered)} completed "
+                  f"point(s) from {ckpt_path}", file=sys.stderr)
+
+    capture = StatsCapture()
+    console = [ConsoleReporter()] if args.progress else []
+    reporter = MultiReporter(capture, *console, *reporters)
+    return cache, checkpoint, capture, reporter
+
+
 def cmd_sweep(args) -> int:
     from dataclasses import replace
 
     from .eval.netperf import latency_sweep
-    from .eval.runner import (
-        ConsoleReporter,
-        MultiReporter,
-        ResultCache,
-        StatsCapture,
-        default_cache_path,
-    )
     from .eval.tables import format_curves
     from .faults.plan import parse_fault_spec
     from .netsim.config import SimulationConfig
@@ -395,6 +452,7 @@ def cmd_sweep(args) -> int:
             )
             print("note: --metrics/--trace disables the sweep cache",
                   file=sys.stderr)
+        args.no_cache = True
         observer = SimObserver(
             metrics_path=(metrics_dir / "metrics.jsonl"
                           if metrics_dir is not None else None),
@@ -421,10 +479,6 @@ def cmd_sweep(args) -> int:
                   file=sys.stderr)
         args.no_cache = True
 
-    cache = None
-    if not args.no_cache and not instrumented:
-        cache = ResultCache(args.cache_path or default_cache_path())
-
     # Any hardening/fault flag switches failure handling from "abort
     # the sweep" to "record the failure and keep going" -- a partial
     # curve plus structured failures beats no curve.
@@ -437,31 +491,11 @@ def cmd_sweep(args) -> int:
     )
     on_failure = "record" if hardened else "raise"
 
-    checkpoint = None
-    if args.resume or args.checkpoint is not None:
-        from .eval.checkpoint import SweepCheckpoint, sweep_signature
-        from .eval.runner import config_key
-
-        salt = cache.salt if cache is not None else None
-        keys = [config_key(cfg, salt) for cfg in configs]
-        if args.checkpoint is not None:
-            ckpt_path = Path(args.checkpoint)
-        elif cache is not None:
-            ckpt_path = cache.path.with_name(f"{cache.path.stem}.ckpt.jsonl")
-        else:
-            ckpt_path = Path(".repro-sweep.ckpt.jsonl")
-        checkpoint = SweepCheckpoint(ckpt_path, sweep_signature(keys))
-        if checkpoint.recovered:
-            print(f"resume: recovered {len(checkpoint.recovered)} completed "
-                  f"point(s) from {ckpt_path}", file=sys.stderr)
-
-    capture = StatsCapture()
-    reporters = [capture]
-    if args.progress:
-        reporters.append(ConsoleReporter())
-    if metrics_dir is not None:
-        reporters.append(JsonlReporter(metrics_dir / "sweep.jsonl"))
-    reporter = MultiReporter(*reporters)
+    cache, checkpoint, capture, reporter = _sweep_harness(
+        args, configs, "sweep",
+        reporters=([JsonlReporter(metrics_dir / "sweep.jsonl")]
+                   if metrics_dir is not None else []),
+    )
 
     t0 = time.perf_counter()
     try:
@@ -612,7 +646,6 @@ def cmd_faults(args) -> int:
     the same binary-search saturation metric as ``repro sweep``, with a
     seeded :class:`~repro.faults.FaultPlan` scaled along one axis."""
     from .eval.netperf import saturation_throughput
-    from .eval.runner import ResultCache, default_cache_path
     from .eval.tables import format_curves
     from .faults.plan import FaultPlan
     from .netsim.config import SimulationConfig
@@ -626,9 +659,7 @@ def cmd_faults(args) -> int:
                         _one_of("sep_if", "sep_of", "wf"), "sep_if/sep_of/wf")
     frates = _comma_list("--rates", args.rates, float, "numbers")
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_path or default_cache_path())
+    cache = _sweep_cache(args)
 
     columns = {}
     for arch in archs:
@@ -679,7 +710,6 @@ def cmd_faults(args) -> int:
 def cmd_resilience(args) -> int:
     """Degradation curves vs permanent link faults, with and without
     fault-tolerant routing (docs/ROBUSTNESS.md)."""
-    from .eval.checkpoint import SweepCheckpoint, sweep_signature
     from .eval.resilience import (
         RESILIENCE_MODES,
         campaign_configs,
@@ -687,14 +717,6 @@ def cmd_resilience(args) -> int:
         full_delivery_violations,
         run_resilience_campaign,
         write_resilience_artifact,
-    )
-    from .eval.runner import (
-        ConsoleReporter,
-        MultiReporter,
-        ResultCache,
-        StatsCapture,
-        config_key,
-        default_cache_path,
     )
 
     counts = _comma_list("--counts", args.counts, int, "integers")
@@ -718,32 +740,9 @@ def cmd_resilience(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_path or default_cache_path())
-
-    checkpoint = None
-    if args.resume or args.checkpoint is not None:
-        salt = cache.salt if cache is not None else None
-        keys = [config_key(cfg, salt) for cfg in configs]
-        if args.checkpoint is not None:
-            ckpt_path = Path(args.checkpoint)
-        elif cache is not None:
-            ckpt_path = cache.path.with_name(
-                f"{cache.path.stem}.resilience.ckpt.jsonl"
-            )
-        else:
-            ckpt_path = Path(".repro-resilience.ckpt.jsonl")
-        checkpoint = SweepCheckpoint(ckpt_path, sweep_signature(keys))
-        if checkpoint.recovered:
-            print(f"resume: recovered {len(checkpoint.recovered)} completed "
-                  f"point(s) from {ckpt_path}", file=sys.stderr)
-
-    capture = StatsCapture()
-    reporters = [capture]
-    if args.progress:
-        reporters.append(ConsoleReporter())
-    reporter = MultiReporter(*reporters)
+    cache, checkpoint, capture, reporter = _sweep_harness(
+        args, configs, "resilience"
+    )
 
     artifact = run_resilience_campaign(
         **campaign,
@@ -782,82 +781,18 @@ def cmd_resilience(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Kernel throughput benchmark (reference / fast / compiled)."""
-    from .eval.bench_history import (
-        append_history,
-        build_history_record,
-        format_compare,
-        load_base,
-    )
-    from .eval.kernel_bench import format_bench, run_kernel_bench, write_report
-    from .netsim.codegen import KERNELS, iter_template_sources
-
-    kernels = list(args.kernel)
-    unknown = [k for k in kernels if k not in KERNELS]
-    if unknown:
-        print(
-            f"error: unknown kernel(s) {', '.join(map(repr, unknown))} "
-            f"(available: {', '.join(KERNELS)})",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.dump_kernel is not None:
-        dump_dir = Path(args.dump_kernel)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        count = 0
-        for slug, source in iter_template_sources():
-            (dump_dir / f"{slug}.py").write_text(source)
-            count += 1
-        print(f"dumped {count} generated kernel source(s) to {dump_dir}/",
-              file=sys.stderr)
-        if args.dump_only:
-            return 0
-    elif args.dump_only:
-        print("error: --dump-only requires --dump-kernel DIR",
-              file=sys.stderr)
-        return 2
-
-    base = None
-    if args.compare is not None:
-        # Fail before the (minutes-long) benchmark if the base is bad.
-        try:
-            base = load_base(Path(args.compare))
-        except (OSError, ValueError) as exc:
-            print(f"error: bad --compare base: {exc}", file=sys.stderr)
-            return 2
-
-    progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-    report = run_kernel_bench(
-        quick=args.quick, progress=progress, kernels=kernels or None,
-        profile=args.profile,
-    )
-    write_report(report, Path(args.output))
-    print(format_bench(report))
-    print(f"wrote {args.output}")
-
-    record = build_history_record(report)
-    if not args.no_history:
-        ledger = append_history(record, Path(args.history))
-        print(f"appended history record to {ledger}")
-    if base is not None:
-        print(format_compare(record, base))
-    return 0
-
-
 def cmd_perf_report(args) -> int:
     """Render the self-contained HTML performance dashboard."""
     from .obs.perf_report import build_perf_report
 
     try:
-        html = build_perf_report(
-            bench_path=Path(args.bench) if args.bench else None,
-            history_path=Path(args.history) if args.history else None,
-            metrics_dir=Path(args.metrics) if args.metrics else None,
-            resilience_path=(Path(args.resilience)
-                             if args.resilience else None),
-        )
+        with _warnings_on_stderr():
+            html = build_perf_report(
+                bench_path=Path(args.bench) if args.bench else None,
+                metrics_dir=Path(args.metrics) if args.metrics else None,
+                resilience_path=(Path(args.resilience)
+                                 if args.resilience else None),
+            )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1102,7 +1037,8 @@ def cmd_report(args) -> int:
     from .obs.telemetry import EmptyTelemetryError, summarize_metrics_dir
 
     try:
-        print(summarize_metrics_dir(Path(args.dir), top=args.top))
+        with _warnings_on_stderr():
+            print(summarize_metrics_dir(Path(args.dir), top=args.top))
     except (FileNotFoundError, EmptyTelemetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1369,40 +1305,6 @@ def _add_resilience_args(p: argparse.ArgumentParser) -> None:
                         "(the CI resilience gate)")
 
 
-def _add_bench_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quick", action="store_true",
-                   help="short windows, mesh points only (CI smoke)")
-    p.add_argument("--output", default="BENCH_kernel.json",
-                   help="report path (default: BENCH_kernel.json)")
-    p.add_argument("--kernel", action="append", default=[], metavar="NAME",
-                   help="kernel to time (repeatable; validated against "
-                        "the kernel registry; default: all kernels)")
-    p.add_argument("--dump-kernel", default=None, metavar="DIR",
-                   help="write the generated compiled-kernel source for "
-                        "every template design point into DIR before "
-                        "benchmarking")
-    p.add_argument("--dump-only", action="store_true",
-                   help="with --dump-kernel: dump the sources and exit "
-                        "without benchmarking")
-    p.add_argument("--progress", action="store_true",
-                   help="report per-point results on stderr as they land")
-    p.add_argument("--profile", action="store_true",
-                   help="run one extra instrumented pass per point per "
-                        "kernel and record the per-phase wall-time "
-                        "breakdown in the report (timed passes stay "
-                        "uninstrumented)")
-    p.add_argument("--history",
-                   default="benchmarks/results/BENCH_history.jsonl",
-                   metavar="FILE",
-                   help="append-only bench-history ledger (default: "
-                        "benchmarks/results/BENCH_history.jsonl)")
-    p.add_argument("--no-history", action="store_true",
-                   help="do not append this run to the history ledger")
-    p.add_argument("--compare", default=None, metavar="BASE",
-                   help="diff this run against BASE: a bench report JSON "
-                        "or a history ledger (uses its latest record)")
-
-
 def _add_lint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--netlists", action="store_true",
                    help="run the gate-level DRC over every paper design "
@@ -1496,16 +1398,12 @@ def _add_perf_args(p: argparse.ArgumentParser) -> None:
     pr = perf_sub.add_parser(
         "report",
         help="render a self-contained HTML performance dashboard from "
-             "bench reports, the history ledger and sweep telemetry")
-    pr.add_argument("--bench", default="BENCH_kernel.json", metavar="FILE",
-                    help="bench report to render (default: "
-                         "BENCH_kernel.json; missing file is skipped)")
-    pr.add_argument("--history",
-                    default="benchmarks/results/BENCH_history.jsonl",
-                    metavar="FILE",
-                    help="history ledger to render (default: "
-                         "benchmarks/results/BENCH_history.jsonl; missing "
-                         "file is skipped)")
+             "a benchmark result file, sweep telemetry and a resilience "
+             "artifact")
+    pr.add_argument("--bench", default="bench/out/result.json", metavar="FILE",
+                    help="result file of `python3 bench/run.py` to render "
+                         "(default: bench/out/result.json; missing file is "
+                         "skipped)")
     pr.add_argument("--metrics", default=None, metavar="DIR",
                     help="sweep telemetry directory to render (optional)")
     pr.add_argument("--resilience", default=None, metavar="FILE",
@@ -1556,9 +1454,6 @@ COMMANDS: Dict[str, Command] = {
         "degradation curves vs permanent link faults, with and "
         "without fault-tolerant routing (docs/ROBUSTNESS.md)",
         _add_resilience_args, cmd_resilience),
-    "bench": Command(
-        "kernel throughput benchmark (BENCH_kernel.json)",
-        _add_bench_args, cmd_bench),
     "lint": Command(
         "static verification: netlist DRC, source linter, rev guard",
         _add_lint_args, cmd_lint),

@@ -343,7 +343,7 @@ def write_resilience_artifact(
 def load_resilience_artifact(path: Path) -> Dict[str, object]:
     """Read an artifact back, checking the schema marker."""
     artifact = json.loads(Path(path).read_text())
-    schema = artifact.get("schema")
+    schema = artifact.get("schema") if isinstance(artifact, dict) else None
     if schema != RESILIENCE_SCHEMA:
         raise ValueError(
             f"{path}: expected schema {RESILIENCE_SCHEMA!r}, got {schema!r}"

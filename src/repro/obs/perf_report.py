@@ -2,11 +2,11 @@
 
 Aggregates the repo's performance artifacts into one static page:
 
-* the latest bench report (``BENCH_kernel.json``) -- warm throughput per
-  kernel and, when the run was profiled, a phase-stacked bar per kernel
-  showing where the wall time went;
-* the bench-history ledger (``benchmarks/results/BENCH_history.jsonl``)
-  -- speedup trajectory across recorded runs, fingerprinted by git SHA;
+* a result file of the repo benchmark (``python3 bench/run.py``,
+  schema ``nocbench/result/v1``) -- the end-to-end metrics per workload
+  with failed/attempted operation counts and the run's fingerprint and,
+  for traced runs, throughput per kernel, a phase-stacked bar showing
+  where the simulator's wall time went and self time per layer;
 * a sweep telemetry directory (``repro sweep --metrics DIR``) -- point
   table with latency percentiles, cache hit rate and fault counters;
 * a resilience artifact (``repro resilience --output FILE``) --
@@ -14,7 +14,7 @@ Aggregates the repo's performance artifacts into one static page:
   mode, rendered as per-point bars (docs/ROBUSTNESS.md).
 
 The output embeds all styling inline and draws charts with plain
-HTML/CSS bars and inline SVG -- no JavaScript, no external assets -- so
+HTML/CSS bars -- no JavaScript, no external assets -- so
 the file renders identically as a CI artifact, over ``file://`` or in
 an air-gapped review environment.
 
@@ -28,11 +28,15 @@ from __future__ import annotations
 import html
 import json
 from pathlib import Path
+from statistics import median
 from typing import Any, Dict, List, Optional
 
 from .profiling import PHASES
 
 __all__ = ["build_perf_report"]
+
+#: What ``python3 bench/run.py`` stamps on every result file.
+BENCH_SCHEMA = "nocbench/result/v1"
 
 #: Fixed per-phase palette so the same phase has the same color in every
 #: chart (and across report generations).
@@ -98,130 +102,149 @@ def _phase_legend() -> str:
     return f'<div class="legend">{items}</div>'
 
 
-def _sparkline(values: List[float], width: int = 240, height: int = 48) -> str:
-    """Inline SVG polyline across the ledger records (oldest first)."""
-    if len(values) < 2:
-        return '<span class="note">needs &ge;2 records</span>'
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    pad = 4
-    step = (width - 2 * pad) / (len(values) - 1)
-    pts = " ".join(
-        f"{pad + i * step:.1f},"
-        f"{height - pad - (v - lo) / span * (height - 2 * pad):.1f}"
-        for i, v in enumerate(values)
-    )
-    return (
-        f'<svg width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-        f'<polyline points="{pts}" fill="none" stroke="#5d9cec" '
-        'stroke-width="2"/></svg>'
-    )
+def _num(value: Any, spec: str = ",.4g") -> str:
+    """A metric value; a probe that failed left ``null``."""
+    return "-" if value is None else format(value, spec)
+
+
+def _pivot(metrics: Dict[str, Any], prefix: str) -> Dict[str, Dict[str, Any]]:
+    """``{point: {middle: value}}`` over the metrics named
+    ``<prefix>.<middle>.<point>``, both in file order."""
+    out: Dict[str, Dict[str, Any]] = {}
+    for name, value in metrics.items():
+        if name.startswith(prefix + "."):
+            middle, _, point = name[len(prefix) + 1:].partition(".")
+            out.setdefault(point, {})[middle] = value
+    return out
 
 
 # ----------------------------------------------------------------------
 # sections
 # ----------------------------------------------------------------------
-def _bench_section(report: Dict[str, Any], source: Path) -> str:
-    rows = []
-    for p in report.get("points", []):
-        cells = [f"<td>{_esc(p['label'])}</td>"]
-        for kernel in ("fast", "reference", "compiled"):
-            if kernel in p:
-                cells.append(
-                    f"<td>{p[kernel]['warm_cycles_per_s']:,.0f}</td>"
-                )
-            else:
-                cells.append("<td>-</td>")
-        for key in ("speedup_warm", "speedup_warm_compiled"):
-            cells.append(
-                f"<td>{p[key]:.2f}&times;</td>" if key in p else "<td>-</td>"
-            )
-        rows.append("<tr>" + "".join(cells) + "</tr>")
-    table = (
-        "<table><tr><th>point</th><th>fast cyc/s</th><th>ref cyc/s</th>"
-        "<th>compiled cyc/s</th><th>fast vs ref</th>"
-        "<th>compiled vs fast</th></tr>" + "".join(rows) + "</table>"
+def _end_to_end_table(groups: Dict[str, List[Dict[str, Any]]]) -> str:
+    """One row per workload (and set): the median of each end-to-end
+    metric over its runs, and the operations that failed."""
+    names: List[str] = []
+    by_row: Dict[str, List[Dict[str, Any]]] = {}
+    for label, runs in groups.items():
+        for run in runs:
+            if not run.get("trace"):
+                by_row.setdefault(f"{run.get('workload')}{label}", []).append(run)
+                names = names or list(run.get("metrics", {}))
+    if not by_row:
+        return '<p class="note">no end-to-end run in this file</p>'
+    body = []
+    for row, runs in by_row.items():
+        cells = [f"<td>{_esc(row)}</td>"]
+        for name in names:
+            values = [r["metrics"][name] for r in runs
+                      if r["metrics"].get(name) is not None]
+            cells.append(f"<td>{_num(median(values) if values else None)}</td>")
+        failed = sum(r.get("failed", 0) for r in runs)
+        attempted = sum(r.get("attempted", 0) for r in runs)
+        cells.append(f"<td>{failed} / {attempted}</td><td>{len(runs)}</td>")
+        body.append("<tr>" + "".join(cells) + "</tr>")
+    return (
+        "<table><tr><th>workload</th>"
+        + "".join(f"<th>{_esc(name)}</th>" for name in names)
+        + "<th>failed / attempted</th><th>runs (median shown)</th></tr>"
+        + "".join(body) + "</table>"
     )
-    profile_html = ""
-    profiled = [p for p in report.get("points", []) if p.get("profile")]
-    if profiled:
-        blocks = [_phase_legend()]
-        for p in profiled:
-            bars = []
-            for kernel in ("reference", "fast", "compiled"):
-                prof = p["profile"].get(kernel)
-                if not prof:
-                    continue
-                bars.append(
-                    f"<tr><td>{_esc(kernel)}</td>"
-                    f"<td>{_phase_bar(prof.get('phases', {}))}</td>"
-                    f"<td>{prof.get('wall_s', 0.0):.2f}s</td>"
-                    f"<td>{prof.get('coverage', 0.0):.1%}</td></tr>"
-                )
-            blocks.append(
-                f"<h3>{_esc(p['label'])}</h3>"
-                "<table><tr><th>kernel</th><th>phase breakdown</th>"
-                "<th>wall</th><th>coverage</th></tr>"
-                + "".join(bars) + "</table>"
-            )
-        profile_html = "<h2>Phase breakdown</h2>" + "".join(blocks)
+
+
+def _traced_block(run: Dict[str, Any], label: str) -> str:
+    """One traced run: self time per layer of the replayed workload,
+    throughput per kernel and the phase breakdown of the probed points."""
+    metrics = run.get("metrics", {})
+    details = run.get("details", {})
+    parts = [f"<h3>{_esc(run.get('workload'))}{_esc(label)}, "
+             f"seed {_esc(run.get('seed'))}</h3>"]
+
+    layers = details.get("replay_layer_self_s") or {}
+    total = sum(layers.values())
+    if total > 0:
+        rows = "".join(
+            f"<tr><td>{_esc(layer)}</td><td>{secs:.3f}</td>"
+            f"<td>{secs / total:.1%}</td></tr>"
+            for layer, secs in sorted(layers.items(), key=lambda kv: -kv[1])
+        )
+        parts.append("<table><tr><th>layer</th><th>self time (s)</th>"
+                     "<th>share</th></tr>" + rows + "</table>")
+
+    by_point = _pivot(metrics, "netsim.cycles_per_s")
+    if by_point:
+        kernels = list(dict.fromkeys(k for row in by_point.values() for k in row))
+        rows = "".join(
+            f"<tr><td>{_esc(point)}</td>"
+            + "".join(f"<td>{_num(row.get(k), ',.0f')}</td>" for k in kernels)
+            + "</tr>"
+            for point, row in by_point.items()
+        )
+        parts.append(
+            "<table><tr><th>point</th>"
+            + "".join(f"<th>{_esc(k)} cyc/s</th>" for k in kernels)
+            + "</tr>" + rows + "</table>"
+        )
+
+    rows = ""
+    for point, phases in _pivot(metrics, "netsim.phase_s").items():
+        phases = {name: secs or 0.0 for name, secs in phases.items()}
+        coverage = metrics.get(f"netsim.phase_coverage.{point}")
+        rows += (
+            f"<tr><td>{_esc(point)}</td><td>{_phase_bar(phases)}</td>"
+            f"<td>{sum(phases.values()):.3f}s</td>"
+            f"<td>{_num(coverage, '.1%')}</td></tr>"
+        )
+    if rows:
+        parts.append("<table><tr><th>point</th><th>phase breakdown</th>"
+                     "<th>in phases</th><th>coverage</th></tr>" + rows
+                     + "</table>")
+
+    for layer, error in (details.get("probe_errors") or {}).items():
+        parts.append(f'<p class="note">probe_error[{_esc(layer)}]: '
+                     f"{_esc(error)}</p>")
+    return "".join(parts)
+
+
+def _bench_section(result: Any, source: Path) -> str:
+    """The one reader of the one schema: a ``nocbench/result/v1`` file in
+    either shape ``bench/run.py`` writes -- ``runs``, or the ``sets`` of
+    a ``--selfcheck``."""
+    schema = result.get("schema") if isinstance(result, dict) else None
+    if schema != BENCH_SCHEMA:
+        return (
+            '<h2>Benchmark</h2><p class="note">unsupported schema '
+            f"{_esc(repr(schema))} in {_esc(source)}: expected "
+            f"{_esc(repr(BENCH_SCHEMA))}, as <code>python3 bench/run.py"
+            "</code> writes it</p>"
+        )
+    if "sets" in result:
+        groups = {f" (set {side})": runs for side, runs in result["sets"].items()}
     else:
-        profile_html = (
-            '<h2>Phase breakdown</h2><p class="note">no profile data in '
-            "this report &mdash; rerun with <code>repro bench "
-            "--profile</code>.</p>"
+        groups = {"": result.get("runs", [])}
+    traced = [
+        _traced_block(run, label)
+        for label, runs in groups.items() for run in runs if run.get("trace")
+    ]
+    if traced:
+        per_layer = _phase_legend() + "".join(traced)
+    else:
+        per_layer = (
+            '<p class="note">no traced run in this file &mdash; rerun with '
+            "<code>python3 bench/run.py --trace</code>.</p>"
         )
+    fp = result.get("fingerprint", {})
+    sha = (fp.get("git_sha") or "?")[:12] + ("+dirty" if fp.get("git_dirty") else "")
+    sizes = "smoke sizes" if fp.get("smoke") else f"{fp.get('seconds')} s per run"
     return (
-        f"<h2>Kernel benchmark</h2>"
-        f'<p class="fingerprint">source: {_esc(source)} '
-        f"(simulator rev {_esc(report.get('simulator_rev'))}, "
-        f"{'quick' if report.get('quick') else 'full'} matrix)</p>"
-        + table + profile_html
-    )
-
-
-def _history_section(records: List[Dict[str, Any]], source: Path) -> str:
-    # Trajectory of the headline ratios per point label across records.
-    series: Dict[str, Dict[str, List[float]]] = {}
-    for rec in records:
-        for p in rec.get("points", []):
-            slot = series.setdefault(
-                p["label"], {"speedup_warm": [], "speedup_warm_compiled": []}
-            )
-            for key in slot:
-                if key in p:
-                    slot[key].append(p[key])
-    rows = []
-    for label in sorted(series):
-        for key, name in (
-            ("speedup_warm", "fast vs ref"),
-            ("speedup_warm_compiled", "compiled vs fast"),
-        ):
-            values = series[label][key]
-            if not values:
-                continue
-            rows.append(
-                f"<tr><td>{_esc(label)}</td><td>{_esc(name)}</td>"
-                f"<td>{values[-1]:.2f}&times;</td>"
-                f"<td>{_sparkline(values)}</td></tr>"
-            )
-    fingerprints = []
-    for rec in records[-10:]:
-        git = rec.get("git") or {}
-        sha = (git.get("sha") or "?")[:12]
-        dirty = "+dirty" if git.get("dirty") else ""
-        fingerprints.append(
-            f"{sha}{dirty} (rev {rec.get('simulator_rev')}, "
-            f"{'quick' if rec.get('quick') else 'full'})"
-        )
-    return (
-        f"<h2>Bench history ({len(records)} record(s))</h2>"
-        f'<p class="fingerprint">source: {_esc(source)}</p>'
-        "<table><tr><th>point</th><th>ratio</th><th>latest</th>"
-        "<th>trajectory</th></tr>" + "".join(rows) + "</table>"
-        f'<p class="fingerprint">recent runs: '
-        f'{_esc(" &larr; ".join(reversed(fingerprints)))}</p>'
+        "<h2>Benchmark, end to end</h2>"
+        f'<p class="fingerprint">source: {_esc(source)} (git {_esc(sha)}, '
+        f"simulator rev {_esc(fp.get('simulator_rev'))}, "
+        f"python {_esc(fp.get('python_full'))}, numpy {_esc(fp.get('numpy'))}, "
+        f"{_esc(fp.get('nproc'))} cpu(s), seed {_esc(fp.get('seed'))}, "
+        f"{_esc(sizes)}, {_esc(fp.get('started_at'))})</p>"
+        + _end_to_end_table(groups)
+        + "<h2>Benchmark, layer by layer</h2>" + per_layer
     )
 
 
@@ -367,7 +390,6 @@ def _resilience_section(artifact: Dict[str, Any], source: Path) -> str:
 # ----------------------------------------------------------------------
 def build_perf_report(
     bench_path: Optional[Path] = None,
-    history_path: Optional[Path] = None,
     metrics_dir: Optional[Path] = None,
     resilience_path: Optional[Path] = None,
 ) -> str:
@@ -380,30 +402,16 @@ def build_perf_report(
 
     if bench_path is not None and bench_path.exists():
         try:
-            report = json.loads(bench_path.read_text())
+            result = json.loads(bench_path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             sections.append(
-                f'<h2>Kernel benchmark</h2><p class="note">unreadable '
-                f"bench report {_esc(bench_path)}: {_esc(exc)}</p>"
+                f'<h2>Benchmark</h2><p class="note">unreadable '
+                f"result file {_esc(bench_path)}: {_esc(exc)}</p>"
             )
         else:
-            sections.append(_bench_section(report, bench_path))
+            sections.append(_bench_section(result, bench_path))
     elif bench_path is not None:
         missing.append(str(bench_path))
-
-    if history_path is not None and history_path.exists():
-        from ..eval.bench_history import read_history
-
-        records = read_history(history_path)
-        if records:
-            sections.append(_history_section(records, history_path))
-        else:
-            sections.append(
-                f'<h2>Bench history</h2><p class="note">ledger '
-                f"{_esc(history_path)} holds no records</p>"
-            )
-    elif history_path is not None:
-        missing.append(str(history_path))
 
     if metrics_dir is not None and metrics_dir.is_dir():
         sections.append(_metrics_section(metrics_dir))
@@ -411,9 +419,11 @@ def build_perf_report(
         missing.append(str(metrics_dir))
 
     if resilience_path is not None and resilience_path.exists():
+        from ..eval.resilience import load_resilience_artifact
+
         try:
-            artifact = json.loads(resilience_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            artifact = load_resilience_artifact(resilience_path)
+        except (OSError, ValueError) as exc:  # incl. JSONDecodeError
             sections.append(
                 f'<h2>Resilience</h2><p class="note">unreadable '
                 f"resilience artifact {_esc(resilience_path)}: "
@@ -428,7 +438,7 @@ def build_perf_report(
         raise FileNotFoundError(
             "no performance artifacts found; looked for: "
             + (", ".join(missing) or "nothing (no inputs given)")
-            + " -- run `repro bench --profile` and/or "
+            + " -- run `python3 bench/run.py` and/or "
             "`repro sweep --metrics DIR` first"
         )
     for path in missing:

@@ -143,8 +143,8 @@ def profile_point(cfg, kernel: str = DEFAULT_KERNEL) -> Dict[str, object]:
 
     The profiled run is separate from any timing run -- profiling adds
     per-phase clock reads, so callers that also want clean wall-time
-    numbers (``repro bench --profile``) time unprofiled runs and use
-    this only for attribution.  ``kernel`` defaults to what un-flagged
+    numbers (the benchmark's ``netsim.*`` probes) time unprofiled runs
+    and use this only for attribution.  ``kernel`` defaults to what un-flagged
     simulations run; a compiled network binds its ``-prof`` variant.
     """
     from ..netsim.simulator import run_simulation

@@ -35,6 +35,7 @@ from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, TextIO
 from ..eval.runner import SweepReporter, SweepStats, config_key
 from ..eval.tables import format_table
 from ..netsim.config import SIMULATOR_REV, SimulationConfig, SimulationResult
+from .metrics import emit_warning
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -162,8 +163,7 @@ class JsonlReporter(SweepReporter):
 # run manifest
 # ----------------------------------------------------------------------
 def host_info() -> Dict[str, Any]:
-    """Host fingerprint shared by run manifests and the bench-history
-    ledger (``repro.eval.bench_history``)."""
+    """Host fingerprint of a run manifest."""
     return {
         "hostname": socket.gethostname(),
         "platform": platform.platform(),
@@ -225,13 +225,51 @@ def write_run_manifest(path: "Path | str", manifest: Dict[str, Any]) -> Path:
 # `repro report` backend
 # ----------------------------------------------------------------------
 def read_jsonl(path: "Path | str") -> List[Dict[str, Any]]:
-    """Parse a JSONL file, skipping blank lines."""
+    """The rows of a JSONL file, skipping blank lines.
+
+    A writer killed mid-append leaves a torn last line; like the sweep
+    checkpoint's loader, skip what does not parse as a row -- wherever
+    it sits -- and say how many lines went in one structured warning.
+    """
     rows = []
+    skipped = 0
     for line in Path(path).read_text().splitlines():
         line = line.strip()
-        if line:
-            rows.append(json.loads(line))
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            row = None
+        if isinstance(row, dict):
+            rows.append(row)
+        else:
+            skipped += 1
+    if skipped:
+        emit_warning(
+            "telemetry_partial_lines",
+            f"skipped {skipped} unparsable line(s) in {path}",
+            path=str(path),
+            skipped=skipped,
+        )
     return rows
+
+
+def _read_manifest(path: Path) -> Optional[Dict[str, Any]]:
+    """The run manifest at ``path``; a file that is not one JSON object
+    is skipped with one structured warning."""
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError:
+        manifest = None
+    if isinstance(manifest, dict):
+        return manifest
+    emit_warning(
+        "telemetry_bad_manifest",
+        f"skipped unparsable manifest {path}",
+        path=str(path),
+    )
+    return None
 
 
 def _rate_of(row: Dict[str, Any]) -> Optional[float]:
@@ -275,8 +313,8 @@ def summarize_metrics_dir(
     sections: List[str] = []
 
     manifest_path = directory / "manifest.json"
-    if manifest_path.exists():
-        m = json.loads(manifest_path.read_text())
+    m = _read_manifest(manifest_path) if manifest_path.exists() else None
+    if m is not None:
         host = m.get("host", {})
         pts = m.get("points", {})
         sections.append(

@@ -50,11 +50,7 @@ class ShardedResultCache:
         self.salt = self._shards[0].salt
 
     def _shard(self, key: str) -> ResultCache:
-        try:
-            bucket = int(key[:8], 16) % self.num_shards
-        except ValueError:
-            bucket = hash(key) % self.num_shards
-        return self._shards[bucket]
+        return self._shards[int(key[:8], 16) % self.num_shards]
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._shards)

@@ -145,6 +145,10 @@ class TestCampaign:
         path.write_text(json.dumps({"schema": "something/else"}))
         with pytest.raises(ValueError, match="schema"):
             load_resilience_artifact(path)
+        # Valid JSON that is not an object at all gets the same error.
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="schema"):
+            load_resilience_artifact(path)
 
 
 class TestValidatorIntegration:

@@ -29,6 +29,7 @@ the reference implementation:
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -104,6 +105,26 @@ def test_unknown_kernel_name_is_rejected(capsys):
     assert "unknown kernel" in err
     for name in KERNELS:
         assert name in err
+
+
+def test_dump_kernel_writes_one_importable_module_per_template(tmp_path, capsys):
+    """What to read when a compiled point differs: the plain and the
+    ``-prof`` variant of every template design point, nothing compared."""
+    dump_dir = tmp_path / "kernels"
+    assert cbi.main(["--dump-kernel", str(dump_dir)]) == 0
+    captured = capsys.readouterr()
+    assert "dumped" in captured.err and "IDENTICAL" not in captured.out
+    expected = sorted(
+        name
+        for spec in codegen.template_specs()
+        for name in (f"{spec.slug()}.py", f"{spec.slug()}-prof.py")
+    )
+    assert sorted(p.name for p in dump_dir.iterdir()) == expected
+    for path in dump_dir.iterdir():
+        module_spec = importlib.util.spec_from_file_location("dumped", path)
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        assert callable(module.make_step), path.name
 
 
 @pytest.mark.parametrize("cfg,observed", _design_points())

@@ -26,6 +26,7 @@ from repro.eval.runner import (
     run_sweep,
 )
 from repro.netsim.simulator import SimulationConfig
+from repro.serve.cache import ShardedResultCache
 from repro.serve.client import RemoteScheduler
 from repro.serve.protocol import (
     MessageSocket,
@@ -205,6 +206,21 @@ class TestRemoteScheduler:
             ]
         finally:
             harness.stop()
+
+
+class TestShardedCache:
+    def test_a_key_lands_in_the_same_shard_after_a_restart(self, tmp_path):
+        cfg = _configs(1)[0]
+        first = ShardedResultCache(tmp_path / "cache", shards=8)
+        key = config_key(cfg, first.salt)
+        first.put_payload(key, analytic_result(cfg).to_payload())
+        first.flush()
+        restarted = ShardedResultCache(tmp_path / "cache", shards=8)
+        assert restarted.get_payload(key) == analytic_result(cfg).to_payload()
+        # Sharding reads the key's hex prefix and nothing else: there is
+        # no per-process ``hash()`` to fall back on for another key.
+        with pytest.raises(ValueError, match="not-a-he"):
+            restarted.get_payload("not-a-hex-key")
 
 
 class TestWorkerDeath:

@@ -86,14 +86,18 @@ class TestParser:
         args = build_parser().parse_args(argv)
         assert getattr(args, attr) == expected
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.quick is False
-        assert args.output == "BENCH_kernel.json"
-        assert args.progress is False
-        assert args.kernel == []
-        assert args.dump_kernel is None
-        assert args.dump_only is False
+    def test_bench_is_gone(self, capsys):
+        # One measurement system: `python3 bench/run.py` (bench/README.md).
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        # argparse's own message, which is also the 14 commands in
+        # `--help` order.
+        assert (
+            "invalid choice: 'bench' (choose from 'figures', 'transitions', "
+            "'quality', 'cost', 'simulate', 'sweep', 'serve', 'work', "
+            "'faults', 'resilience', 'lint', 'verify', 'report', 'perf')"
+        ) in capsys.readouterr().err
 
     def test_faults_subcommand_defaults(self):
         args = build_parser().parse_args(["faults"])
@@ -319,13 +323,48 @@ class TestCommands:
         html_path = tmp_path / "perf.html"
         rc = main(
             ["perf", "report", "--bench", str(tmp_path / "missing.json"),
-             "--history", str(tmp_path / "missing.jsonl"),
              "--resilience", str(out_path), "--output", str(html_path)]
         )
         assert rc == 0
         html = html_path.read_text()
         assert "Resilience" in html
         assert "ft_dor routing" in html
+
+    def test_perf_report_survives_a_non_artifact_resilience_file(
+        self, capsys, tmp_path
+    ):
+        not_an_artifact = tmp_path / "r.json"
+        not_an_artifact.write_text("[1, 2]")
+        html_path = tmp_path / "perf.html"
+        rc = main(["perf", "report", "--bench", str(tmp_path / "missing.json"),
+                   "--resilience", str(not_an_artifact),
+                   "--output", str(html_path)])
+        assert rc == 0
+        assert "unreadable resilience artifact" in html_path.read_text()
+
+    def test_report_skips_what_a_killed_sweep_left_torn(self, capsys, tmp_path):
+        metrics = tmp_path / "obs"
+        assert main(["sweep", "--rates", "0.05,0.1", "--cycles", "100",
+                     "--metrics", str(metrics)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(metrics)]) == 0
+        whole = capsys.readouterr()
+        assert whole.err == ""
+        # SIGKILL mid-append: the last row is cut short.  The manifest is
+        # written after the sweep, so a killed run may leave garbage too.
+        log = metrics / "sweep.jsonl"
+        log.write_bytes(log.read_bytes()[:-40])
+        manifest = metrics / "manifest.json"
+        manifest.write_text(manifest.read_text()[:25])
+        assert main(["report", str(metrics)]) == 0
+        torn = capsys.readouterr()
+        assert sorted(torn.err.splitlines()) == [
+            f"warning: skipped 1 unparsable line(s) in {log}",
+            f"warning: skipped unparsable manifest {manifest}",
+        ]
+        # Everything that did parse is still reported.
+        assert "run manifest" in whole.out and "run manifest" not in torn.out
+        assert whole.out.split("\n\n", 1)[1] == torn.out
 
     def test_report_missing_dir(self, capsys, tmp_path):
         rc = main(["report", str(tmp_path / "nope")])
@@ -336,98 +375,6 @@ class TestCommands:
         rc = main(["report", str(tmp_path)])
         assert rc == 2
         assert "no telemetry found" in capsys.readouterr().err
-
-    def test_bench_writes_report(self, capsys, monkeypatch, tmp_path):
-        import json
-
-        from repro.eval import kernel_bench
-
-        # Shrink the windows so the smoke test stays fast; the real
-        # quick windows are exercised by the CI bench-smoke job.
-        monkeypatch.setattr(
-            kernel_bench, "_QUICK_WINDOWS",
-            dict(warmup_cycles=40, measure_cycles=120, drain_cycles=120),
-        )
-        out_path = tmp_path / "BENCH_kernel.json"
-        ledger = tmp_path / "hist.jsonl"
-        rc = main(["bench", "--quick", "--output", str(out_path),
-                   "--history", str(ledger)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "kernel benchmark" in out
-        assert "wrote" in out
-        assert "appended history record" in out
-        # Every run appends one fingerprinted ledger record.
-        records = [json.loads(l) for l in ledger.read_text().splitlines()]
-        assert len(records) == 1
-        assert records[0]["schema"] == "repro/bench-history/v1"
-
-        report = json.loads(out_path.read_text())
-        assert report["schema"] == "repro/kernel-bench/v1"
-        assert report["quick"] is True
-        labels = [p["label"] for p in report["points"]]
-        assert "mesh-V8-wf-r0.15" in labels
-        for point in report["points"]:
-            assert point["speedup_warm"] > 0
-            assert point["speedup_warm_compiled"] > 0
-            assert point["fast"]["warm_cycles_per_s"] > 0
-            assert point["reference"]["warm_cycles_per_s"] > 0
-            assert point["compiled"]["warm_cycles_per_s"] > 0
-
-    def test_bench_rejects_unknown_kernel(self, capsys):
-        rc = main(["bench", "--kernel", "fast", "--kernel", "warp9"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "unknown kernel" in err
-        # The error must list every registered kernel.
-        for name in ("reference", "fast", "compiled"):
-            assert name in err
-
-    def test_bench_kernel_subset(self, capsys, monkeypatch, tmp_path):
-        import json
-
-        from repro.eval import kernel_bench
-
-        monkeypatch.setattr(
-            kernel_bench, "_QUICK_WINDOWS",
-            dict(warmup_cycles=40, measure_cycles=120, drain_cycles=120),
-        )
-        out_path = tmp_path / "BENCH_kernel.json"
-        rc = main(["bench", "--quick", "--output", str(out_path),
-                   "--kernel", "fast", "--kernel", "compiled",
-                   "--no-history"])
-        assert rc == 0
-        report = json.loads(out_path.read_text())
-        assert report["kernels"] == ["fast", "compiled"]
-        for point in report["points"]:
-            assert "reference" not in point
-            assert "speedup_warm" not in point  # needs the reference timing
-            assert point["speedup_warm_compiled"] > 0
-
-    def test_bench_dump_kernel_writes_sources(self, capsys, tmp_path):
-        from repro.netsim.codegen import template_specs
-
-        dump_dir = tmp_path / "kernels"
-        rc = main(["bench", "--dump-kernel", str(dump_dir), "--dump-only"])
-        assert rc == 0
-        assert "dumped" in capsys.readouterr().err
-        dumped = sorted(p.name for p in dump_dir.glob("*.py"))
-        # Each design point dumps both variants: the plain kernel and
-        # the profiled one (phase hooks emitted only when requested).
-        expected = sorted(
-            name
-            for spec in template_specs()
-            for name in (f"{spec.slug()}.py", f"{spec.slug()}-prof.py")
-        )
-        assert dumped == expected
-        # Every dumped module is genuine generated source.
-        for p in dump_dir.glob("*.py"):
-            assert "def make_step" in p.read_text()
-
-    def test_bench_dump_only_requires_dump_kernel(self, capsys):
-        rc = main(["bench", "--dump-only"])
-        assert rc == 2
-        assert "--dump-kernel" in capsys.readouterr().err
 
     def test_cost_switch(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_COST_CACHE", str(tmp_path / "c.json"))

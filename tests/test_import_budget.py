@@ -145,7 +145,7 @@ class TestCommandTable:
         listing = "{" + ",".join(cli.COMMANDS) + "}"
         assert listing == (
             "{figures,transitions,quality,cost,simulate,sweep,serve,work,"
-            "faults,resilience,bench,lint,verify,report,perf}"
+            "faults,resilience,lint,verify,report,perf}"
         )
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
