@@ -111,6 +111,9 @@ def main() -> None:
     )
     print("\nNo flits in flight after drain: the dateline VC transition")
     print("discipline kept the ring deadlock-free.")
+    # Whoever assembles a network closes it: a wired network is one
+    # reference cycle, and close() lets reference counting free it now.
+    net.close()
 
 
 if __name__ == "__main__":

@@ -166,7 +166,7 @@ def kernel_probe(kernels: Tuple[str, ...] = DEFAULT_KERNELS) -> Optional[str]:
     )
     for kernel in ("reference",) + tuple(kernels):
         try:
-            build_network(cfg, kernel=kernel)
+            build_network(cfg, kernel=kernel).close()
         except Exception as exc:  # noqa: BLE001 -- report, don't crash
             return f"{kernel!r} kernel unavailable: {exc}"
     return None
@@ -354,7 +354,9 @@ def run_lifecycle(cfg: SimulationConfig, case: str, kernel: str) -> Tuple[dict, 
             net.fault_state.summary() if net.fault_state is not None else None
         ),
     }
-    return payload, net_state(net)
+    state = net_state(net)
+    net.close()
+    return payload, state
 
 
 def lifecycle_problems(cfg: SimulationConfig, case: str, kernel: str = DEFAULT_KERNEL) -> List[str]:

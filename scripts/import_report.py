@@ -5,10 +5,12 @@ imports cost.
 A command should pay at start-up only for itself (docs/PERFORMANCE.md,
 "Start-up").  For each CLI command, run with a cheap argv in a fresh
 interpreter under ``-X importtime``, this prints the number of modules
-loaded, how many of them are ``repro.*``, the cumulative import time
-and the three top-level packages that account for most of it -- so a
-start-up regression is attributed to a module before anyone opens a
-profiler.  ``tests/test_import_budget.py`` gates the same observation
+loaded, how many of them are ``repro.*``, the cumulative import time,
+the three top-level packages that account for most of it and the
+process's peak RSS -- so a start-up regression is attributed to a module
+before anyone opens a profiler, and the memory floor every sweep sits on
+(docs/PERFORMANCE.md, "Memory") is tracked per command.
+``tests/test_import_budget.py`` gates the same observation
 (:func:`loaded_modules`) against per-command forbidden modules.
 
 Usage::
@@ -16,7 +18,10 @@ Usage::
     python scripts/import_report.py [--output FILE] [COMMAND ...]
 
 Import times are machine-dependent; compare the table against one taken
-on the same machine (CI uploads it per run).
+on the same machine (CI uploads it per run).  Peak RSS is the child's
+own ``ru_maxrss``, which is never below its parent's RSS at fork time:
+read that column from a run of this script, not from a caller that has
+imported numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ sys.path.insert(0, str(SRC))
 
 from repro.eval.tables import format_table  # noqa: E402
 
-# Runs ``statement`` and then records ``sys.modules``, whatever way the
-# statement ends (``main`` of ``--help`` exits; ``serve`` is interrupted).
+# Runs ``statement`` and then records ``sys.modules`` and the peak RSS
+# (KiB), whatever way the statement ends (``main`` of ``--help`` exits;
+# ``serve`` is interrupted).
 _DRIVER = """\
 import json, sys
 try:
@@ -48,8 +54,10 @@ try:
 except (SystemExit, KeyboardInterrupt):
     pass
 finally:
+    import resource
     with open(sys.argv[2], "w") as fh:
-        json.dump(sorted(sys.modules), fh)
+        json.dump({"modules": sorted(sys.modules), "maxrss_kb":
+                   resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}, fh)
 """
 
 # "import time:   self [us] | cumulative | imported package"
@@ -63,9 +71,10 @@ def traced_run(
     env: Optional[Dict[str, str]] = None,
     interrupt_after: Optional[str] = None,
     timeout: float = 120.0,
-) -> Tuple[List[str], List[Tuple[str, int]]]:
+) -> Tuple[List[str], List[Tuple[str, int]], int]:
     """Run ``what`` in a fresh interpreter; return ``(sorted names of
-    ``sys.modules`` afterwards, [(module, self import time in us)])``.
+    ``sys.modules`` afterwards, [(module, self import time in us)],
+    peak RSS in KiB)``.
 
     ``what`` is a Python statement (``"import repro.cli"``) or a
     ``repro`` argv list (``["sweep", "--rates", "0.1"]``, run through
@@ -102,13 +111,13 @@ def traced_run(
             raise RuntimeError(
                 f"{what!r} left no module list (exit {proc.returncode}):\n{stderr}"
             )
-        modules = json.loads(out.read_text())
+        observed = json.loads(out.read_text())
     times = [
         (m.group(2), int(m.group(1)))
         for m in map(_IMPORTTIME.match, stderr.splitlines())
         if m
     ]
-    return modules, times
+    return observed["modules"], times, observed["maxrss_kb"]
 
 
 def loaded_modules(what: Union[str, Sequence[str]], **kwargs) -> List[str]:
@@ -144,7 +153,8 @@ def cheap_argvs(tmp: Path) -> Dict[str, dict]:
         "cost": dict(what=cost),
         "cost (warm)": dict(what=cost),
         "simulate": dict(what=["simulate", "--cycles", "60"]),
-        "sweep": dict(what=sweep),
+        # One simulated point: its peak RSS is the floor of every sweep.
+        "sweep (1 point)": dict(what=sweep),
         "sweep (warm)": dict(what=sweep),
         "serve": dict(
             what=["serve", "--port", "0", "--state-dir", str(tmp / "serve")],
@@ -173,7 +183,7 @@ def report(selected: Sequence[str]) -> str:
         for name, kwargs in cheap_argvs(tmp).items():
             if selected and name.split()[0] not in selected:
                 continue
-            modules, times = traced_run(cwd=tmp, env=env, **kwargs)
+            modules, times, maxrss_kb = traced_run(cwd=tmp, env=env, **kwargs)
             by_package: Counter = Counter()
             for module, self_us in times:
                 by_package[module.split(".")[0]] += self_us
@@ -186,11 +196,12 @@ def report(selected: Sequence[str]) -> str:
                 sum(m == "repro" or m.startswith("repro.") for m in modules),
                 "yes" if "numpy" in modules else "no",
                 round(sum(by_package.values()) / 1000),
+                f"{maxrss_kb / 1024:.1f}",
                 top,
             ))
     return format_table(
         ["command", "modules", "repro.*", "numpy", "import ms",
-         "heaviest packages (ms)"],
+         "peak RSS MiB", "heaviest packages (ms)"],
         rows,
     )
 

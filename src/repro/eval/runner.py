@@ -416,9 +416,16 @@ def _run_hardened_pool(
     from multiprocessing import connection as mp_connection
 
     ctx = mp.get_context()
-    # (not-before time, index, attempt#) -- a heap so backoff-delayed
-    # retries interleave correctly with first attempts.
-    ready: List[tuple] = [(0.0, i, 1) for i in pending]
+    # (not-before time, -offered load, index, attempt#) -- a heap so
+    # backoff-delayed retries interleave correctly with first attempts.
+    # Side by side, first attempts start longest-first: a point costs
+    # more the closer it runs to saturation, and the most expensive
+    # point started last would set the makespan alone.  One job at a
+    # time has no makespan to shorten and keeps index order.
+    ready: List[tuple] = [
+        (0.0, -configs[i].injection_rate if jobs > 1 else 0.0, i, 1)
+        for i in pending
+    ]
     heapq.heapify(ready)
     running: Dict[Any, tuple] = {}  # recv conn -> (index, attempt, proc, deadline)
 
@@ -447,7 +454,9 @@ def _run_hardened_pool(
         if attempt <= retries:
             stats.retries += 1
             delay = backoff * (2 ** (attempt - 1))
-            heapq.heappush(ready, (time.monotonic() + delay, index, attempt + 1))
+            heapq.heappush(
+                ready, (time.monotonic() + delay, 0.0, index, attempt + 1)
+            )
             return
         fail(index, kind, error, message, detail, attempt)
 
@@ -455,7 +464,7 @@ def _run_hardened_pool(
         while ready or running:
             now = time.monotonic()
             while ready and len(running) < jobs and ready[0][0] <= now:
-                _, index, attempt = heapq.heappop(ready)
+                _, _, index, attempt = heapq.heappop(ready)
                 launch(index, attempt)
 
             waits: List[float] = []

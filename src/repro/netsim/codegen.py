@@ -26,10 +26,11 @@ bound when the step was made.  Which one runs is likewise decided by
 per cycle.  Both variants are cached per ``(spec, profiled)`` and both
 are rendered for the source linter.
 
-The generated source is inspectable via ``repro bench --dump-kernel``.
-It deliberately imports nothing and reads no clocks or RNGs; the repo
-linter (``repro lint --source``) scans the rendered templates for
-unseeded randomness / wall-clock reads like any simulation-package file.
+The generated source is inspectable via
+``scripts/check_bit_identity.py --dump-kernel DIR``.  It deliberately
+imports nothing and reads no clocks or RNGs; the repo linter (``repro
+lint --source``) scans the rendered templates for unseeded randomness /
+wall-clock reads like any simulation-package file.
 """
 
 from __future__ import annotations

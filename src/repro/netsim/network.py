@@ -110,6 +110,36 @@ class Network:
             for terminal in self.terminals:
                 terminal.routable_fn = routable
 
+    def close(self) -> None:
+        """Drop every reference that makes this network a cycle, so that
+        reference counting frees it when the caller lets go.
+
+        A wired network is one reference cycle: routers point at their
+        neighbours and terminals through the link tables, at themselves
+        through the bound ``_alloc_step``, terminals point back at their
+        router, and the delivery hooks close over the caller's frame.
+        Whoever calls ``build_network`` / ``assemble`` closes the result
+        (:func:`~repro.netsim.simulator.run_simulation` does); the
+        statistics must be read first.  Idempotent, and safe on a
+        hand-wired or half-wired network.  A closed network cannot be
+        stepped: :meth:`step` raises.
+        """
+        for router in self.routers:
+            del router._alloc_step
+            router.observer = router.fault_state = router.profiler = None
+            unwired = [None] * router.num_ports
+            router.out_links[:] = router.upstream[:] = unwired
+            router._out_pre[:] = router._up_pre[:] = unwired
+        for terminal in self.terminals:
+            del terminal.router
+            terminal.observer = terminal.routable_fn = None
+        self.routers = []
+        self.terminals = []
+        # None, not {}: stepping a closed network fails instead of idling.
+        self._flit_events = self._credit_events = None  # type: ignore[assignment]
+        self.on_delivery = self.on_birth = self.routing = None
+        self.observer = self.fault_state = self.profiler = None
+
     # ------------------------------------------------------------------
     # event scheduling (called by routers/terminals)
     # ------------------------------------------------------------------

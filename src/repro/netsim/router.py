@@ -172,8 +172,8 @@ class Router:
         simulations -- the differential harness in ``tests/perf``
         enforces this -- so ``"fast"`` and ``"reference"`` exist as
         equivalence oracles and debugging fallbacks, selectable via
-        ``run_simulation(..., kernel=...)`` and ``repro bench --kernel``.
-        Assignment rebinds the dispatched step (:meth:`_bind_step`).
+        ``run_simulation(..., kernel=...)``.  Assignment rebinds the
+        dispatched step (:meth:`_bind_step`).
         """
         return self._kernel
 

@@ -151,172 +151,181 @@ def run_simulation(
     (:class:`repro.obs.profiling.PhaseProfiler`).  Like the observer it
     never feeds back into simulation state, so profiled runs return
     bit-identical results; ``None`` is the zero-overhead fast path.
+
+    The network lives exactly as long as this call: it is closed on
+    every exit (:meth:`Network.close`), so nothing of a finished point
+    stays in memory and ``observer.run_finished`` is the last look at it.
     """
     if profiler is not None:
         _pt = profiler.begin()
     net = build_network(cfg, kernel=kernel)
-    if observer is not None:
-        observer.run_started(cfg)
-        net.attach_observer(observer)
+    try:
+        if observer is not None:
+            observer.run_started(cfg)
+            net.attach_observer(observer)
 
-    fault_state = None
-    if cfg.faults is not None and not cfg.faults.is_empty:
-        horizon = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles
-        fault_state = cfg.faults.materialize(
-            [r.num_ports for r in net.routers],
-            net.routers[0].num_vcs,
-            horizon,
-        )
-        net.attach_fault_state(fault_state)
-    if profiler is not None:
-        net.attach_profiler(profiler)
-        profiler.direct("setup", _pt)
-
-    measured: List[Packet] = []
-    window_start = cfg.warmup_cycles
-    window_end = cfg.warmup_cycles + cfg.measure_cycles
-
-    def on_delivery(pkt: Packet, now: int) -> None:
-        if window_start <= pkt.birth_time < window_end:
-            measured.append(pkt)
-
-    net.on_delivery = on_delivery
-
-    born_in_window = 0
-    if fault_state is not None:
-        # Fault runs additionally count every packet *offered* during
-        # the measurement window (including injection-side unroutable
-        # drops) so the delivered fraction has an exact denominator.
-        def on_birth(birth_time: int) -> None:
-            nonlocal born_in_window
-            if window_start <= birth_time < window_end:
-                born_in_window += 1
-
-        net.on_birth = on_birth
-
-    if cfg.watchdog_cycles > 0:
-        watchdog = Watchdog(net, cfg.watchdog_cycles)
-
-        def run_cycles(n: int) -> None:
-            for _ in range(n):
-                net.step()
-                watchdog.poll(net)
-
-    else:
-        run_cycles = net.run  # fault-free fast path: unchanged loop
-
-    degraded_mode = False
-
-    def run_phase(n: int) -> None:
-        """One simulation phase; a permanent-link-fault watchdog trip
-        ends the run in degraded mode instead of propagating.
-
-        A genuinely wedged fabric *without* permanent link faults is a
-        simulator bug (livelock/deadlock), so that WatchdogError still
-        raises; with permanent faults, a wedge is an expected property
-        of the degraded network (e.g. a partition under non-fault-aware
-        routing) and the run completes with the statistics gathered so
-        far and ``degraded_mode=True``.
-        """
-        nonlocal degraded_mode
-        if degraded_mode:
-            return
-        try:
-            run_cycles(n)
-        except WatchdogError:
-            if fault_state is None or not fault_state.has_permanent_link_faults:
-                raise
-            fault_state.counters["watchdog_degraded_trips"] += 1
-            degraded_mode = True
-
-    run_phase(cfg.warmup_cycles)
-    inj0 = net.total_injected_flits()
-    ej0 = net.total_ejected_flits()
-    backlog0 = net.total_backlog()
-    run_phase(cfg.measure_cycles)
-    inj1 = net.total_injected_flits()
-    ej1 = net.total_ejected_flits()
-    backlog1 = net.total_backlog()
-    run_phase(cfg.drain_cycles)
-    if observer is not None:
-        observer.run_finished(net, cfg)
-    if profiler is not None:
-        _pt = profiler.begin()
-
-    n_terms = net.num_terminals
-    # A zero-length measurement window (legal, e.g. warmup-only probe
-    # runs) has no rate denominator; report zero rather than dividing.
-    meas_flit_slots = cfg.measure_cycles * n_terms
-    injected_rate = (inj1 - inj0) / meas_flit_slots if meas_flit_slots else 0.0
-    accepted_rate = (ej1 - ej0) / meas_flit_slots if meas_flit_slots else 0.0
-
-    if measured:
-        latencies = [p.arrival_time - p.birth_time for p in measured]
-        summary = summarize_latencies(latencies)
-        avg_latency = summary.mean
-        _, stderr = batch_means(
-            [(p.birth_time, p.arrival_time - p.birth_time) for p in measured]
-        )
-        by_class: Dict[int, List[int]] = {}
-        for p in measured:
-            by_class.setdefault(p.message_class, []).append(
-                p.arrival_time - p.birth_time
+        fault_state = None
+        if cfg.faults is not None and not cfg.faults.is_empty:
+            horizon = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles
+            fault_state = cfg.faults.materialize(
+                [r.num_ports for r in net.routers],
+                net.routers[0].num_vcs,
+                horizon,
             )
-        latency_by_class = {
-            m: sum(v) / len(v) for m, v in by_class.items()
-        }
-    else:
-        avg_latency = float("inf")
-        latency_by_class = {}
-        summary = None
-        stderr = float("nan")
+            net.attach_fault_state(fault_state)
+        if profiler is not None:
+            net.attach_profiler(profiler)
+            profiler.direct("setup", _pt)
 
-    # Saturation: unbounded backlog growth or capped/unmeasurable latency.
-    backlog_growth = (backlog1 - backlog0) / n_terms
-    expected_measured = cfg.packet_rate * cfg.measure_cycles * n_terms * 2
-    saturated = (
-        avg_latency > cfg.latency_cap
-        or backlog_growth > 4.0
-        or (expected_measured > 0 and len(measured) < 0.75 * expected_measured)
-    )
+        # One entry per packet born in the measurement window, filled at
+        # delivery: the packet itself dies with its tail flit.
+        births: List[int] = []
+        latencies: List[int] = []
+        classes: List[int] = []
+        window_start = cfg.warmup_cycles
+        window_end = cfg.warmup_cycles + cfg.measure_cycles
 
-    if fault_state is not None:
-        degraded_throughput = (
-            accepted_rate / injected_rate if injected_rate > 0 else 1.0
-        )
-        packets_lost = net.stranded_packets()
-        fault_state.counters["packets_unroutable"] = sum(
-            t.unroutable_packets for t in net.terminals
-        )
-        delivered_fraction = (
-            len(measured) / born_in_window if born_in_window else 1.0
-        )
-        fault_counters = fault_state.summary()
-    else:
-        degraded_throughput = 1.0
-        packets_lost = 0
-        delivered_fraction = 1.0
-        fault_counters = {}
+        def on_delivery(pkt: Packet, now: int) -> None:
+            birth = pkt.birth_time
+            if window_start <= birth < window_end:
+                births.append(birth)
+                latencies.append(now - birth)
+                classes.append(pkt.message_class)
 
-    result = SimulationResult(
-        config=cfg,
-        avg_latency=avg_latency,
-        measured_packets=len(measured),
-        delivered_packets=len(measured),
-        injected_flit_rate=injected_rate,
-        accepted_flit_rate=accepted_rate,
-        saturated=saturated,
-        misspeculations=net.total_misspeculations(),
-        speculative_wins=net.total_speculative_wins(),
-        latency_by_class=latency_by_class,
-        latency_summary=summary,
-        latency_stderr=stderr,
-        degraded_throughput=degraded_throughput,
-        packets_lost=packets_lost,
-        fault_counters=fault_counters,
-        delivered_fraction=delivered_fraction,
-        degraded_mode=degraded_mode,
-    )
+        net.on_delivery = on_delivery
+
+        born_in_window = 0
+        if fault_state is not None:
+            # Fault runs additionally count every packet *offered* during
+            # the measurement window (including injection-side unroutable
+            # drops) so the delivered fraction has an exact denominator.
+            def on_birth(birth_time: int) -> None:
+                nonlocal born_in_window
+                if window_start <= birth_time < window_end:
+                    born_in_window += 1
+
+            net.on_birth = on_birth
+
+        if cfg.watchdog_cycles > 0:
+            watchdog = Watchdog(net, cfg.watchdog_cycles)
+
+            def run_cycles(n: int) -> None:
+                for _ in range(n):
+                    net.step()
+                    watchdog.poll(net)
+
+        else:
+            run_cycles = net.run  # fault-free fast path: unchanged loop
+
+        degraded_mode = False
+
+        def run_phase(n: int) -> None:
+            """One simulation phase; a permanent-link-fault watchdog trip
+            ends the run in degraded mode instead of propagating.
+
+            A genuinely wedged fabric *without* permanent link faults is a
+            simulator bug (livelock/deadlock), so that WatchdogError still
+            raises; with permanent faults, a wedge is an expected property
+            of the degraded network (e.g. a partition under non-fault-aware
+            routing) and the run completes with the statistics gathered so
+            far and ``degraded_mode=True``.
+            """
+            nonlocal degraded_mode
+            if degraded_mode:
+                return
+            try:
+                run_cycles(n)
+            except WatchdogError:
+                if fault_state is None or not fault_state.has_permanent_link_faults:
+                    raise
+                fault_state.counters["watchdog_degraded_trips"] += 1
+                degraded_mode = True
+
+        run_phase(cfg.warmup_cycles)
+        inj0 = net.total_injected_flits()
+        ej0 = net.total_ejected_flits()
+        backlog0 = net.total_backlog()
+        run_phase(cfg.measure_cycles)
+        inj1 = net.total_injected_flits()
+        ej1 = net.total_ejected_flits()
+        backlog1 = net.total_backlog()
+        run_phase(cfg.drain_cycles)
+        if observer is not None:
+            observer.run_finished(net, cfg)
+        if profiler is not None:
+            _pt = profiler.begin()
+
+        n_terms = net.num_terminals
+        # A zero-length measurement window (legal, e.g. warmup-only probe
+        # runs) has no rate denominator; report zero rather than dividing.
+        meas_flit_slots = cfg.measure_cycles * n_terms
+        injected_rate = (inj1 - inj0) / meas_flit_slots if meas_flit_slots else 0.0
+        accepted_rate = (ej1 - ej0) / meas_flit_slots if meas_flit_slots else 0.0
+
+        if latencies:
+            summary = summarize_latencies(latencies)
+            avg_latency = summary.mean
+            _, stderr = batch_means(list(zip(births, latencies)))
+            by_class: Dict[int, List[int]] = {}
+            for message_class, latency in zip(classes, latencies):
+                by_class.setdefault(message_class, []).append(latency)
+            latency_by_class = {
+                m: sum(v) / len(v) for m, v in by_class.items()
+            }
+        else:
+            avg_latency = float("inf")
+            latency_by_class = {}
+            summary = None
+            stderr = float("nan")
+
+        # Saturation: unbounded backlog growth or capped/unmeasurable latency.
+        backlog_growth = (backlog1 - backlog0) / n_terms
+        expected_measured = cfg.packet_rate * cfg.measure_cycles * n_terms * 2
+        saturated = (
+            avg_latency > cfg.latency_cap
+            or backlog_growth > 4.0
+            or (expected_measured > 0 and len(latencies) < 0.75 * expected_measured)
+        )
+
+        if fault_state is not None:
+            degraded_throughput = (
+                accepted_rate / injected_rate if injected_rate > 0 else 1.0
+            )
+            packets_lost = net.stranded_packets()
+            fault_state.counters["packets_unroutable"] = sum(
+                t.unroutable_packets for t in net.terminals
+            )
+            delivered_fraction = (
+                len(latencies) / born_in_window if born_in_window else 1.0
+            )
+            fault_counters = fault_state.summary()
+        else:
+            degraded_throughput = 1.0
+            packets_lost = 0
+            delivered_fraction = 1.0
+            fault_counters = {}
+
+        result = SimulationResult(
+            config=cfg,
+            avg_latency=avg_latency,
+            measured_packets=len(latencies),
+            delivered_packets=len(latencies),
+            injected_flit_rate=injected_rate,
+            accepted_flit_rate=accepted_rate,
+            saturated=saturated,
+            misspeculations=net.total_misspeculations(),
+            speculative_wins=net.total_speculative_wins(),
+            latency_by_class=latency_by_class,
+            latency_summary=summary,
+            latency_stderr=stderr,
+            degraded_throughput=degraded_throughput,
+            packets_lost=packets_lost,
+            fault_counters=fault_counters,
+            delivered_fraction=delivered_fraction,
+            degraded_mode=degraded_mode,
+        )
+    finally:
+        net.close()
     if profiler is not None:
         profiler.direct("stats", _pt)
     return result

@@ -192,6 +192,57 @@ class TestRetries:
         assert results[0] is not None
 
 
+class _LaunchSpy:
+    """A multiprocessing context that notes, in the parent, the offered
+    load of every point process it is asked to start."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.launched = []
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def Process(self, target, args, daemon):
+        self.launched.append(args[2]["injection_rate"])
+        return self._ctx.Process(target=target, args=args, daemon=daemon)
+
+
+class TestLaunchOrder:
+    RATES = (0.05, 0.15, 0.25, 0.35, 0.45, 0.25)
+
+    def _launched(self, monkeypatch, rates=RATES, **kwargs):
+        import multiprocessing
+
+        spy = _LaunchSpy(multiprocessing.get_context())
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: spy)
+        configs = [
+            SimulationConfig(injection_rate=r, seed=i)
+            for i, r in enumerate(rates)
+        ]
+        results = run_sweep(configs, worker_fn=mixed_worker, **kwargs)
+        # Whatever the launch order, results land by index.
+        assert [r.config for r in results] == configs
+        return spy.launched
+
+    def test_side_by_side_the_saturated_point_starts_first(self, monkeypatch):
+        # Ties (the two 0.25 points) keep index order.
+        assert self._launched(monkeypatch, jobs=2) == [
+            0.45, 0.35, 0.25, 0.25, 0.15, 0.05]
+
+    def test_one_job_keeps_index_order(self, monkeypatch):
+        assert self._launched(monkeypatch, jobs=1, timeout=60.0) == list(
+            self.RATES)
+
+    def test_a_retry_does_not_jump_the_queue(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_FLAKY_MARKER", str(tmp_path / "marker"))
+        launched = self._launched(
+            monkeypatch, (0.05, FLAKY_RATE, 0.15), jobs=2, retries=1, backoff=0.05
+        )
+        assert launched[:3] == [FLAKY_RATE, 0.15, 0.05]
+        assert sorted(launched) == [0.05, 0.15, FLAKY_RATE, FLAKY_RATE]
+
+
 class TestCheckpointResume:
     def _checkpoint(self, path, configs):
         keys = [config_key(cfg) for cfg in configs]
