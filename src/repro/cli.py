@@ -665,10 +665,13 @@ def cmd_faults(args) -> int:
     for arch in archs:
         sats = []
         for frate in frates:
-            plan = (
-                FaultPlan(seed=args.seed, **{kind_field: frate})
-                if frate > 0 else None
-            )
+            try:
+                plan = (
+                    FaultPlan(seed=args.seed, **{kind_field: frate})
+                    if frate > 0 else None
+                )
+            except ValueError as exc:  # a rate above 1, a negative seed
+                raise _UsageError(str(exc)) from None
             # No watchdog here on purpose: a deadlocked probe point
             # reports as saturated, which is exactly what the metric
             # should say about that load.

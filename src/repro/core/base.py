@@ -9,10 +9,11 @@ and at most one grant per column.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import numpy as np
-from numpy.typing import ArrayLike
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "Allocator",
@@ -27,6 +28,7 @@ def as_request_matrix(
     requests: ArrayLike, shape: Optional[Tuple[int, int]] = None
 ) -> np.ndarray:
     """Coerce ``requests`` into a 2-D boolean ndarray, validating shape."""
+    import numpy as np
     mat = np.asarray(requests, dtype=bool)
     if mat.ndim != 2:
         raise ValueError(f"request matrix must be 2-D, got shape {mat.shape}")
@@ -43,11 +45,11 @@ def is_matching(requests: np.ndarray, grants: np.ndarray) -> bool:
     """
     req = as_request_matrix(requests)
     gnt = as_request_matrix(grants, shape=req.shape)
-    if np.any(gnt & ~req):
+    if (gnt & ~req).any():
         return False
-    if np.any(gnt.sum(axis=1) > 1):
+    if (gnt.sum(axis=1) > 1).any():
         return False
-    if np.any(gnt.sum(axis=0) > 1):
+    if (gnt.sum(axis=0) > 1).any():
         return False
     return True
 
@@ -65,11 +67,12 @@ def is_maximal_matching(requests: np.ndarray, grants: np.ndarray) -> bool:
     row_used = gnt.any(axis=1)
     col_used = gnt.any(axis=0)
     blocked = row_used[:, None] | col_used[None, :]
-    return not np.any(req & ~blocked)
+    return not (req & ~blocked).any()
 
 
 def matching_size(grants: np.ndarray) -> int:
     """Number of grants in a grant matrix."""
+    import numpy as np
     return int(np.count_nonzero(np.asarray(grants, dtype=bool)))
 
 

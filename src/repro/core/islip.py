@@ -16,12 +16,13 @@ its desynchronization and starvation-freedom properties.
 
 from __future__ import annotations
 
-from typing import Callable, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List
 
 from .arbiters import Arbiter, RoundRobinArbiter
 from .base import Allocator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["IterativeSLIPAllocator"]
 
@@ -65,6 +66,7 @@ class IterativeSLIPAllocator(Allocator):
             arb.reset()
 
     def allocate(self, requests: np.ndarray) -> np.ndarray:
+        import numpy as np
         req = self._validated(requests)
         m, n = self.shape
         grants = np.zeros((m, n), dtype=bool)

@@ -12,11 +12,12 @@ quality* metric (Section 3.1).
 from __future__ import annotations
 
 from collections import deque
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from .base import Allocator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["MaximumSizeAllocator", "maximum_matching_size", "hopcroft_karp"]
 
@@ -84,6 +85,7 @@ def hopcroft_karp(adjacency: List[List[int]], num_right: int) -> List[int]:
 
 def maximum_matching_size(requests: np.ndarray) -> int:
     """Size of a maximum matching of a boolean request matrix."""
+    import numpy as np
     req = np.asarray(requests, dtype=bool)
     adjacency = [np.flatnonzero(req[i]).tolist() for i in range(req.shape[0])]
     match_left = hopcroft_karp(adjacency, req.shape[1])
@@ -99,6 +101,7 @@ class MaximumSizeAllocator(Allocator):
     """
 
     def allocate(self, requests: np.ndarray) -> np.ndarray:
+        import numpy as np
         req = self._validated(requests)
         m, n = self.shape
         adjacency = [np.flatnonzero(req[i]).tolist() for i in range(m)]

@@ -19,12 +19,13 @@ traffic-pattern-dependent starvation).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .arbiters import Arbiter, RoundRobinArbiter
 from .base import Allocator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "SeparableAllocator",
@@ -97,6 +98,7 @@ class SeparableInputFirstAllocator(SeparableAllocator):
     """``sep_if``: requester-side arbitration, then resource-side."""
 
     def allocate(self, requests: np.ndarray, commit: bool = True) -> np.ndarray:
+        import numpy as np
         req = self._validated(requests)
         m, n = self.shape
         grants = np.zeros((m, n), dtype=bool)
@@ -132,6 +134,7 @@ class SeparableOutputFirstAllocator(SeparableAllocator):
     """``sep_of``: resource-side arbitration, then requester-side."""
 
     def allocate(self, requests: np.ndarray, commit: bool = True) -> np.ndarray:
+        import numpy as np
         req = self._validated(requests)
         m, n = self.shape
         grants = np.zeros((m, n), dtype=bool)

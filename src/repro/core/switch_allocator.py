@@ -24,12 +24,13 @@ Architectures, mirroring Figure 8:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arbiters import Arbiter, make_arbiter
 from .wavefront import WavefrontAllocator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["SwitchAllocator", "SWITCH_ALLOCATOR_ARCHS", "port_request_matrix"]
 
@@ -44,6 +45,7 @@ SwitchGrants = List[Optional[Tuple[int, int]]]
 
 def port_request_matrix(requests: SwitchRequests, num_ports: int) -> np.ndarray:
     """Collapse per-VC requests into the P x P port-level request matrix."""
+    import numpy as np
     mat = np.zeros((num_ports, num_ports), dtype=bool)
     for p, vc_reqs in enumerate(requests):
         for q in vc_reqs:
@@ -402,6 +404,7 @@ class SwitchAllocator:
     @staticmethod
     def crossbar_config(grants: SwitchGrants, num_ports: int) -> np.ndarray:
         """P x P boolean crossbar control matrix from a grant vector."""
+        import numpy as np
         xbar = np.zeros((num_ports, num_ports), dtype=bool)
         for p, g in enumerate(grants):
             if g is not None:
@@ -478,6 +481,7 @@ class SwitchAllocator:
 
     # -- wavefront -------------------------------------------------------
     def _allocate_wavefront(self, requests: SwitchRequests) -> SwitchGrants:
+        import numpy as np
         P = self.num_ports
         V = self.num_vcs
         grants: SwitchGrants = [None] * P

@@ -24,13 +24,14 @@ independent per-message-class blocks.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arbiters import Arbiter, TreeArbiter, make_arbiter
 from .vc_partition import VCPartition
 from .wavefront import WavefrontAllocator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["VCRequest", "VCAllocator", "VC_ALLOCATOR_ARCHS"]
 
@@ -510,6 +511,7 @@ class VCAllocator:
     def _allocate_wavefront(
         self, requests: Sequence[Optional[VCRequest]]
     ) -> List[Optional[Tuple[int, int]]]:
+        import numpy as np
         n = self._n
         V = self.num_vcs
 
@@ -527,6 +529,7 @@ class VCAllocator:
     ) -> List[Optional[Tuple[int, int]]]:
         """Run the (per-message-class) wavefront blocks over a full
         ``n x n`` request matrix; returns flat per-input-VC grants."""
+        import numpy as np
         n = self._n
         V = self.num_vcs
         grants: List[Optional[Tuple[int, int]]] = [None] * n

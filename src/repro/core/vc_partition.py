@@ -17,16 +17,13 @@ algebra, and generates the legal VC-to-VC transition matrix of Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["VCPartition"]
-
-
-def _identity_transitions(num_resource_classes: int) -> np.ndarray:
-    return np.eye(num_resource_classes, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -42,10 +39,11 @@ class VCPartition:
     vcs_per_class:
         ``C`` -- interchangeable VCs per (message, resource) class.
     resource_transitions:
-        ``R x R`` boolean matrix; entry ``[r_in, r_out]`` is True when a
-        packet in resource class ``r_in`` may acquire a VC of resource
-        class ``r_out`` at the next router.  Defaults to the identity
-        (packets stay in their class), the mesh/DOR case.
+        ``R x R`` boolean matrix (any nested sequence; stored as a tuple
+        of bool tuples); entry ``[r_in][r_out]`` is True when a packet
+        in resource class ``r_in`` may acquire a VC of resource class
+        ``r_out`` at the next router.  Defaults to the identity (packets
+        stay in their class), the mesh/DOR case.
 
     VC index layout: ``vc = (m * R + r) * C + c`` -- message class is the
     outermost field, matching the quadrant layout of Figure 4.
@@ -54,7 +52,7 @@ class VCPartition:
     num_message_classes: int
     num_resource_classes: int = 1
     vcs_per_class: int = 1
-    resource_transitions: np.ndarray = field(default=None)  # type: ignore[assignment]
+    resource_transitions: Tuple[Tuple[bool, ...], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.num_message_classes < 1:
@@ -63,18 +61,18 @@ class VCPartition:
             raise ValueError("need >= 1 resource class")
         if self.vcs_per_class < 1:
             raise ValueError("need >= 1 VC per class")
-        trans = self.resource_transitions
-        if trans is None:
-            trans = _identity_transitions(self.num_resource_classes)
-        trans = np.asarray(trans, dtype=bool)
-        expected = (self.num_resource_classes, self.num_resource_classes)
-        if trans.shape != expected:
+        R = self.num_resource_classes
+        given = self.resource_transitions
+        if given is None:
+            given = tuple(tuple(r_in == r_out for r_out in range(R)) for r_in in range(R))
+        trans = tuple(tuple(bool(x) for x in row) for row in given)
+        if len(trans) != R or any(len(row) != R for row in trans):
             raise ValueError(
-                f"resource_transitions must have shape {expected}, got {trans.shape}"
+                f"resource_transitions must have shape {(R, R)}, got rows "
+                f"of lengths {[len(row) for row in trans]}"
             )
-        if not trans.any(axis=1).all():
+        if not all(any(row) for row in trans):
             raise ValueError("every resource class needs >= 1 successor class")
-        trans.setflags(write=False)
         object.__setattr__(self, "resource_transitions", trans)
 
     # ------------------------------------------------------------------
@@ -143,29 +141,34 @@ class VCPartition:
     def successor_classes(self, resource_class: int) -> List[int]:
         """Resource classes reachable in one transition from ``resource_class``."""
         self._check_class(0, resource_class)
-        return np.flatnonzero(self.resource_transitions[resource_class]).tolist()
+        row = self.resource_transitions[resource_class]
+        return [r_out for r_out, legal in enumerate(row) if legal]
 
     def predecessor_classes(self, resource_class: int) -> List[int]:
         """Resource classes that may transition into ``resource_class``."""
         self._check_class(0, resource_class)
-        return np.flatnonzero(self.resource_transitions[:, resource_class]).tolist()
+        return [
+            r_in for r_in, row in enumerate(self.resource_transitions)
+            if row[resource_class]
+        ]
 
     def max_successors(self) -> int:
         """Largest successor-class count over all resource classes."""
-        return int(self.resource_transitions.sum(axis=1).max())
+        return max(map(sum, self.resource_transitions))
 
     def max_predecessors(self) -> int:
         """Largest predecessor-class count over all resource classes."""
-        return int(self.resource_transitions.sum(axis=0).max())
+        return max(map(sum, zip(*self.resource_transitions)))
 
     def legal_transition(self, vc_in: int, vc_out: int) -> bool:
         """True if a packet holding ``vc_in`` may acquire ``vc_out`` next."""
         m_in, r_in, _ = self.vc_fields(vc_in)
         m_out, r_out, _ = self.vc_fields(vc_out)
-        return m_in == m_out and bool(self.resource_transitions[r_in, r_out])
+        return m_in == m_out and self.resource_transitions[r_in][r_out]
 
     def transition_matrix(self) -> np.ndarray:
         """The full ``V x V`` legal-transition matrix (Figure 4)."""
+        import numpy as np
         v = self.num_vcs
         mat = np.zeros((v, v), dtype=bool)
         for vc_in in range(v):
@@ -188,7 +191,7 @@ class VCPartition:
         """
         m_in, r_in, _ = self.vc_fields(vc_in)
         if resource_class is not None:
-            if not self.resource_transitions[r_in, resource_class]:
+            if not self.resource_transitions[r_in][resource_class]:
                 raise ValueError(
                     f"resource class {resource_class} is not a legal successor "
                     f"of class {r_in}"
@@ -226,7 +229,7 @@ class VCPartition:
         exactly the Figure 4 structure (96 of 256 transitions legal for
         C=4).
         """
-        transitions = np.array([[True, True], [False, True]])
+        transitions = ((True, True), (False, True))
         return VCPartition(2, 2, vcs_per_class, transitions)
 
     def describe(self) -> str:

@@ -19,11 +19,12 @@ request OR).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .base import Allocator
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["WavefrontAllocator"]
 
@@ -122,6 +123,7 @@ class WavefrontAllocator(Allocator):
         return granted
 
     def allocate(self, requests: np.ndarray) -> np.ndarray:
+        import numpy as np
         req = self._validated(requests)
         m, n = self.shape
         s = self._size

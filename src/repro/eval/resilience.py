@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults import FaultPlan, LinkFault
-from ..netsim.config import SimulationConfig, SimulationResult
+from ..netsim.config import SimulationConfig, SimulationResult, validate_config
 from ..netsim.topology import describe, mesh_description
 from .runner import ResultCache, SweepReporter, run_sweep
 from .tables import format_curves
@@ -173,6 +173,7 @@ def campaign_configs(
             # completion instead of burning every configured cycle.
             watchdog_cycles=max(1000, cycles),
         )
+        validate_config(base)
         for count in fault_counts:
             cfg = replace(base, faults=link_fault_plan(count, seed))
             out.append((mode, count, cfg))

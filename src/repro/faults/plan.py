@@ -42,6 +42,9 @@ __all__ = [
     "parse_fault_spec",
 ]
 
+#: The generative fields of a :class:`FaultPlan`, each a probability.
+_RATES = ("link_rate", "stuck_vc_rate", "credit_drop_rate", "credit_dup_rate")
+
 
 def _check_coords(event: Any, **coords: int) -> None:
     """Structural validation shared by every fault-event dataclass."""
@@ -122,7 +125,8 @@ class FaultPlan:
     :meth:`materialize` with a dedicated ``numpy`` Generator seeded by
     ``seed`` -- independent of the traffic RNG streams, so enabling
     faults never perturbs packet generation.  Explicit event tuples are
-    merged with the generated ones.
+    merged with the generated ones; a plan of explicit events only
+    materializes without numpy.
     """
 
     seed: int = 0
@@ -143,11 +147,12 @@ class FaultPlan:
     credit_faults: Tuple[CreditFault, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("link_rate", "stuck_vc_rate", "credit_drop_rate",
-                     "credit_dup_rate"):
+        for name in _RATES:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mean_downtime < 1:
             raise ValueError("mean_downtime must be >= 1 cycle")
         # Tolerate lists (e.g. a hand-built plan); normalize to tuples
@@ -164,16 +169,15 @@ class FaultPlan:
                 )
 
     @property
+    def draws(self) -> bool:
+        """True when :meth:`materialize` draws events (a rate is > 0)."""
+        return any(getattr(self, name) > 0.0 for name in _RATES)
+
+    @property
     def is_empty(self) -> bool:
         """True when the plan can never produce a fault."""
-        return (
-            self.link_rate == 0.0
-            and self.stuck_vc_rate == 0.0
-            and self.credit_drop_rate == 0.0
-            and self.credit_dup_rate == 0.0
-            and not self.link_faults
-            and not self.stuck_vcs
-            and not self.credit_faults
+        return not (
+            self.draws or self.link_faults or self.stuck_vcs or self.credit_faults
         )
 
     # ------------------------------------------------------------------
@@ -259,11 +263,7 @@ class FaultPlan:
         ``(plan, dimensions)`` pair always expands to the same event
         set regardless of where it runs.
         """
-        # Imported here: a plan is part of every config and cache key,
-        # and reading one must not load numpy (``.state``: a cycle).
-        import numpy as np
-
-        from .state import FaultState
+        from .state import FaultState  # a cycle at module level
 
         self.validate_topology(router_ports, num_vcs)
 
@@ -271,7 +271,9 @@ class FaultPlan:
         stuck_vcs: List[StuckVC] = list(self.stuck_vcs)
         credit_faults: List[CreditFault] = list(self.credit_faults)
 
-        rng = np.random.default_rng(self.seed)
+        if self.draws:  # else no numpy: a plan is in every config
+            import numpy as np
+            rng = np.random.default_rng(self.seed)
         if self.link_rate > 0.0:
             for r, ports in enumerate(router_ports):
                 for p in range(ports):

@@ -7,8 +7,7 @@ This is the import-light half of :mod:`repro.netsim.simulator`, which
 re-exports every name here.  Cache keys, result caches, run manifests,
 the wire protocol and the CLI's input checks import from this module,
 so a process that only serves cache hits never loads the router, the
-network, the allocator core or numpy (see docs/PERFORMANCE.md,
-"Start-up").
+network or the allocator core (see docs/PERFORMANCE.md, "Start-up").
 """
 
 from __future__ import annotations
@@ -293,13 +292,15 @@ def validate_config(cfg: SimulationConfig) -> None:
 
     Also rejects what no run can mean but the simulator would quietly
     turn into a table of zeros: a negative phase length or offered
-    load, a read fraction that is not a probability.  (A zero-length
+    load, a read fraction that is not a probability; and a negative
+    seed, which no traffic stream can be seeded with.  (A zero-length
     measurement window stays legal, see :func:`run_simulation`.)
     """
     desc = describe(cfg.topology)
     desc.mode(cfg.routing)
     resolve_pattern(cfg.traffic_pattern, desc.num_terminals, cfg.hotspot_terminals)
-    for name in ("warmup_cycles", "measure_cycles", "drain_cycles", "injection_rate"):
+    for name in ("seed", "warmup_cycles", "measure_cycles", "drain_cycles",
+                 "injection_rate"):
         value = getattr(cfg, name)
         if not value >= 0:  # also catches NaN
             raise ValueError(f"{name} must be >= 0, got {value!r}")

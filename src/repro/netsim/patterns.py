@@ -10,9 +10,10 @@ Deterministic permutations that map a terminal to itself fall back to
 a uniform random destination for that terminal (a self-addressed packet
 would never enter the network).
 
-Only annotations name numpy here: validating a config's pattern
-(:func:`repro.netsim.config.validate_config`) imports this module, and
-that must not load numpy or the terminal model.
+``rng`` is the terminal's :class:`~repro.netsim.rng.PCG64Stream` (only
+``random()`` and ``integers(n)`` are drawn).  Validating a config's
+pattern (:func:`repro.netsim.config.validate_config`) imports this
+module, and that must not load the terminal model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from typing import TYPE_CHECKING, Callable, List
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+    from .rng import PCG64Stream
 
 __all__ = [
     "uniform_random_dest",
@@ -33,17 +34,17 @@ __all__ = [
     "hotspot_pattern",
 ]
 
-DestFn = Callable[["np.random.Generator", int, int], int]
+DestFn = Callable[["PCG64Stream", int, int], int]
 
 
-def uniform_random_dest(rng: np.random.Generator, src: int, num_terminals: int) -> int:
+def uniform_random_dest(rng: PCG64Stream, src: int, num_terminals: int) -> int:
     """Uniform random traffic: any destination but self."""
     dest = int(rng.integers(num_terminals - 1))
     return dest if dest < src else dest + 1
 
 
 def _permutation_fn(mapping: List[int]) -> DestFn:
-    def pick(rng: np.random.Generator, src: int, num_terminals: int) -> int:
+    def pick(rng: PCG64Stream, src: int, num_terminals: int) -> int:
         dest = mapping[src]
         if dest == src:
             return uniform_random_dest(rng, src, num_terminals)
@@ -110,7 +111,7 @@ def hotspot_pattern(
     if not 0.0 < hot_fraction <= 1.0:
         raise ValueError("hot_fraction must be in (0, 1]")
 
-    def pick(rng: np.random.Generator, src: int, num_terminals: int) -> int:
+    def pick(rng: PCG64Stream, src: int, num_terminals: int) -> int:
         if rng.random() < hot_fraction:
             dest = hotspots[int(rng.integers(len(hotspots)))]
             if dest != src:

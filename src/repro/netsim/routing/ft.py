@@ -88,7 +88,7 @@ class FTDORMeshRouting(DORMeshRouting):
             num_message_classes=2,
             num_resource_classes=2,
             vcs_per_class=vcs_per_class,
-            resource_transitions=[[True, True], [False, True]],
+            resource_transitions=((True, True), (False, True)),
         )
 
     # -- fault binding -----------------------------------------------------

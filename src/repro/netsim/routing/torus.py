@@ -56,11 +56,14 @@ class TorusDatelineRouting:
         X-pre to Y-post when its first Y hop crosses the Y dateline) but
         never move back.
         """
-        import numpy as np
-
         from ...core.vc_partition import VCPartition
 
-        transitions = np.triu(np.ones((4, 4), dtype=bool))
+        transitions = (
+            (True, True, True, True),
+            (False, True, True, True),
+            (False, False, True, True),
+            (False, False, False, True),
+        )
         return VCPartition(2, 4, vcs_per_class, transitions)
 
     # ------------------------------------------------------------------

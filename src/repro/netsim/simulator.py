@@ -14,16 +14,14 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 # Importing this module loads the machine: everything a point touches
 # while it runs, including what the import-light modules only resolve
-# inside a function (numpy and the allocator core behind ``assemble``
-# and the partition factories, the fault runtime behind
-# ``FaultPlan.materialize``) and what numpy itself defers
-# (``numpy.random``, loaded on first attribute access).  A parent that
-# imports it before forking therefore hands every point process a
-# complete interpreter (``ProcessPoolScheduler.run``).
-import numpy.random  # noqa: F401
-
+# inside a function (the allocator core and the terminals' random
+# streams behind ``assemble`` and the partition factories, the fault
+# runtime behind ``FaultPlan.materialize``).  A parent that imports it
+# before forking therefore hands every point process a complete
+# interpreter (``ProcessPoolScheduler.run``).
 from ..faults import state as _fault_state  # noqa: F401
 from ..faults.watchdog import Watchdog, WatchdogError
+from . import rng as _rng  # noqa: F401
 from .config import (
     FLITS_PER_TRANSACTION,
     SIMULATOR_REV,
@@ -99,10 +97,12 @@ def prewarm_kernels(configs: Iterable[SimulationConfig]) -> None:
     Called by a parent about to fork one child per point: the children
     inherit the compiled factories instead of each paying codegen on its
     first router.  A config naming an unknown topology or routing mode
-    is skipped; its own point reports the error.
+    is skipped; its own point reports the error.  If a fault plan draws
+    (a rate > 0), numpy's generator is imported here too.
     """
     from .codegen import kernel_factory
 
+    configs = list(configs)
     specs = set()
     for cfg in configs:
         try:
@@ -111,6 +111,8 @@ def prewarm_kernels(configs: Iterable[SimulationConfig]) -> None:
             pass
     for spec in specs:
         kernel_factory(spec)
+    if any(cfg.faults is not None and cfg.faults.draws for cfg in configs):
+        import numpy.random  # noqa: F401
 
 
 def run_simulation_worker(cfg_dict: Dict[str, Any]) -> Dict[str, Any]:

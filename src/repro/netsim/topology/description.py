@@ -131,17 +131,16 @@ def assemble(
     ``packet_rate`` is the per-terminal *request-packet* arrival rate
     (packets/cycle); with the request-reply transaction mix this yields
     an offered load of roughly ``6 * packet_rate`` flits/cycle/terminal.
-    Terminal ``t`` draws from ``np.random.default_rng((seed, t))``.
+    Terminal ``t`` draws from ``PCG64Stream((seed, t))`` (``netsim/rng.py``).
     ``router_args`` (allocator architectures and arbiters, speculation
     scheme, buffer depth, lookahead, kernel) go to every
     :class:`~repro.netsim.router.Router` unchanged.
     """
     # The machine is imported here, not by the module: a description is
     # data, and a process that only reads one (cache keys, config
-    # checks) must not load numpy, the router or the allocator core.
-    import numpy as np
-
+    # checks) must not load the router or the allocator core.
     from ..network import Network
+    from ..rng import PCG64Stream
     from ..router import Router
     from ..traffic import Terminal
 
@@ -173,7 +172,7 @@ def assemble(
             port,
             latency,
             packet_rate,
-            np.random.default_rng((seed, tid)),
+            PCG64Stream((seed, tid)),
             read_fraction=read_fraction,
             dest_fn=dest_fn or uniform_random_dest,
             num_terminals=desc.num_terminals,

@@ -26,8 +26,9 @@ TERMINAL_LINK_LATENCY = 1
 
 
 def _partition(vcs_per_class: int) -> VCPartition:
-    """``VCPartition.fbfly``, imported when a partition is built (the
-    allocator core is numpy code; a description is plain data)."""
+    """``VCPartition.fbfly``, imported when a partition is built (only a
+    process that simulates loads the allocator core; a description is
+    plain data)."""
     from ...core.vc_partition import VCPartition
 
     return VCPartition.fbfly(vcs_per_class)

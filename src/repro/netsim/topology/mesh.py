@@ -31,8 +31,9 @@ LINK_LATENCY = 1
 
 
 def _partition(vcs_per_class: int) -> VCPartition:
-    """``VCPartition.mesh``, imported when a partition is built (the
-    allocator core is numpy code; a description is plain data)."""
+    """``VCPartition.mesh``, imported when a partition is built (only a
+    process that simulates loads the allocator core; a description is
+    plain data)."""
     from ...core.vc_partition import VCPartition
 
     return VCPartition.mesh(vcs_per_class)

@@ -23,10 +23,9 @@ from .flit import Flit, Packet, PacketType
 from .patterns import uniform_random_dest
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from ..obs.observer import SimObserver
     from .network import Network
+    from .rng import PCG64Stream
     from .router import Router
 
 __all__ = ["Terminal", "uniform_random_dest", "permutation_dest"]
@@ -35,7 +34,7 @@ __all__ = ["Terminal", "uniform_random_dest", "permutation_dest"]
 def permutation_dest(permutation: List[int]) -> Callable:
     """Fixed-permutation traffic pattern (e.g. transpose, bit-reverse)."""
 
-    def pick(rng: np.random.Generator, src: int, num_terminals: int) -> int:
+    def pick(rng: PCG64Stream, src: int, num_terminals: int) -> int:
         return permutation[src]
 
     return pick
@@ -51,7 +50,7 @@ class Terminal:
         router_port: int,
         link_latency: int,
         packet_rate: float,
-        rng: np.random.Generator,
+        rng: PCG64Stream,
         read_fraction: float = 0.5,
         dest_fn: Callable = uniform_random_dest,
         num_terminals: int = 64,

@@ -34,8 +34,9 @@ class TestConstruction:
 
     def test_transitions_frozen(self):
         p = VCPartition.fbfly(2)
-        with pytest.raises(ValueError):
-            p.resource_transitions[0, 0] = False
+        assert p.resource_transitions == ((True, True), (False, True))
+        with pytest.raises(TypeError):
+            p.resource_transitions[0][0] = False
 
 
 class TestIndexAlgebra:

@@ -8,6 +8,7 @@ set everywhere for a fixed seed.
 
 import json
 import pickle
+import sys
 
 import pytest
 
@@ -23,6 +24,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultPlan(stuck_vc_rate=-0.1)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FaultPlan(seed=-1)
+
     def test_credit_fault_kind_checked(self):
         with pytest.raises(ValueError):
             CreditFault(0, 1, 0, 10, kind="teleport")
@@ -35,6 +40,8 @@ class TestValidation:
         assert FaultPlan().is_empty
         assert not FaultPlan(stuck_vc_rate=0.1).is_empty
         assert not FaultPlan(stuck_vcs=(StuckVC(0, 1, 0),)).is_empty
+        assert FaultPlan(credit_dup_rate=0.1).draws
+        assert not FaultPlan(seed=5, link_faults=(LinkFault(0, 1),)).draws
 
 
 class TestSerialization:
@@ -90,6 +97,19 @@ class TestMaterialize:
         state = plan.materialize(**DIMS)
         assert state.blocked_ports(4, 0) == {1}
         assert state.blocked_ports(4, 499) == {1}
+
+    def test_a_plan_that_never_draws_needs_no_numpy(self, monkeypatch):
+        plan = FaultPlan(
+            seed=9,
+            link_faults=(LinkFault(3, 2, 10, 40),),
+            stuck_vcs=(StuckVC(1, 0, 1, 5),),
+            credit_faults=(CreditFault(2, 4, 0, 99, "dup"),),
+        )
+        events = self._events(plan.materialize(**DIMS))
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        assert self._events(plan.materialize(**DIMS)) == events
+        with pytest.raises(ImportError):
+            FaultPlan(stuck_vc_rate=0.1).materialize(**DIMS)
 
 
 class TestParseSpec:

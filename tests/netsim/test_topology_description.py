@@ -71,7 +71,7 @@ def wiring_digest(net) -> str:
         ],
         "terminals": [
             [t.id, t.router.id, t.router_port, t.link_latency, t.num_terminals,
-             [float(x) for x in t.rng.random(3)]]
+             [t.rng.random() for _ in range(3)]]
             for t in net.terminals
         ],
     }

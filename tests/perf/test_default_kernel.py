@@ -169,6 +169,7 @@ class TestPoolPrewarm:
 # module not yet in sys.modules -- with the pid that asked for it, then
 # sweep three points through the pool.  Forked children inherit the
 # finder, so an import paid after the fork is logged under their pid.
+# argv: log file, "default"/"custom" worker, "fixed"/"random" faults.
 _LOGGED_SWEEP = """\
 import os, sys
 
@@ -181,15 +182,17 @@ class LogImports:
 sys.meta_path.insert(0, LogImports)
 
 from repro.eval.runner import run_sweep
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, StuckVC
 from repro.netsim.config import SimulationConfig
 from repro.serve.testing import analytic_worker
 
 windows = dict(warmup_cycles=40, measure_cycles=120, drain_cycles=120)
+faults = (FaultPlan(stuck_vc_rate=0.05, seed=3) if sys.argv[3] == "random"
+          else FaultPlan(stuck_vcs=(StuckVC(0, 1, 0, 50),)))
 configs = [
     SimulationConfig(injection_rate=0.05, **windows),
     SimulationConfig(topology="fbfly", traffic_pattern="transpose", **windows),
-    SimulationConfig(faults=FaultPlan(stuck_vc_rate=0.05, seed=3), **windows),
+    SimulationConfig(faults=faults, **windows),
 ]
 worker_fn = analytic_worker if sys.argv[2] == "custom" else None
 results = run_sweep(configs, timeout=60, worker_fn=worker_fn)
@@ -198,12 +201,12 @@ print(os.getpid(), "numpy" in sys.modules, "repro.netsim.simulator" in sys.modul
 """
 
 
-def _logged_sweep(tmp_path, worker):
+def _logged_sweep(tmp_path, worker, faults="fixed"):
     log = tmp_path / "imports.log"
     log.touch()
     src = Path(__file__).resolve().parents[2] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", _LOGGED_SWEEP, str(log), worker],
+        [sys.executable, "-c", _LOGGED_SWEEP, str(log), worker, faults],
         env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path,
         capture_output=True, text=True, timeout=300,
     )
@@ -218,7 +221,21 @@ def test_forked_point_processes_import_nothing(tmp_path):
     if mp.get_start_method() != "fork":
         pytest.skip("spawned children import afresh")
     late, numpy_loaded, simulator_loaded = _logged_sweep(tmp_path, "default")
-    assert numpy_loaded and simulator_loaded  # by the parent, before forking
+    # By the parent, before forking: the simulator, and no numpy -- no
+    # point of this sweep draws from it (fixed fault events only).
+    assert simulator_loaded and not numpy_loaded
+    assert late == []
+
+
+def test_forked_points_whose_faults_draw_import_nothing(tmp_path):
+    # A fault plan with a rate > 0 draws from numpy's generator; the
+    # parent imports it once instead of every point process.
+    if mp.get_start_method() != "fork":
+        pytest.skip("spawned children import afresh")
+    late, numpy_loaded, simulator_loaded = _logged_sweep(
+        tmp_path, "default", "random"
+    )
+    assert simulator_loaded and numpy_loaded
     assert late == []
 
 

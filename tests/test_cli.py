@@ -231,6 +231,19 @@ class TestCommands:
          "error: injection_rate must be >= 0, got -1.0"),
         (["sweep", "--rates", "0.1,-0.2", "--no-cache"],
          "error: injection_rate must be >= 0, got -0.2"),
+        # No traffic stream can be seeded with a negative seed.
+        (["simulate", "--seed", "-1", "--cycles", "50"],
+         "error: seed must be >= 0, got -1"),
+        (["sweep", "--seed", "-1", "--no-cache"],
+         "error: seed must be >= 0, got -1"),
+        (["faults", "--seed", "-1", "--rates", "0.05", "--no-cache"],
+         "error: seed must be >= 0, got -1"),
+        (["faults", "--rates", "2", "--no-cache"],
+         "error: stuck_vc_rate must be in [0, 1], got 2.0"),
+        (["resilience", "--seed", "-1", "--counts", "0,1", "--no-cache"],
+         "error: seed must be >= 0, got -1"),
+        (["sweep", "--faults", "vcs=0.05,seed=-1", "--no-cache"],
+         "error: bad --faults spec: seed must be >= 0, got -1"),
     ])
     def test_bad_input_is_one_error_line_and_exit_2(
         self, argv, message, capsys, monkeypatch

@@ -3,13 +3,15 @@
 ``import repro`` / ``import repro.cli`` load no subsystem, and the paths
 a user re-runs all day -- ``repro figures``, a ``repro sweep`` served
 from the cache, the ``repro serve`` scheduler -- never load numpy or the
-simulator (docs/PERFORMANCE.md, "Start-up").  Each case runs in a fresh
-interpreter through ``scripts/import_report.py``'s ``loaded_modules``
+simulator (docs/PERFORMANCE.md, "Start-up").  A simulation itself loads
+no numpy either, in any process (docs/PERFORMANCE.md, "Memory").  Each
+case runs in a fresh interpreter through ``scripts/import_report.py``
 and is checked against forbidden module prefixes, so putting one
 module-level ``import numpy`` back on the light path fails here and the
 report names the module that did it.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -65,7 +67,7 @@ def test_warm_sweep_loads_no_numpy(tmp_path):
     argv = SWEEP + ["--pattern", "transpose",
                     "--cache-path", str(tmp_path / "c.json")]
     cold = import_report.loaded_modules(argv, cwd=tmp_path)
-    assert "numpy" in cold and "repro.netsim.router" in cold
+    assert "repro.netsim.router" in cold  # the cold run simulated
     warm = import_report.loaded_modules(argv, cwd=tmp_path)
     # serve only through --connect; multiprocessing only for a pool.
     assert offenders(warm, MACHINE + ("repro.core", "multiprocessing")) == []
@@ -84,7 +86,7 @@ def test_warm_offline_command_loads_nothing_that_computes(argv, tmp_path):
     # importing numpy to ask its version.
     argv = argv + ["--cache-path", str(tmp_path / "store.json")]
     cold = import_report.loaded_modules(argv, cwd=tmp_path)
-    assert "numpy" in cold and "repro.core.vc_partition" in cold
+    assert "repro.core.vc_partition" in cold  # the cold run computed
     warm = import_report.loaded_modules(argv, cwd=tmp_path)
     assert offenders(warm, (
         "numpy", "repro.hw", "repro.core", "repro.netsim", "repro.verify",
@@ -92,6 +94,29 @@ def test_warm_offline_command_loads_nothing_that_computes(argv, tmp_path):
         "repro.eval.design_points", "importlib.metadata", "multiprocessing",
     )) == []
     assert "repro.eval.store" in warm
+
+
+#: Explicit events only: a plan that never draws needs no generator.
+FIXED_FAULTS = {
+    "link_faults": [{"router": 9, "port": 1, "start": 10, "end": 40}],
+    "stuck_vcs": [{"router": 0, "port": 1, "vc": 0, "start": 0}],
+    "credit_faults": [{"router": 2, "port": 0, "vc": 1, "cycle": 30, "kind": "drop"}],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    SWEEP + ["--no-cache"],
+    ["simulate", "--cycles", "60", "--pattern", "hotspot"],
+    SWEEP + ["--no-cache", "--jobs", "2", "--topology", "fbfly"],
+    SWEEP + ["--no-cache", "--faults", "plan.json"],
+], ids=["sweep", "simulate", "sweep --jobs 2", "fixed faults"])
+def test_a_simulation_loads_no_numpy_in_any_process(argv, tmp_path):
+    (tmp_path / "plan.json").write_text(json.dumps(FIXED_FAULTS))
+    modules, times, _ = import_report.traced_run(argv, cwd=tmp_path)
+    assert "repro.netsim.router" in modules
+    # -X importtime reports the imports of every process, forked point
+    # processes included.
+    assert offenders(modules + [name for name, _ in times], ("numpy",)) == []
 
 
 def test_serve_scheduler_loads_no_numpy(tmp_path):
