@@ -14,7 +14,7 @@ from repro.eval.tables import format_table
 
 
 def _render(part):
-    mat = part.transition_matrix()
+    mat = np.asarray(part.transition_matrix())
     V = part.num_vcs
     rows = []
     for vin in range(V):
@@ -35,7 +35,7 @@ def test_fig04_transition_matrix(benchmark):
     text = run_once(benchmark, lambda: _render(part))
     save_result("fig04_transitions", text)
 
-    mat = part.transition_matrix()
+    mat = np.asarray(part.transition_matrix())
     # Headline numbers from Section 4.2.
     assert part.num_legal_transitions() == 96
     assert mat.sum(axis=1).max() == 8

@@ -10,10 +10,8 @@ A five-minute tour of the library reproducing Becker & Dally,
    repo's stand-in for the paper's Design Compiler flow);
 4. simulate a 64-node mesh and read off average packet latency.
 
-Run:  python examples/quickstart.py
+Run:  python examples/quickstart.py   (numpy is not needed)
 """
-
-import numpy as np
 
 from repro.core import (
     MaximumSizeAllocator,
@@ -25,13 +23,19 @@ from repro.core import (
 )
 from repro.hw import SynthesisCapacityError, synthesize_vc_allocator
 from repro.netsim import SimulationConfig, run_simulation
+from repro.netsim.rng import PCG64Stream
+
+
+def random_requests(rng: PCG64Stream, n: int, density: float) -> list:
+    """An n x n request matrix, each cell requested with ``density``."""
+    draws = rng.random(n * n)
+    return [[u < density for u in draws[i * n:(i + 1) * n]] for i in range(n)]
 
 
 def demo_allocators() -> None:
     print("=== 1. Allocator architectures on one request matrix ===")
-    rng = np.random.default_rng(42)
-    requests = rng.random((8, 8)) < 0.5
-    print(f"requests ({int(requests.sum())} total):")
+    requests = random_requests(PCG64Stream(42), 8, 0.5)
+    print(f"requests ({sum(map(sum, requests))} total):")
     for row in requests:
         print("   " + "".join("R" if r else "." for r in row))
 
@@ -49,7 +53,7 @@ def demo_allocators() -> None:
 
 def demo_matching_quality() -> None:
     print("=== 2. Matching quality under load (cf. Figure 12) ===")
-    rng = np.random.default_rng(0)
+    rng = PCG64Stream(0)
     allocators = {
         "sep_if": SeparableInputFirstAllocator(10, 10),
         "sep_of": SeparableOutputFirstAllocator(10, 10),
@@ -59,7 +63,7 @@ def demo_matching_quality() -> None:
     totals = {name: 0 for name in allocators}
     total_max = 0
     for _ in range(2000):
-        req = rng.random((10, 10)) < 0.6
+        req = random_requests(rng, 10, 0.6)
         total_max += matching_size(reference.allocate(req))
         for name, alloc in allocators.items():
             totals[name] += matching_size(alloc.allocate(req))

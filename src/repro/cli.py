@@ -257,7 +257,7 @@ def cmd_quality(args) -> int:
                 "curves": {k: c.quality for k, c in curves.items()}}
 
     # Keyed on the arguments, not the design point: building the point
-    # is what loads numpy.
+    # imports the allocator core.
     result = _memoised(
         args,
         f"quality|{args.topology}|{args.vcs_per_class}|{args.target}|"

@@ -4,16 +4,15 @@ An allocator computes a *matching* between ``num_requesters`` rows and
 ``num_resources`` columns of a boolean request matrix (Section 2 of the
 paper): grants are a subset of requests with at most one grant per row
 and at most one grant per column.
+
+A matrix is any sequence of equal-length rows of truthy values (lists,
+tuples, a 2-D ndarray); allocators hand back ``List[List[bool]]`` rows.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-    from numpy.typing import ArrayLike
+from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Allocator",
@@ -23,57 +22,62 @@ __all__ = [
     "matching_size",
 ]
 
+#: A request or grant matrix: rows of truthy values.
+Matrix = Sequence[Sequence[Any]]
+
 
 def as_request_matrix(
-    requests: ArrayLike, shape: Optional[Tuple[int, int]] = None
-) -> np.ndarray:
-    """Coerce ``requests`` into a 2-D boolean ndarray, validating shape."""
-    import numpy as np
-    mat = np.asarray(requests, dtype=bool)
-    if mat.ndim != 2:
-        raise ValueError(f"request matrix must be 2-D, got shape {mat.shape}")
-    if shape is not None and mat.shape != tuple(shape):
-        raise ValueError(f"expected request matrix of shape {shape}, got {mat.shape}")
-    return mat
+    requests: Matrix, shape: Optional[Tuple[int, int]] = None
+) -> List[List[bool]]:
+    """Copy ``requests`` into rows of bools, validating its shape."""
+    try:
+        rows = [[bool(x) for x in row] for row in requests]
+    except TypeError:
+        raise ValueError("request matrix must be 2-D: a sequence of rows") from None
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise ValueError(f"request matrix rows differ in length: {widths}")
+    got = (len(rows), widths[0] if widths else 0)
+    if shape is not None and got != tuple(shape):
+        raise ValueError(f"expected request matrix of shape {shape}, got {got}")
+    return rows
 
 
-def is_matching(requests: np.ndarray, grants: np.ndarray) -> bool:
+def is_matching(requests: Matrix, grants: Matrix) -> bool:
     """Check the three matching constraints from Section 2.
 
     Grants must be a subset of requests, with at most one grant per
     requester (row) and per resource (column).
     """
     req = as_request_matrix(requests)
-    gnt = as_request_matrix(grants, shape=req.shape)
-    if (gnt & ~req).any():
-        return False
-    if (gnt.sum(axis=1) > 1).any():
-        return False
-    if (gnt.sum(axis=0) > 1).any():
-        return False
-    return True
+    gnt = as_request_matrix(grants, shape=(len(req), len(req[0]) if req else 0))
+    for req_row, gnt_row in zip(req, gnt):
+        if sum(gnt_row) > 1 or any(g and not r for r, g in zip(req_row, gnt_row)):
+            return False
+    return all(sum(col) <= 1 for col in zip(*gnt))
 
 
-def is_maximal_matching(requests: np.ndarray, grants: np.ndarray) -> bool:
+def is_maximal_matching(requests: Matrix, grants: Matrix) -> bool:
     """True if no further grant can be added without removing one.
 
     A matching is maximal iff every request lies in a granted row or a
     granted column (otherwise it could simply be added).
     """
     req = as_request_matrix(requests)
-    gnt = as_request_matrix(grants, shape=req.shape)
+    gnt = as_request_matrix(grants, shape=(len(req), len(req[0]) if req else 0))
     if not is_matching(req, gnt):
         return False
-    row_used = gnt.any(axis=1)
-    col_used = gnt.any(axis=0)
-    blocked = row_used[:, None] | col_used[None, :]
-    return not (req & ~blocked).any()
+    col_used = [any(col) for col in zip(*gnt)]
+    return not any(
+        r and not col_used[j]
+        for req_row, gnt_row in zip(req, gnt) if not any(gnt_row)
+        for j, r in enumerate(req_row)
+    )
 
 
-def matching_size(grants: np.ndarray) -> int:
+def matching_size(grants: Matrix) -> int:
     """Number of grants in a grant matrix."""
-    import numpy as np
-    return int(np.count_nonzero(np.asarray(grants, dtype=bool)))
+    return sum(1 for row in grants for g in row if g)
 
 
 class Allocator(ABC):
@@ -96,12 +100,15 @@ class Allocator(ABC):
         return (self.num_requesters, self.num_resources)
 
     @abstractmethod
-    def allocate(self, requests: np.ndarray) -> np.ndarray:
+    def allocate(self, requests: Matrix) -> List[List[bool]]:
         """Compute a grant matrix for ``requests`` and update priorities."""
 
     @abstractmethod
     def reset(self) -> None:
         """Restore initial priority state."""
 
-    def _validated(self, requests: ArrayLike) -> np.ndarray:
+    def _validated(self, requests: Matrix) -> List[List[bool]]:
         return as_request_matrix(requests, shape=self.shape)
+
+    def _no_grants(self) -> List[List[bool]]:
+        return [[False] * self.num_resources for _ in range(self.num_requesters)]

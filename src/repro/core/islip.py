@@ -16,13 +16,10 @@ its desynchronization and starvation-freedom properties.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List
+from typing import Callable, List
 
 from .arbiters import Arbiter, RoundRobinArbiter
-from .base import Allocator
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from .base import Allocator, Matrix
 
 __all__ = ["IterativeSLIPAllocator"]
 
@@ -65,11 +62,10 @@ class IterativeSLIPAllocator(Allocator):
         for arb in self._accept_arbs:
             arb.reset()
 
-    def allocate(self, requests: np.ndarray) -> np.ndarray:
-        import numpy as np
+    def allocate(self, requests: Matrix) -> List[List[bool]]:
         req = self._validated(requests)
         m, n = self.shape
-        grants = np.zeros((m, n), dtype=bool)
+        grants = self._no_grants()
         row_free = [True] * m
         col_free = [True] * n
 
@@ -80,7 +76,7 @@ class IterativeSLIPAllocator(Allocator):
             for j in range(n):
                 if not col_free[j]:
                     continue
-                col = [req[i, j] and row_free[i] for i in range(m)]
+                col = [req[i][j] and row_free[i] for i in range(m)]
                 if not any(col):
                     continue
                 winner = self._grant_arbs[j].select(col)
@@ -98,7 +94,7 @@ class IterativeSLIPAllocator(Allocator):
                 choice = self._accept_arbs[i].select(offered)
                 if choice is None:
                     continue
-                grants[i, choice] = True
+                grants[i][choice] = True
                 row_free[i] = False
                 col_free[choice] = False
                 progressed = True

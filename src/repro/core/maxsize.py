@@ -12,12 +12,9 @@ quality* metric (Section 3.1).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, List
+from typing import List
 
-from .base import Allocator
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from .base import Allocator, Matrix, as_request_matrix
 
 __all__ = ["MaximumSizeAllocator", "maximum_matching_size", "hopcroft_karp"]
 
@@ -83,12 +80,14 @@ def hopcroft_karp(adjacency: List[List[int]], num_right: int) -> List[int]:
     return match_left
 
 
-def maximum_matching_size(requests: np.ndarray) -> int:
+def _adjacency(req: List[List[bool]]) -> List[List[int]]:
+    return [[j for j, r in enumerate(row) if r] for row in req]
+
+
+def maximum_matching_size(requests: Matrix) -> int:
     """Size of a maximum matching of a boolean request matrix."""
-    import numpy as np
-    req = np.asarray(requests, dtype=bool)
-    adjacency = [np.flatnonzero(req[i]).tolist() for i in range(req.shape[0])]
-    match_left = hopcroft_karp(adjacency, req.shape[1])
+    req = as_request_matrix(requests)
+    match_left = hopcroft_karp(_adjacency(req), len(req[0]) if req else 0)
     return sum(1 for v in match_left if v != -1)
 
 
@@ -100,16 +99,13 @@ class MaximumSizeAllocator(Allocator):
     as Section 2.3 cautions.
     """
 
-    def allocate(self, requests: np.ndarray) -> np.ndarray:
-        import numpy as np
+    def allocate(self, requests: Matrix) -> List[List[bool]]:
         req = self._validated(requests)
-        m, n = self.shape
-        adjacency = [np.flatnonzero(req[i]).tolist() for i in range(m)]
-        match_left = hopcroft_karp(adjacency, n)
-        grants = np.zeros((m, n), dtype=bool)
+        match_left = hopcroft_karp(_adjacency(req), self.num_resources)
+        grants = self._no_grants()
         for u, v in enumerate(match_left):
             if v != -1:
-                grants[u, v] = True
+                grants[u][v] = True
         return grants
 
     def reset(self) -> None:  # stateless

@@ -19,13 +19,10 @@ traffic-pattern-dependent starvation).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .arbiters import Arbiter, RoundRobinArbiter
-from .base import Allocator
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from .base import Allocator, Matrix
 
 __all__ = [
     "SeparableAllocator",
@@ -97,18 +94,17 @@ class SeparableAllocator(Allocator):
 class SeparableInputFirstAllocator(SeparableAllocator):
     """``sep_if``: requester-side arbitration, then resource-side."""
 
-    def allocate(self, requests: np.ndarray, commit: bool = True) -> np.ndarray:
-        import numpy as np
+    def allocate(self, requests: Matrix, commit: bool = True) -> List[List[bool]]:
         req = self._validated(requests)
         m, n = self.shape
-        grants = np.zeros((m, n), dtype=bool)
+        grants = self._no_grants()
         self._pending = {}
 
         # Stage 1: each requester selects a single resource to bid on.
         bids: List[Optional[int]] = [None] * m
         for i in range(m):
             row = req[i]
-            if row.any():
+            if any(row):
                 bids[i] = self._row_arbs[i].select(row)
 
         # Stage 2: each resource arbitrates among incoming bids.
@@ -119,7 +115,7 @@ class SeparableInputFirstAllocator(SeparableAllocator):
             winner = self._col_arbs[j].select(incoming)
             if winner is None:
                 continue
-            grants[winner, j] = True
+            grants[winner][j] = True
             # Both stages succeeded for this (winner, j) pair.
             self._pending[winner] = (
                 (self._row_arbs[winner], j),
@@ -133,18 +129,17 @@ class SeparableInputFirstAllocator(SeparableAllocator):
 class SeparableOutputFirstAllocator(SeparableAllocator):
     """``sep_of``: resource-side arbitration, then requester-side."""
 
-    def allocate(self, requests: np.ndarray, commit: bool = True) -> np.ndarray:
-        import numpy as np
+    def allocate(self, requests: Matrix, commit: bool = True) -> List[List[bool]]:
         req = self._validated(requests)
         m, n = self.shape
-        grants = np.zeros((m, n), dtype=bool)
+        grants = self._no_grants()
         self._pending = {}
 
         # Stage 1: each resource picks a winner among its column.
         offers: List[Optional[int]] = [None] * n
         for j in range(n):
-            col = req[:, j]
-            if col.any():
+            col = [row[j] for row in req]
+            if any(col):
                 offers[j] = self._col_arbs[j].select(col)
 
         # Stage 2: each requester picks among the resources offered to it.
@@ -155,7 +150,7 @@ class SeparableOutputFirstAllocator(SeparableAllocator):
             choice = self._row_arbs[i].select(offered)
             if choice is None:
                 continue
-            grants[i, choice] = True
+            grants[i][choice] = True
             self._pending[i] = (
                 (self._row_arbs[i], choice),
                 (self._col_arbs[choice], i),

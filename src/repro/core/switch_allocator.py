@@ -24,13 +24,10 @@ Architectures, mirroring Figure 8:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .arbiters import Arbiter, make_arbiter
 from .wavefront import WavefrontAllocator
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 __all__ = ["SwitchAllocator", "SWITCH_ALLOCATOR_ARCHS", "port_request_matrix"]
 
@@ -43,14 +40,13 @@ SwitchRequests = Sequence[Sequence[Optional[int]]]
 SwitchGrants = List[Optional[Tuple[int, int]]]
 
 
-def port_request_matrix(requests: SwitchRequests, num_ports: int) -> np.ndarray:
+def port_request_matrix(requests: SwitchRequests, num_ports: int) -> List[List[bool]]:
     """Collapse per-VC requests into the P x P port-level request matrix."""
-    import numpy as np
-    mat = np.zeros((num_ports, num_ports), dtype=bool)
+    mat = [[False] * num_ports for _ in range(num_ports)]
     for p, vc_reqs in enumerate(requests):
         for q in vc_reqs:
             if q is not None:
-                mat[p, q] = True
+                mat[p][q] = True
     return mat
 
 
@@ -373,8 +369,8 @@ class SwitchAllocator:
     ) -> SwitchGrants:
         # Pair-based sweep: the port-request matrix is never built.
         # Deduplicated (p, q) pairs in row-major order reproduce the
-        # dense path's ``np.nonzero`` enumeration; grant iteration
-        # order is immaterial (each granted row is independent).
+        # dense path's enumeration of the matrix; grant iteration order
+        # is immaterial (each granted row is independent).
         P = self.num_ports
         grants: SwitchGrants = [None] * P
         rows: Dict[int, List[Tuple[int, int]]] = {}
@@ -402,13 +398,12 @@ class SwitchAllocator:
         return grants
 
     @staticmethod
-    def crossbar_config(grants: SwitchGrants, num_ports: int) -> np.ndarray:
+    def crossbar_config(grants: SwitchGrants, num_ports: int) -> List[List[bool]]:
         """P x P boolean crossbar control matrix from a grant vector."""
-        import numpy as np
-        xbar = np.zeros((num_ports, num_ports), dtype=bool)
+        xbar = [[False] * num_ports for _ in range(num_ports)]
         for p, g in enumerate(grants):
             if g is not None:
-                xbar[p, g[1]] = True
+                xbar[p][g[1]] = True
         return xbar
 
     # -- separable input-first -----------------------------------------
@@ -454,8 +449,8 @@ class SwitchAllocator:
         # Stage 1: each output port offers itself to one input port.
         offers: List[Optional[int]] = [None] * P
         for q in range(P):
-            col = port_req[:, q]
-            if col.any():
+            col = [row[q] for row in port_req]
+            if any(col):
                 offers[q] = self._port_arbs[q].select(col)
 
         # Stage 2: each input port arbitrates among VCs that can use a
@@ -481,7 +476,6 @@ class SwitchAllocator:
 
     # -- wavefront -------------------------------------------------------
     def _allocate_wavefront(self, requests: SwitchRequests) -> SwitchGrants:
-        import numpy as np
         P = self.num_ports
         V = self.num_vcs
         grants: SwitchGrants = [None] * P
@@ -489,13 +483,16 @@ class SwitchAllocator:
         assert self._wavefront is not None
         port_grants = self._wavefront.allocate(port_req)
 
-        for p, q in zip(*np.nonzero(port_grants)):
+        for p, row in enumerate(port_grants):
+            if True not in row:
+                continue
+            q = row.index(True)  # a wavefront grants one output per row
             # Pre-selection: among VCs at p requesting q, pick one using
             # the per-port arbiter state (performed in parallel with the
             # wavefront in hardware).
             eligible = [requests[p][v] == q for v in range(V)]
             vc = self._vc_arbs[p].select(eligible)
-            assert vc is not None  # port_req[p, q] implies an eligible VC
-            grants[p] = (vc, int(q))
+            assert vc is not None  # port_req[p][q] implies an eligible VC
+            grants[p] = (vc, q)
             self._pending[p] = ((self._vc_arbs[p], vc),)
         return grants

@@ -24,14 +24,11 @@ independent per-message-class blocks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .arbiters import Arbiter, TreeArbiter, make_arbiter
 from .vc_partition import VCPartition
 from .wavefront import WavefrontAllocator
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 __all__ = ["VCRequest", "VCAllocator", "VC_ALLOCATOR_ARCHS"]
 
@@ -140,9 +137,9 @@ class VCAllocator:
             else:
                 self._wavefronts = [WavefrontAllocator(n, n)]
                 self._wf_block_rows = [list(range(n))]
-            # flat VC index -> (block index, block-local index): lets the
-            # sparse path feed each wavefront block (row, col) pairs
-            # directly instead of materialising the n x n request matrix.
+            # flat VC index -> (block index, block-local index): lets
+            # both paths feed each wavefront block its own cells directly
+            # instead of materialising the n x n request matrix.
             self._wf_local: List[Optional[Tuple[int, int]]] = [None] * n
             for b, rows in enumerate(self._wf_block_rows):
                 for a, flat in enumerate(rows):
@@ -353,10 +350,10 @@ class VCAllocator:
         Requests are bucketed into per-message-class blocks as
         block-local (row, col) pairs and each non-empty block sweeps
         via :meth:`WavefrontAllocator.allocate_pairs`.  Sorting each
-        bucket restores the row-major enumeration the dense path's
-        ``np.nonzero`` produces, so grants and diagonal rotations are
-        identical.  (Legal sparse request streams never cross message
-        classes; the dense path likewise ignores cross-block cells.)
+        bucket restores the row-major enumeration the dense path sweeps,
+        so grants and diagonal rotations are identical.  (Legal sparse
+        request streams never cross message classes; the dense path
+        likewise ignores cross-block cells.)
         """
         V = self.num_vcs
         wf_local = self._wf_local
@@ -511,47 +508,28 @@ class VCAllocator:
     def _allocate_wavefront(
         self, requests: Sequence[Optional[VCRequest]]
     ) -> List[Optional[Tuple[int, int]]]:
-        import numpy as np
-        n = self._n
+        """Fill each (per-message-class) wavefront block's request matrix
+        and sweep it; returns flat per-input-VC grants.  A cell whose
+        output VC lies in another block than its input VC is ignored."""
         V = self.num_vcs
-
-        req_matrix = np.zeros((n, n), dtype=bool)
+        wf_local = self._wf_local
+        blocks = [[[False] * len(rows) for _ in rows] for rows in self._wf_block_rows]
         for i, req in enumerate(requests):
             if req is None:
                 continue
+            b, a = wf_local[i]
+            row = blocks[b][a]
             base = req.output_port * V
             for cand in req.candidate_vcs:
-                req_matrix[i, base + cand] = True
-        return self._wavefront_blocks(req_matrix)
+                b_out, c = wf_local[base + cand]
+                if b_out == b:
+                    row[c] = True
 
-    def _wavefront_blocks(
-        self, req_matrix: np.ndarray
-    ) -> List[Optional[Tuple[int, int]]]:
-        """Run the (per-message-class) wavefront blocks over a full
-        ``n x n`` request matrix; returns flat per-input-VC grants."""
-        import numpy as np
-        n = self._n
-        V = self.num_vcs
-        grants: List[Optional[Tuple[int, int]]] = [None] * n
-
-        if len(self._wavefronts) == 1:
-            blocks: Iterable[Tuple[WavefrontAllocator, List[int]]] = [
-                (self._wavefronts[0], list(range(n)))
-            ]
-        else:
-            blocks = [
-                (wf, self._message_class_rows(m))
-                for m, wf in enumerate(self._wavefronts)
-            ]
-
-        for wf, rows in blocks:
-            sub = req_matrix[np.ix_(rows, rows)]
-            if not sub.any():
+        grants: List[Optional[Tuple[int, int]]] = [None] * self._n
+        for wf, rows, sub in zip(self._wavefronts, self._wf_block_rows, blocks):
+            if not any(map(any, sub)):
                 continue
-            sub_grants = wf.allocate(sub)
-            gi, gj = np.nonzero(sub_grants)
-            for a, b in zip(gi.tolist(), gj.tolist()):
-                i = rows[a]
-                out = rows[b]
-                grants[i] = divmod(out, V)
+            for a, granted in enumerate(wf.allocate(sub)):
+                if True in granted:
+                    grants[rows[a]] = divmod(rows[granted.index(True)], V)
         return grants

@@ -18,10 +18,7 @@ algebra, and generates the legal VC-to-VC transition matrix of Figure 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["VCPartition"]
 
@@ -166,21 +163,17 @@ class VCPartition:
         m_out, r_out, _ = self.vc_fields(vc_out)
         return m_in == m_out and self.resource_transitions[r_in][r_out]
 
-    def transition_matrix(self) -> np.ndarray:
-        """The full ``V x V`` legal-transition matrix (Figure 4)."""
-        import numpy as np
+    def transition_matrix(self) -> List[List[bool]]:
+        """The full ``V x V`` legal-transition matrix (Figure 4), as rows."""
         v = self.num_vcs
-        mat = np.zeros((v, v), dtype=bool)
-        for vc_in in range(v):
-            m_in, r_in, _ = self.vc_fields(vc_in)
-            for r_out in self.successor_classes(r_in):
-                for vc_out in self.class_vcs(m_in, r_out):
-                    mat[vc_in, vc_out] = True
-        return mat
+        return [
+            [self.legal_transition(vc_in, vc_out) for vc_out in range(v)]
+            for vc_in in range(v)
+        ]
 
     def num_legal_transitions(self) -> int:
         """Count of legal VC-to-VC transitions (96 for fbfly 2x2x4)."""
-        return int(self.transition_matrix().sum())
+        return sum(map(sum, self.transition_matrix()))
 
     def candidate_vcs(self, vc_in: int, resource_class: Optional[int] = None) -> List[int]:
         """Output VCs an input VC may legally request.

@@ -19,12 +19,9 @@ request OR).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .base import Allocator
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from .base import Allocator, Matrix
 
 __all__ = ["WavefrontAllocator"]
 
@@ -96,15 +93,14 @@ class WavefrontAllocator(Allocator):
         """Sparse :meth:`allocate`: sweep only the requested cells.
 
         ``pairs`` lists the requested ``(row, col)`` cells in row-major
-        order (the order ``np.nonzero`` would yield on the dense
-        matrix); returns the granted cells.  Bit-identical to the dense
-        path because Python's ``sorted`` is stable exactly like the
-        dense path's ``np.argsort(kind="stable")`` over the same
-        row-major enumeration, and the greedy row/column knockout is
-        the same.  Costs O(R log R) in the number of requests with no
-        matrix materialisation -- this is what keeps the ``wf``
-        architectures viable on large-radix routers (flattened
-        butterfly) where ``s x s`` is thousands of cells.
+        order (the order the dense path enumerates them in); returns the
+        granted cells.  Bit-identical to the dense path because both
+        stable-sort the same row-major enumeration by wave index, and
+        the greedy row/column knockout is the same.  Costs O(R log R)
+        in the number of requests with no matrix materialisation --
+        this is what keeps the ``wf`` architectures viable on
+        large-radix routers (flattened butterfly) where ``s x s`` is
+        thousands of cells.
         """
         granted: List[Tuple[int, int]] = []
         if not pairs:
@@ -122,12 +118,11 @@ class WavefrontAllocator(Allocator):
             self._diagonal = (self._diagonal + 1) % s
         return granted
 
-    def allocate(self, requests: np.ndarray) -> np.ndarray:
-        import numpy as np
+    def allocate(self, requests: Matrix) -> List[List[bool]]:
         req = self._validated(requests)
         m, n = self.shape
         s = self._size
-        grants = np.zeros((m, n), dtype=bool)
+        grants = self._no_grants()
 
         # Equivalent to sweeping diagonals (start, start+1, ...) of the
         # padded s x s grid and granting conflict-free requests: sort
@@ -138,17 +133,13 @@ class WavefrontAllocator(Allocator):
         # rather than O(s^2), which matters in the network simulator
         # where request matrices are large but sparse.
         start = self._diagonal
-        ri, rj = np.nonzero(req)
-        if ri.size:
-            wave = (ri + rj - start) % s
-            order = np.argsort(wave, kind="stable")
+        cells = [(i, j) for i, row in enumerate(req) for j, r in enumerate(row) if r]
+        if cells:
             row_free = [True] * m
             col_free = [True] * n
-            for idx in order:
-                i = int(ri[idx])
-                j = int(rj[idx])
+            for i, j in sorted(cells, key=lambda ij: (ij[0] + ij[1] - start) % s):
                 if row_free[i] and col_free[j]:
-                    grants[i, j] = True
+                    grants[i][j] = True
                     row_free[i] = False
                     col_free[j] = False
             # Rotate only when an allocation actually occurred (a

@@ -4,7 +4,9 @@ Streams of pseudo-random request matrices are fed to each allocator and
 the resulting grant counts are normalized against a maximum-size
 allocator driven with the same requests.  The paper uses 10 000 request
 matrices per point; ``num_samples`` is configurable so the benchmark
-harness can trade precision for runtime.
+harness can trade precision for runtime.  Requests are drawn from
+:class:`~repro.netsim.rng.PCG64Stream`, draw for draw what numpy's
+``default_rng(seed)`` drew when these curves were first recorded.
 """
 
 from __future__ import annotations
@@ -12,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..core.maxsize import hopcroft_karp
-from ..core.switch_allocator import SwitchAllocator
+from ..core.switch_allocator import SwitchAllocator, SwitchRequests
 from ..core.vc_allocator import VCAllocator, VCRequest
-from ..core.vc_partition import VCPartition
+from ..netsim.rng import PCG64Stream
 from .design_points import DesignPoint
 
 __all__ = [
@@ -46,6 +46,22 @@ class QualityCurve:
 def _max_matching_size(adjacency: List[List[int]], num_right: int) -> int:
     match = hopcroft_karp(adjacency, num_right)
     return sum(1 for v in match if v != -1)
+
+
+def random_switch_requests(
+    rng: PCG64Stream, P: int, V: int, rate: float
+) -> SwitchRequests:
+    """One request matrix: each of the ``P*V`` input VCs requests a
+    uniformly random output port with probability ``rate``."""
+    request_draw = rng.random(P * V)
+    ports = rng.integers(P, P * V)
+    flat = [q if u < rate else None for u, q in zip(request_draw, ports)]
+    return [flat[p * V:(p + 1) * V] for p in range(P)]
+
+
+def port_adjacency(requests: SwitchRequests) -> List[List[int]]:
+    """Output ports each input port requests, ascending."""
+    return [sorted({q for q in row if q is not None}) for row in requests]
 
 
 def vc_matching_quality(
@@ -81,22 +97,23 @@ def vc_matching_quality(
     for arch in archs:
         alloc = VCAllocator(P, part, arch=arch, arbiter=arbiter, sparse=True)
         alloc.check_requests = False
-        rng = np.random.default_rng(seed)
+        rng = PCG64Stream(seed)
         qualities = []
         for rate in rates:
             total = 0
             total_max = 0
             for _ in range(num_samples):
-                active = rng.random(n) < rate
-                ports = rng.integers(P, size=n)
+                request_draw = rng.random(n)
+                ports = rng.integers(P, n)
                 class_pick = rng.random(n)
                 requests: List[Optional[VCRequest]] = [None] * n
                 adjacency: List[List[int]] = [[] for _ in range(n)]
-                for i in np.flatnonzero(active):
-                    v = i % V
-                    choices = successor_sets[v]
+                for i in range(n):
+                    if request_draw[i] >= rate:
+                        continue
+                    choices = successor_sets[i % V]
                     cands = choices[int(class_pick[i] * len(choices))]
-                    q = int(ports[i])
+                    q = ports[i]
                     requests[i] = VCRequest(q, cands)
                     base = q * V
                     adjacency[i] = [base + u for u in cands]
@@ -132,18 +149,13 @@ def switch_request_grant_efficiency(
     V = point.num_vcs
     alloc = SwitchAllocator(P, V, arch=arch, arbiter=arbiter)
     alloc.check_requests = False
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     total_requests = 0
     total_grants = 0
     for _ in range(num_samples):
-        active = rng.random((P, V)) < rate
-        ports = rng.integers(P, size=(P, V))
-        requests = [
-            [int(ports[p, v]) if active[p, v] else None for v in range(V)]
-            for p in range(P)
-        ]
+        requests = random_switch_requests(rng, P, V, rate)
         grants = alloc.allocate(requests)
-        total_requests += int(active.sum())
+        total_requests += sum(q is not None for row in requests for q in row)
         total_grants += sum(g is not None for g in grants)
     return total_grants / total_requests if total_requests else 1.0
 
@@ -170,28 +182,16 @@ def switch_matching_quality(
     for arch in archs:
         alloc = SwitchAllocator(P, V, arch=arch, arbiter=arbiter)
         alloc.check_requests = False
-        rng = np.random.default_rng(seed)
+        rng = PCG64Stream(seed)
         qualities = []
         for rate in rates:
             total = 0
             total_max = 0
             for _ in range(num_samples):
-                active = rng.random((P, V)) < rate
-                ports = rng.integers(P, size=(P, V))
-                requests = [
-                    [
-                        int(ports[p, v]) if active[p, v] else None
-                        for v in range(V)
-                    ]
-                    for p in range(P)
-                ]
+                requests = random_switch_requests(rng, P, V, rate)
                 grants = alloc.allocate(requests)
                 total += sum(g is not None for g in grants)
-                adjacency = [
-                    sorted({int(ports[p, v]) for v in range(V) if active[p, v]})
-                    for p in range(P)
-                ]
-                total_max += _max_matching_size(adjacency, P)
+                total_max += _max_matching_size(port_adjacency(requests), P)
             qualities.append(total / total_max if total_max else 1.0)
         curves[arch] = QualityCurve(arch, list(rates), qualities)
     return curves

@@ -30,10 +30,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..faults import FaultPlan, LinkFault
 from ..netsim.config import SimulationConfig, SimulationResult, validate_config
+from ..netsim.rng import PCG64Stream
 from ..netsim.topology import describe, mesh_description
 from .runner import ResultCache, SweepReporter, run_sweep
 from .tables import format_curves
@@ -96,7 +95,7 @@ def select_faulted_links(
         )
     # Decorrelated from the simulation RNG (which is seeded by the bare
     # integer) via a fixed stream tag in the seed sequence.
-    order = np.random.default_rng([seed, 0x5E51]).permutation(len(candidates))
+    order = PCG64Stream([seed, 0x5E51]).permutation(len(candidates))
     return [candidates[i] for i in order[:count]]
 
 

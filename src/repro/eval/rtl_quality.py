@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from ..core.maxsize import hopcroft_karp
 from ..hw.cells import CELL_INDEX
 from ..hw.simulate import NetlistSimulator
 from ..hw.sw_alloc_gates import build_switch_allocator_netlist
-from .matching import QualityCurve
+from ..netsim.rng import PCG64Stream
+from .matching import QualityCurve, port_adjacency, random_switch_requests
 
 __all__ = ["rtl_switch_matching_quality"]
 
@@ -59,18 +58,16 @@ def rtl_switch_matching_quality(
     curves: Dict[str, QualityCurve] = {}
     for arch in archs:
         sim = _make_simulator(P, V, arch)
-        rng = np.random.default_rng(seed)
+        rng = PCG64Stream(seed)
         qualities: List[float] = []
         for rate in rates:
             total = 0
             total_max = 0
             for _ in range(num_samples):
-                active = rng.random((P, V)) < rate
-                ports = rng.integers(P, size=(P, V))
+                requests = random_switch_requests(rng, P, V, rate)
                 stim: List[int] = []
-                for p in range(P):
-                    for v in range(V):
-                        q = int(ports[p, v]) if active[p, v] else -1
+                for row in requests:
+                    for q in row:
                         stim.extend(1 if qq == q else 0 for qq in range(P))
                 out = sim.step(stim)
                 vals = list(out.values())
@@ -79,11 +76,7 @@ def rtl_switch_matching_quality(
                 stride = P + V
                 for p in range(P):
                     total += sum(vals[p * stride : p * stride + P])
-                adjacency = [
-                    sorted({int(ports[p, v]) for v in range(V) if active[p, v]})
-                    for p in range(P)
-                ]
-                match = hopcroft_karp(adjacency, P)
+                match = hopcroft_karp(port_adjacency(requests), P)
                 total_max += sum(1 for m in match if m != -1)
             qualities.append(total / total_max if total_max else 1.0)
         curves[arch] = QualityCurve(f"rtl:{arch}", list(rates), qualities)

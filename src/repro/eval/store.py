@@ -34,7 +34,6 @@ import json
 import os
 import sys
 import time
-from importlib.util import find_spec
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
@@ -74,41 +73,27 @@ def default_store_path() -> Path:
     )
 
 
-def _numpy_version_files() -> Optional[list]:
-    """The files that state the installed numpy's version, found without
-    importing numpy (0.2 s); ``None`` when it does not say."""
-    spec = find_spec("numpy")
-    if spec is None or spec.origin is None:
-        return None
-    package = Path(spec.origin).parent
-    files = [p for p in (package / "version.py", package / "_version.py")
-             if p.is_file()]
-    return files or None
-
-
 def code_salt(root: Optional[os.PathLike] = None) -> Optional[str]:
     """Salt of the offline results: the code that computes them.
 
     A digest of the name and bytes of **every** ``.py`` file under the
-    ``repro`` package (``root``), the Python ``major.minor`` and the
-    installed numpy's version file.  The whole package, not a dependency
-    list: a list has to be kept closed by hand, which is the discipline
-    the salt exists to replace, and the digest costs milliseconds.
-    ``None`` when any of it cannot be read (a zipped or ``.pyc``-only
-    install, a numpy that does not state its version): the caller runs
-    without a store rather than guess.
+    ``repro`` package (``root``) and the Python ``major.minor``.  The
+    whole package, not a dependency list: a list has to be kept closed
+    by hand, which is the discipline the salt exists to replace, and the
+    digest costs milliseconds.  Nothing the store memoises runs numpy
+    (the matching experiments draw from ``repro.netsim.rng``), so the
+    salt does not name it.  ``None`` when the sources cannot be read (a
+    zipped or ``.pyc``-only install): the caller runs without a store
+    rather than guess.
     """
     root = Path(root) if root is not None else PACKAGE_ROOT
     sources = sorted(root.rglob("*.py"))
-    numpy_files = _numpy_version_files()
-    if not sources or not numpy_files:
+    if not sources:
         return None
     digest = _sha256()
     try:
         for path in sources:
             digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(path.read_bytes())
-        for path in numpy_files:
             digest.update(path.read_bytes())
     except OSError:
         return None

@@ -1,24 +1,27 @@
-"""The terminals' random streams, without numpy.
+"""Random streams without numpy (terminals, matching experiments, fault sets).
 
 :class:`PCG64Stream` is a bit-exact pure-Python twin of numpy's
-``Generator(PCG64(SeedSequence(entropy)))`` for the two draws the
-simulator makes, ``random()`` and ``integers(n)``.  It is the same
+``Generator(PCG64(SeedSequence(entropy)))`` for ``random()`` and
+``integers(n)``, scalar or sized, and ``permutation(n)``.  It is the same
 arithmetic step for step: ``SeedSequence``'s hash mixing, PCG64's 128-bit
 LCG with XSL-RR output, the top 53 bits of an output for ``random()``,
 Lemire's multiply-and-reject on 32-bit half-words (the unused high half
-kept for the next one) for ``integers(n)``; tests/netsim/test_rng.py
-checks it draw for draw against numpy.
+kept for the next one) for ``integers(n)``, masked rejection on the same
+half-words for ``permutation``.  A sized draw is that many scalar draws
+in numpy's C order (a ``(P, V)`` draw is ``P*V`` draws, index
+``p*V+v``); tests/netsim/test_rng.py checks it draw for draw against numpy.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import List, Tuple
+from typing import List, Optional, Tuple, Union, overload
 
 __all__ = ["PCG64Stream"]
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M53, _TO_FLOAT = (1 << 53) - 1, 2.0**-53
 
 
 def _words(entropy) -> List[int]:
@@ -82,9 +85,12 @@ class PCG64Stream:
         self._half = None  # numpy's has_uint32 / uinteger
 
     def _next64(self) -> int:
+        # XSL-RR: xor the halves, rotate right by the top 6 bits (a
+        # shift of the value doubled to 128 bits).
         s = self._state = (self._state * _MULT + self._inc) & _M128
-        x, r = (s >> 64) ^ (s & _M64), s >> 122
-        return (x >> r | x << (64 - r)) & _M64
+        hi = s >> 64
+        x = hi ^ (s & _M64)
+        return ((x | x << 64) >> (hi >> 58)) & _M64
 
     def _next32(self) -> int:
         half, self._half = self._half, None
@@ -94,18 +100,63 @@ class PCG64Stream:
         self._half = x >> 32
         return x & _M32
 
-    def random(self) -> float:
-        """A float in ``[0, 1)``."""
-        return (self._next64() >> 11) * 2.0**-53
+    @overload
+    def random(self) -> float: ...
+    @overload
+    def random(self, size: int) -> List[float]: ...
 
-    def integers(self, n: int) -> int:
-        """An integer in ``[0, n)``; ``n == 1`` consumes no draw."""
+    def random(self, size: Optional[int] = None) -> Union[float, List[float]]:
+        """A float in ``[0, 1)``; with ``size``, a list of ``size`` of them."""
+        if size is not None:
+            # A loop, not a comprehension: closing over a local makes it a
+            # cell, which every call (the scalar one too) pays to create.
+            draw, out = self._next64, []
+            for _ in range(size):
+                out.append((draw() >> 11) * _TO_FLOAT)
+            return out
+        # _next64 inlined (the scalar draw runs once per terminal per
+        # cycle), and its rotation fused with the ">> 11": the top 53 bits
+        # of rotr(x, r) are bits r+11 .. r+63 of x doubled to 128 bits.
+        s = self._state = (self._state * _MULT + self._inc) & _M128
+        hi = s >> 64
+        x = hi ^ (s & _M64)
+        return (((x | x << 64) >> ((hi >> 58) + 11)) & _M53) * _TO_FLOAT
+
+    @overload
+    def integers(self, n: int) -> int: ...
+    @overload
+    def integers(self, n: int, size: int) -> List[int]: ...
+
+    def integers(self, n: int, size: Optional[int] = None) -> Union[int, List[int]]:
+        """An integer in ``[0, n)``; with ``size``, a list of ``size`` of
+        them.  ``n == 1`` consumes no draw."""
         if not 1 <= n <= 1 << 32:
             raise ValueError(f"integers({n!r}): n must be in [1, 2**32]")
         if n == 1:
-            return 0
+            return 0 if size is None else [0] * size
         threshold = (1 << 32) % n  # numpy: (UINT32_MAX - (n - 1)) % n
-        m = self._next32() * n
-        while (m & _M32) < threshold:
+        if size is None:
             m = self._next32() * n
-        return m >> 32
+            while (m & _M32) < threshold:
+                m = self._next32() * n
+            return m >> 32
+        draw, out = self._next32, []
+        for _ in range(size):
+            m = draw() * n
+            while (m & _M32) < threshold:
+                m = draw() * n
+            out.append(m >> 32)
+        return out
+
+    def permutation(self, n: int) -> List[int]:
+        """``range(n)`` shuffled as numpy's ``permutation(n)`` shuffles it:
+        Fisher-Yates from index ``n - 1`` down to 1, each swap partner
+        drawn in ``[0, i]`` by masked rejection on a 32-bit draw."""
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out

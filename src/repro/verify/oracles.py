@@ -30,8 +30,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..core.arbiters import MatrixArbiter, RoundRobinArbiter
 from .engine import decode_lane
 
@@ -253,13 +251,12 @@ def validate_wavefront_oracle(n: int) -> None:
         packed = wavefront_grants_packed(req, d, mask)
         for lane in range(total):
             bits = decode_lane(lane, nn)
-            m = np.array(bits, dtype=bool).reshape(n, n)
             alloc.set_diagonal(d)
-            grants = alloc.allocate(m)
+            grants = alloc.allocate([bits[i * n:(i + 1) * n] for i in range(n)])
             for i in range(n):
                 for j in range(n):
                     got = (packed[i][j] >> lane) & 1
-                    want = 1 if grants[i, j] else 0
+                    want = 1 if grants[i][j] else 0
                     assert got == want, (
                         f"wavefront oracle n={n} diag={d} lane={lane}: "
                         f"grant[{i}][{j}]={got}, behavioural={want}"

@@ -98,7 +98,7 @@ class TestAllocatorContract:
 
     def test_empty_requests_give_empty_grants(self, cls):
         alloc = cls(4, 4)
-        gnt = alloc.allocate(np.zeros((4, 4), dtype=bool))
+        gnt = np.asarray(alloc.allocate(np.zeros((4, 4), dtype=bool)))
         assert not gnt.any()
 
     def test_identity_requests_fully_granted(self, cls):
@@ -189,7 +189,7 @@ class TestSeparable:
         req = np.array([[True, False], [True, False]])
         winners = []
         for _ in range(10):
-            gnt = alloc.allocate(req)
+            gnt = np.asarray(alloc.allocate(req))
             winners.append(int(np.flatnonzero(gnt[:, 0])[0]))
         assert winners.count(0) == 5
         assert winners.count(1) == 5
@@ -197,7 +197,8 @@ class TestSeparable:
     def test_output_first_fairness_under_persistent_conflict(self):
         alloc = SeparableOutputFirstAllocator(2, 2)
         req = np.array([[True, False], [True, False]])
-        winners = [int(np.flatnonzero(alloc.allocate(req)[:, 0])[0]) for _ in range(10)]
+        winners = [int(np.flatnonzero(np.asarray(alloc.allocate(req))[:, 0])[0])
+                   for _ in range(10)]
         assert winners.count(0) == 5
         assert winners.count(1) == 5
 
@@ -227,7 +228,7 @@ class TestWavefront:
             seen.append(wf.priority_diagonal)
             wf.allocate(empty)
             assert wf.priority_diagonal == seen[-1]
-            grants = wf.allocate(req)
+            grants = np.asarray(wf.allocate(req))
             assert grants.any()
         assert seen == [0, 1, 2]
 
@@ -242,13 +243,14 @@ class TestWavefront:
         # Fixed diagonal 0 always grants the same anti-diagonal cells
         # {(0,0),(1,1)}.
         for _ in range(5):
-            gnt = wf.allocate(req)
+            gnt = np.asarray(wf.allocate(req))
             assert gnt[0, 0] and gnt[1, 1]
 
     def test_rotation_shares_grants(self):
         wf = WavefrontAllocator(2, 2)
         req = np.ones((2, 2), dtype=bool)
-        patterns = {tuple(wf.allocate(req).ravel().tolist()) for _ in range(4)}
+        patterns = {tuple(np.asarray(wf.allocate(req)).ravel().tolist())
+                    for _ in range(4)}
         assert len(patterns) == 2  # both diagonals get priority
 
     def test_full_matrix_gets_perfect_matching(self):

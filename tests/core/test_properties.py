@@ -98,6 +98,31 @@ def test_allocators_deterministic_after_reset(stream):
             assert np.array_equal(a, b)
 
 
+def _state(obj):
+    """An allocator's priority state (arbiters, diagonal, staged
+    updates) as nested plain data."""
+    if isinstance(obj, (list, tuple)):
+        return [_state(x) for x in obj]
+    if isinstance(obj, dict):
+        return {_state(k): _state(v) for k, v in obj.items()}
+    if hasattr(obj, "__dict__"):
+        return type(obj).__name__, _state(vars(obj))
+    return obj
+
+
+@given(stream=request_matrix_streams(), factory=st.sampled_from(ALLOCATOR_FACTORIES))
+@settings(max_examples=80, deadline=None)
+def test_list_and_ndarray_requests_are_the_same_input(stream, factory):
+    # An allocator takes any rows of truthy values: a caller holding
+    # an ndarray gets exactly what a caller holding lists gets.
+    from_lists, from_arrays = factory(5, 5), factory(5, 5)
+    for req in stream:
+        grants = from_lists.allocate(req.tolist())
+        assert grants == from_arrays.allocate(req)
+        assert all(type(g) is bool for row in grants for g in row)
+        assert _state(from_lists) == _state(from_arrays)
+
+
 @given(
     reqs=st.lists(st.booleans(), min_size=6, max_size=6),
     rounds=st.integers(1, 12),

@@ -67,11 +67,11 @@ class TestPriorityUpdateRule:
         # Cycle 1: row 0 bids col 0 (pointer at 0), row 1 bids col 0;
         # col 0 grants row 0 (pointer at 0).  Row 1 lost: its (trivial)
         # state and col 0's pointer now favor row 1.
-        g1 = alloc.allocate(req)
+        g1 = np.asarray(alloc.allocate(req))
         assert g1[0, 0] and not g1[1, 0]
         # Cycle 2: row 0's pointer moved past col 0, so it bids col 1;
         # row 1 bids col 0 and now wins it: a perfect matching.
-        g2 = alloc.allocate(req)
+        g2 = np.asarray(alloc.allocate(req))
         assert g2[0, 1] and g2[1, 0]
 
     def test_row_arbiter_frozen_when_no_requests(self):

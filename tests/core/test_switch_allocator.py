@@ -118,7 +118,7 @@ class TestSemantics:
             grants = alloc.allocate(reqs)
             _check_grants(reqs, grants, 4)
             # Maximality: any port-level request not granted must conflict.
-            port_req = port_request_matrix(reqs, 4)
+            port_req = np.asarray(port_request_matrix(reqs, 4))
             rows = {p for p, g in enumerate(grants) if g is not None}
             cols = {g[1] for g in grants if g is not None}
             for p in range(4):
@@ -187,6 +187,6 @@ class TestHelpers:
 
     def test_crossbar_config(self):
         grants = [(0, 2), None, (1, 0)]
-        xbar = SwitchAllocator.crossbar_config(grants, 3)
+        xbar = np.asarray(SwitchAllocator.crossbar_config(grants, 3))
         assert xbar[0, 2] and xbar[2, 0]
         assert xbar.sum() == 2

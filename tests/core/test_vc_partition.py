@@ -72,7 +72,7 @@ class TestIndexAlgebra:
 class TestTransitions:
     def test_mesh_transitions_stay_in_class(self):
         p = VCPartition.mesh(4)
-        mat = p.transition_matrix()
+        mat = np.asarray(p.transition_matrix())
         for vin in range(p.num_vcs):
             m_in, r_in, _ = p.vc_fields(vin)
             for vout in range(p.num_vcs):
@@ -88,13 +88,13 @@ class TestTransitions:
         p = VCPartition.fbfly(4)
         # "any given VC is restricted to at most eight possible successor
         # and predecessor VCs"
-        mat = p.transition_matrix()
+        mat = np.asarray(p.transition_matrix())
         assert mat.sum(axis=1).max() == 8
         assert mat.sum(axis=0).max() == 8
 
     def test_fbfly_quadrant_confinement(self):
         p = VCPartition.fbfly(4)
-        mat = p.transition_matrix()
+        mat = np.asarray(p.transition_matrix())
         # No transition crosses the message-class boundary (VC 8).
         assert not mat[:8, 8:].any()
         assert not mat[8:, :8].any()

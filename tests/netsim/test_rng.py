@@ -1,12 +1,13 @@
-"""The terminals' pure-Python PCG64 stream draws exactly what numpy's
-generator draws.
+"""The pure-Python PCG64 stream draws exactly what numpy's generator
+draws.
 
-Every simulated packet comes from :class:`repro.netsim.rng.PCG64Stream`,
+Every simulated packet, every matching-quality request matrix and every
+resilience fault set comes from :class:`repro.netsim.rng.PCG64Stream`,
 and every pinned result (golden curves, cached sweeps, bench digests)
-was computed with ``numpy.random.default_rng((seed, tid))``.  These
-tests compare the two draw for draw against whatever numpy is
-installed, so a change of numpy's stream fails here instead of quietly
-moving every table.
+was computed with ``numpy.random.default_rng``.  These tests compare
+the two draw for draw -- scalar, sized and ``permutation`` -- against
+whatever numpy is installed, so a change of numpy's stream fails here
+instead of quietly moving every table.
 """
 
 import random
@@ -24,8 +25,18 @@ NS = [1, 2, 3, 15, 16, 63, 64, 100, 2**20 + 3, 2**31, 2**32]
 
 
 def draw(rng, op):
-    """``op`` is None for ``random()``, else ``n`` for ``integers(n)``."""
-    return rng.random() if op is None else int(rng.integers(op))
+    """``op`` is None for ``random()``, else ``n`` for ``integers(n)``;
+    ``("random", size)``, ``("integers", n, size)`` and
+    ``("permutation", n)`` are the sized draws and the shuffle."""
+    if op is None:
+        return rng.random()
+    if not isinstance(op, tuple):
+        return int(rng.integers(op))
+    if op[0] == "random":
+        return [float(x) for x in rng.random(op[1])]
+    if op[0] == "integers":
+        return [int(x) for x in rng.integers(op[1], size=op[2])]
+    return [int(x) for x in rng.permutation(op[1])]
 
 
 def assert_same_stream(entropy, ops):
@@ -55,9 +66,53 @@ def test_a_buffered_half_word_survives_random_calls():
     assert_same_stream((5, 9), [63, None, None, 63, 63, None, 2**32, None, 2**32])
 
 
+SIZES = [0, 1, 2, 3, 40]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sized_draws_interleaved_with_scalar_ones_match_numpy(seed):
+    pick = random.Random(f"sized/{seed}")
+    ops = []
+    for _ in range(150):
+        kind = pick.random()
+        if kind < 0.3:
+            ops.append(None if pick.random() < 0.5 else pick.choice(NS))
+        elif kind < 0.6:
+            ops.append(("random", pick.choice(SIZES)))
+        elif kind < 0.9:
+            ops.append(("integers", pick.choice(NS), pick.choice(SIZES)))
+        else:
+            ops.append(("permutation", pick.choice([0, 1, 2, 5, 64, 224])))
+    assert_same_stream((seed, 0x5E51), ops)
+
+
+def test_a_half_word_carries_across_sized_calls():
+    # An odd-sized 32-bit draw leaves a half-word buffered; the next
+    # integers() call -- scalar or sized -- starts with it, random()
+    # and sized random() leave it alone.
+    assert_same_stream((5, 9), [("integers", 63, 3), ("random", 2), 63,
+                                ("integers", 5, 1), ("integers", 5, 3), None,
+                                ("permutation", 9), ("integers", 2**32, 3)])
+
+
+def test_a_shaped_draw_is_its_flat_draw_in_c_order():
+    P, V = 5, 8
+    ours, numpys = PCG64Stream(3), np.random.default_rng(3)
+    assert ours.random(P * V) == numpys.random((P, V)).ravel().tolist()
+    assert ours.integers(P, P * V) == numpys.integers(P, size=(P, V)).ravel().tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 224, 1000])
+@pytest.mark.parametrize("seed", [1, 7, 2**32])
+def test_permutation_matches_numpy(seed, n):
+    # The resilience campaign's fault sets: ``[seed, 0x5E51]`` entropy.
+    assert_same_stream([seed, 0x5E51], [("permutation", n), 63, ("permutation", n)])
+
+
 def test_integers_of_one_consumes_no_draw():
     rng = PCG64Stream((1, 0))
     assert rng.integers(1) == 0
+    assert rng.integers(1, 4) == [0, 0, 0, 0]
     assert rng.random() == np.random.default_rng((1, 0)).random()
 
 
@@ -65,8 +120,12 @@ def test_integers_of_one_consumes_no_draw():
 @given(
     seed=st.integers(0, 2**70),
     tid=st.integers(0, 2**16),
-    ops=st.lists(st.one_of(st.none(), st.sampled_from(NS), st.integers(1, 2**32)),
-                 max_size=60),
+    ops=st.lists(st.one_of(
+        st.none(), st.sampled_from(NS), st.integers(1, 2**32),
+        st.tuples(st.just("random"), st.integers(0, 9)),
+        st.tuples(st.just("integers"), st.integers(1, 2**32), st.integers(0, 9)),
+        st.tuples(st.just("permutation"), st.integers(0, 40)),
+    ), max_size=60),
 )
 def test_any_stream_matches_numpy(seed, tid, ops):
     assert_same_stream((seed, tid), ops)

@@ -4,7 +4,8 @@
 a user re-runs all day -- ``repro figures``, a ``repro sweep`` served
 from the cache, the ``repro serve`` scheduler -- never load numpy or the
 simulator (docs/PERFORMANCE.md, "Start-up").  A simulation itself loads
-no numpy either, in any process (docs/PERFORMANCE.md, "Memory").  Each
+no numpy either, in any process, and neither do the offline commands
+that compute (docs/PERFORMANCE.md, "Memory").  Each
 case runs in a fresh interpreter through ``scripts/import_report.py``
 and is checked against forbidden module prefixes, so putting one
 module-level ``import numpy`` back on the light path fails here and the
@@ -82,8 +83,7 @@ def test_warm_sweep_loads_no_numpy(tmp_path):
 ], ids=["cost", "quality", "lint", "verify"])
 def test_warm_offline_command_loads_nothing_that_computes(argv, tmp_path):
     # A hit is interpreter start + one digest + one lookup: keyed on the
-    # arguments (building the DesignPoint loads numpy), salted without
-    # importing numpy to ask its version.
+    # arguments (building the DesignPoint imports repro.core).
     argv = argv + ["--cache-path", str(tmp_path / "store.json")]
     cold = import_report.loaded_modules(argv, cwd=tmp_path)
     assert "repro.core.vc_partition" in cold  # the cold run computed
@@ -116,6 +116,21 @@ def test_a_simulation_loads_no_numpy_in_any_process(argv, tmp_path):
     assert "repro.netsim.router" in modules
     # -X importtime reports the imports of every process, forked point
     # processes included.
+    assert offenders(modules + [name for name, _ in times], ("numpy",)) == []
+
+
+@pytest.mark.parametrize("argv,computed", [
+    (["quality", "--samples", "20", "--rates", "0.5", "--no-cache"], "repro.eval.matching"),
+    (["transitions"], "repro.core.vc_partition"),
+    (["verify", "--quick", "--no-cache"], "repro.verify.equivalence"),
+    (["resilience", "--counts", "0,1", "--cycles", "60", "--no-cache"],
+     "repro.netsim.router"),
+], ids=["quality", "transitions", "verify", "resilience"])
+def test_offline_command_loads_no_numpy(argv, computed, tmp_path):
+    # The matching experiments and the resilience fault sets draw from
+    # repro.netsim.rng; the allocator core and the oracles take rows.
+    modules, times, _ = import_report.traced_run(argv, cwd=tmp_path)
+    assert computed in modules
     assert offenders(modules + [name for name, _ in times], ("numpy",)) == []
 
 
