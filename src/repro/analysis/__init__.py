@@ -12,8 +12,7 @@ gates CI on:
 * :mod:`repro.analysis.srclint` -- an AST linter over ``src/repro``
   encoding this repo's contracts (seeded randomness only, no wall-clock
   reads in simulation paths, no set-iteration-order dependence in hot
-  loops, observer/fault-state fast-path guards), plus the git-aware
-  ``SIMULATOR_REV`` guard (:mod:`repro.analysis.revguard`).
+  loops, observer/fault-state fast-path guards).
 
 Accepted pre-existing findings are suppressed through a baseline file
 (:class:`~repro.analysis.findings.Baseline`) so CI only gates on *new*
@@ -31,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .findings import Baseline, Finding, format_findings
     from .netlists import iter_paper_netlists, lint_paper_netlists
     from .ratchet import check_baseline_ratchet
-    from .revguard import check_simulator_rev
     from .srclint import lint_generated_kernels, lint_source_file, lint_source_tree
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "Finding",
     "NetlistDRC",
     "check_baseline_ratchet",
-    "check_simulator_rev",
     "format_findings",
     "iter_paper_netlists",
     "lint_paper_netlists",
@@ -57,7 +54,6 @@ __getattr__, __dir__ = lazy_exports(
         ".findings": ["Baseline", "Finding", "format_findings"],
         ".netlists": ["iter_paper_netlists", "lint_paper_netlists"],
         ".ratchet": ["check_baseline_ratchet"],
-        ".revguard": ["check_simulator_rev"],
         ".srclint": [
             "lint_generated_kernels",
             "lint_source_file",

@@ -34,18 +34,25 @@ def _entry_keys(baseline: Baseline) -> Set[Tuple[str, str, str]]:
     }
 
 
-def _baseline_at_ref(
-    repo: Path, baseline_path: str, ref: str
-) -> Optional[Baseline]:
-    """The baseline as committed at ``ref``; None when absent there."""
+def _git(repo: Path, *args: str) -> Optional[str]:
+    """``git`` stdout, or None when it fails."""
     try:
-        out = subprocess.run(
-            ["git", "-C", str(repo), "show", f"{ref}:{baseline_path}"],
+        return subprocess.run(
+            ["git", "-C", str(repo), *args],
             capture_output=True,
             text=True,
             check=True,
         ).stdout
     except (subprocess.CalledProcessError, OSError):
+        return None
+
+
+def _baseline_at_ref(
+    repo: Path, baseline_path: str, ref: str
+) -> Optional[Baseline]:
+    """The baseline as committed at ``ref``; None when absent there."""
+    out = _git(repo, "show", f"{ref}:{baseline_path}")
+    if out is None:
         return None
     try:
         data = json.loads(out)
@@ -68,7 +75,8 @@ def check_baseline_ratchet(
     a violation: a missing working-tree file means zero suppressions
     (trivially no growth), and a file not yet committed at the ref has
     nothing to ratchet against (its introduction is reviewed as part of
-    the change that adds it).
+    the change that adds it).  A ref that names no commit is: a bad or
+    unfetched base would otherwise pass every baseline.
     """
     repo = Path(repo)
     current_path = repo / baseline_path
@@ -81,6 +89,15 @@ def check_baseline_ratchet(
             Finding(
                 "LINT-RATCHET", "error", baseline_path, "parse",
                 f"cannot parse working-tree baseline: {exc}",
+            )
+        ]
+    if _git(repo, "rev-parse", "--verify", "--quiet",
+            f"{base_ref}^{{commit}}") is None:
+        return [
+            Finding(
+                "LINT-RATCHET", "error", baseline_path, "base-ref",
+                f"base ref {base_ref!r} does not name a commit "
+                "(fetch it, or pass an existing ref)",
             )
         ]
     old = _baseline_at_ref(repo, baseline_path, base_ref)

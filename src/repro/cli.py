@@ -34,8 +34,8 @@ Exposes the experiment harness without writing any Python:
 * ``lint``        -- static verification (docs/STATIC_ANALYSIS.md):
   ``--netlists`` runs the gate-level DRC over every paper design point,
   ``--source`` runs the repo-invariant AST linter over ``src/repro``,
-  ``--rev-guard BASE`` checks the SIMULATOR_REV discipline against a
-  git base ref; findings gate CI unless baselined.
+  ``--ratchet BASE`` fails when the lint baseline grew since a git base
+  ref; findings gate CI unless baselined.
 """
 
 from __future__ import annotations
@@ -906,12 +906,11 @@ def _default_baseline(args, name: str) -> Optional[str]:
 
 
 def cmd_lint(args) -> int:
-    """Static verification: netlist DRC + source linter + rev guard."""
+    """Static verification: netlist DRC + source linter + baseline ratchet."""
     run_netlists = args.netlists
     run_source = args.source
-    run_rev = args.rev_guard is not None
     run_ratchet = args.ratchet is not None
-    if not (run_netlists or run_source or run_rev or run_ratchet):
+    if not (run_netlists or run_source or run_ratchet):
         run_netlists = run_source = True
 
     findings = []
@@ -928,7 +927,7 @@ def cmd_lint(args) -> int:
         # The DRC matrix depends on this package alone, which is what
         # the store's salt digests; the other stages read the working
         # tree or git, so a run that includes one never touches it.
-        if run_source or run_rev or run_ratchet:
+        if run_source or run_ratchet:
             result = drc_matrix()
         else:
             result = _memoised(
@@ -944,11 +943,6 @@ def cmd_lint(args) -> int:
         # render the template design points and lint them too.
         findings.extend(lint_generated_kernels())
         meta["source_root"] = str(src_root)
-    if run_rev:
-        from .analysis.revguard import check_simulator_rev
-
-        findings.extend(check_simulator_rev(Path.cwd(), args.rev_guard))
-
     baseline_path = _default_baseline(args, "lint-baseline.json")
     if run_ratchet:
         from .analysis.ratchet import check_baseline_ratchet
@@ -1315,9 +1309,6 @@ def _add_lint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", action="store_true",
                    help="run the repo-invariant AST linter over src/repro "
                         "and the rendered compiled-kernel templates")
-    p.add_argument("--rev-guard", default=None, metavar="BASE_REF",
-                   help="check the SIMULATOR_REV discipline for changes "
-                        "since BASE_REF (e.g. origin/main)")
     p.add_argument("--ratchet", nargs="?", const="HEAD", default=None,
                    metavar="BASE_REF",
                    help="fail if the baseline gained suppressions vs its "
@@ -1458,7 +1449,7 @@ COMMANDS: Dict[str, Command] = {
         "without fault-tolerant routing (docs/ROBUSTNESS.md)",
         _add_resilience_args, cmd_resilience),
     "lint": Command(
-        "static verification: netlist DRC, source linter, rev guard",
+        "static verification: netlist DRC, source linter, baseline ratchet",
         _add_lint_args, cmd_lint),
     "verify": Command(
         "formal verification: gate/behavioural equivalence proofs, "

@@ -18,9 +18,10 @@ File format (JSONL, one object per line)::
   simulator revision produces a different signature, and a mismatched
   checkpoint is ignored (with a structured warning) rather than
   replayed.
-* Lines are appended and flushed as each point completes.  A process
+* Lines are appended and fsynced as each point completes.  A process
   killed mid-write leaves at most one truncated final line, which load
-  tolerates by dropping it.
+  tolerates by dropping it; a resumed run rewrites the journal without
+  it before appending.
 * :meth:`complete` removes the file: a finished sweep leaves nothing to
   resume.
 """
@@ -132,30 +133,28 @@ class SweepCheckpoint:
     def _open(self) -> None:
         if self._fh is not None:
             return
+        # Rewrite the journal as header plus recovered points before the
+        # first append: a torn final line is dropped instead of glued to
+        # the next row, and rows from abandoned sweeps never accumulate.
+        # Temp file + fsync + rename, so a crash here loses nothing.
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or not self.recovered
-        if fresh:
-            # Rewrite from scratch: header plus any recovered points, so
-            # the journal never accumulates rows from abandoned sweeps.
-            self._fh = open(self.path, "w")
-            self._fh.write(
-                json.dumps(
-                    {
-                        "kind": "header",
-                        "schema": CHECKPOINT_SCHEMA_VERSION,
-                        "signature": self.signature,
-                    }
-                )
-                + "\n"
-            )
+        header = {
+            "kind": "header",
+            "schema": CHECKPOINT_SCHEMA_VERSION,
+            "signature": self.signature,
+        }
+        tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(header) + "\n")
             for key, payload in self.recovered.items():
-                self._fh.write(
+                fh.write(
                     json.dumps({"kind": "point", "key": key, "payload": payload})
                     + "\n"
                 )
-        else:
-            self._fh = open(self.path, "a")
-        self._fh.flush()
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)
+        self._fh = open(self.path, "a")
 
     def record(self, key: str, payload: dict) -> None:
         """Append one completed point (flushed and fsynced immediately,

@@ -9,11 +9,12 @@ answers both once:
 * **salt** -- a string naming the code that produced the entries.  A
   file whose salt (or schema) differs is dropped wholesale at load, so a
   stale entry is never served.  :class:`~repro.eval.runner.ResultCache`
-  salts with ``sim-rev-N`` (bumped by hand, guarded by ``repro lint
-  --rev-guard``); the offline results (``repro quality | cost | lint
-  --netlists | verify`` and :class:`~repro.eval.cost.CostCache`) salt
-  with :func:`code_salt`, a digest of the package's own source, so no
-  one has to remember to bump anything.
+  salts with ``sim-rev-N`` (bumped by hand, held to the simulator's
+  behaviour by ``tests/netsim/test_rev_fingerprint.py``); the offline
+  results (``repro quality | cost | lint --netlists | verify`` and
+  :class:`~repro.eval.cost.CostCache`) salt with :func:`code_salt`, a
+  digest of the package's own source, so no one has to remember to bump
+  anything.
 * **file discipline** -- one JSON document ``{"schema", "salt",
   "checksum", "entries"}``, written through a temp file + ``fsync`` +
   ``os.replace`` (a crash mid-write never truncates it), batched

@@ -99,6 +99,17 @@ class TestRatchet:
         assert main(["lint", "--ratchet"]) == 1
         assert "LINT-RATCHET" in capsys.readouterr().out
 
+    def test_unknown_base_ref_fails_and_names_it(self, repo):
+        findings = check_baseline_ratchet(repo, base_ref="no-such-ref")
+        assert [f.rule for f in findings] == ["LINT-RATCHET"]
+        assert findings[0].severity == "error"
+        assert "'no-such-ref'" in findings[0].message
+
+    def test_ref_without_the_file_passes(self, repo):
+        git(repo, "rm", "-q", "--cached", "lint-baseline.json")
+        git(repo, "commit", "-q", "-m", "untrack the baseline")
+        assert check_baseline_ratchet(repo, base_ref="HEAD") == []
+
     def test_explicit_base_ref(self, repo):
         # Grow and commit; vs HEAD it passes, vs the original it fails.
         write_baseline(

@@ -206,11 +206,9 @@ class TestNeverStored:
         ["verify", "--points", "--quick", "--mutation", "--mutants", "1"],
         ["lint", "--netlists", "--quick", "--source", "--src-root", "."],
         ["lint", "--quick"],
-        ["lint", "--netlists", "--quick", "--rev-guard", "HEAD"],
         ["lint", "--netlists", "--quick", "--ratchet"],
-        ["lint", "--rev-guard", "HEAD"],
     ], ids=["mutation", "points+mutation", "netlists+source", "bare lint",
-            "netlists+rev-guard", "netlists+ratchet", "rev-guard"])
+            "netlists+ratchet"])
     def test_stages_outside_the_salt_never_touch_the_store(
         self, run, tmp_path, monkeypatch, argv
     ):

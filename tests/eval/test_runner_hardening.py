@@ -299,6 +299,26 @@ class TestCheckpointResume:
         recovered = SweepCheckpoint(path, sig)
         assert set(recovered.recovered) == {key}  # good row kept, stub dropped
 
+    def test_point_recorded_after_a_torn_line_survives_the_next_resume(
+        self, tmp_path
+    ):
+        path = tmp_path / "sweep.ckpt.jsonl"
+        first = SweepCheckpoint(path, "s" * 32)
+        first.record("a", {"v": 1})
+        first.record("b", {"v": 2})
+        first.close()
+        with open(path, "a") as fh:
+            fh.write('{"kind": "point", "key": "c", "pay')  # SIGKILLed
+        resumed = SweepCheckpoint(path, "s" * 32)
+        assert set(resumed.recovered) == {"a", "b"}
+        resumed.record("c", {"v": 3})
+        resumed.record("d", {"v": 4})
+        resumed.close()
+        again = SweepCheckpoint(path, "s" * 32)
+        assert again.recovered == {
+            "a": {"v": 1}, "b": {"v": 2}, "c": {"v": 3}, "d": {"v": 4}
+        }
+
     def test_signature_mismatch_starts_fresh(self, tmp_path):
         configs = _cfgs(0.1)
         path = tmp_path / "sweep.ckpt.jsonl"

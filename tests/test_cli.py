@@ -427,7 +427,7 @@ class TestLintCommand:
     def test_defaults(self):
         args = build_parser().parse_args(["lint"])
         assert args.netlists is False and args.source is False
-        assert args.rev_guard is None
+        assert args.ratchet is None
         assert args.format == "text"
         assert args.baseline is None and args.write_baseline is None
         assert args.quick is False
@@ -504,32 +504,6 @@ class TestLintCommand:
         ])
         assert rc == 2
         assert "bad baseline" in capsys.readouterr().err
-
-    def test_rev_guard_through_the_cli(self, monkeypatch, tmp_path, capsys):
-        import subprocess
-
-        def git(*args):
-            subprocess.run(
-                ["git", "-C", str(tmp_path), *args],
-                check=True, capture_output=True,
-            )
-
-        git("init", "-q", "-b", "main")
-        git("config", "user.email", "t@example.com")
-        git("config", "user.name", "T")
-        netsim = tmp_path / "src" / "repro" / "netsim"
-        netsim.mkdir(parents=True)
-        (netsim / "simulator.py").write_text("SIMULATOR_REV = 1\n")
-        git("add", "-A")
-        git("commit", "-q", "-m", "base")
-        monkeypatch.chdir(tmp_path)
-
-        assert main(["lint", "--rev-guard", "HEAD"]) == 0
-        capsys.readouterr()
-        (netsim / "simulator.py").write_text("SIMULATOR_REV = 1\nX = 2\n")
-        rc = main(["lint", "--rev-guard", "HEAD"])
-        assert rc == 1
-        assert "SRC-SIM-REV" in capsys.readouterr().out
 
 
 class TestClosedStdout:
