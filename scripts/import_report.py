@@ -5,7 +5,8 @@ imports cost.
 A command should pay at start-up only for itself (docs/PERFORMANCE.md,
 "Start-up").  For each CLI command, run with a cheap argv in a fresh
 interpreter under ``-X importtime``, this prints the number of modules
-loaded, how many of them are ``repro.*``, the cumulative import time,
+loaded, how many of them are ``repro.*``, whether numpy and OpenSSL
+(``_hashlib`` / ``_ssl``) are among them, the cumulative import time,
 the three top-level packages that account for most of it and the
 process's peak RSS -- so a start-up regression is attributed to a module
 before anyone opens a profiler, and the memory floor every sweep sits on
@@ -195,12 +196,13 @@ def report(selected: Sequence[str]) -> str:
                 len(modules),
                 sum(m == "repro" or m.startswith("repro.") for m in modules),
                 "yes" if "numpy" in modules else "no",
+                "yes" if {"_hashlib", "_ssl"} & set(modules) else "no",
                 round(sum(by_package.values()) / 1000),
                 f"{maxrss_kb / 1024:.1f}",
                 top,
             ))
     return format_table(
-        ["command", "modules", "repro.*", "numpy", "import ms",
+        ["command", "modules", "repro.*", "numpy", "openssl", "import ms",
          "peak RSS MiB", "heaviest packages (ms)"],
         rows,
     )

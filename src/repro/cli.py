@@ -245,6 +245,11 @@ def cmd_quality(args) -> int:
     from .eval.tables import format_curves
 
     rates = _comma_list("--rates", args.rates, float, "numbers")
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:  # also catches NaN
+            raise _UsageError(
+                f"--rates are request probabilities in [0, 1], got {rate!r}"
+            )
 
     def compute() -> dict:
         from .eval.matching import switch_matching_quality, vc_matching_quality
@@ -521,20 +526,21 @@ def cmd_sweep(args) -> int:
             metadata={"config": base.to_dict(), "rates": rates}
         )
 
-    manifest = build_run_manifest(
-        configs,
-        wall_time_s=wall,
-        stats=capture.stats,
-        cache=cache,
-        command=["repro", "sweep"] + (sys.argv[2:] if len(sys.argv) > 2 else []),
-    )
-    if metrics_dir is not None:
-        write_run_manifest(metrics_dir / "manifest.json", manifest)
-    if cache is not None:
-        write_run_manifest(
-            cache.path.with_name(f"{cache.path.stem}.manifest.json"),
-            manifest,
+    if metrics_dir is not None or cache is not None:
+        manifest = build_run_manifest(
+            configs,
+            wall_time_s=wall,
+            stats=capture.stats,
+            cache=cache,
+            command=["repro", "sweep"] + (sys.argv[2:] if len(sys.argv) > 2 else []),
         )
+        if metrics_dir is not None:
+            write_run_manifest(metrics_dir / "manifest.json", manifest)
+        if cache is not None:
+            write_run_manifest(
+                cache.path.with_name(f"{cache.path.stem}.manifest.json"),
+                manifest,
+            )
 
     print(
         format_curves(

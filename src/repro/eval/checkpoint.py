@@ -28,13 +28,13 @@ File format (JSONL, one object per line)::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..obs.metrics import emit_warning
+from .store import sha256
 
 __all__ = ["CHECKPOINT_SCHEMA_VERSION", "SweepCheckpoint", "sweep_signature"]
 
@@ -43,7 +43,7 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 def sweep_signature(keys: Sequence[str]) -> str:
     """Stable identity of one sweep: its salted config keys, in order."""
-    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    digest = sha256("\n".join(keys).encode()).hexdigest()
     return digest[:32]
 
 

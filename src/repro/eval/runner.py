@@ -36,7 +36,6 @@ the rest of the sweep completes.  Pair with
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import os
@@ -50,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
 # cache never loads the machine (``repro.netsim.simulator``, numpy) or
 # ``multiprocessing``; whoever has to run a point imports them then.
 from ..netsim.config import SIMULATOR_REV, SimulationConfig, SimulationResult
-from .store import STORE_SCHEMA_VERSION, ResultStore
+from .store import STORE_SCHEMA_VERSION, ResultStore, sha256
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -86,7 +85,7 @@ def config_key(cfg: SimulationConfig, salt: Optional[str] = None) -> str:
     if salt is None:
         salt = f"sim-rev-{SIMULATOR_REV}"
     canonical = json.dumps(cfg.to_dict(), sort_keys=True)
-    digest = hashlib.sha256(f"{salt}|{canonical}".encode()).hexdigest()
+    digest = sha256(f"{salt}|{canonical}".encode()).hexdigest()
     return digest[:32]
 
 

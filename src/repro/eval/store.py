@@ -26,7 +26,8 @@ answers both once:
 
 This module imports nothing heavy: a command answered from the store
 pays for the interpreter, one digest and one ``json.loads``
-(docs/PERFORMANCE.md, "Warm offline commands").
+(docs/PERFORMANCE.md, "Warm offline commands").  Its :data:`sha256` is
+the package's only SHA-256, and it is not OpenSSL's.
 """
 
 from __future__ import annotations
@@ -40,19 +41,25 @@ from typing import Callable, Dict, Optional
 
 from ..obs.metrics import emit_warning
 
-try:  # The interpreter's own SHA-256, the way ``random`` takes its
-    from _sha2 import sha256 as _lean_sha256  # SHA-512 (CPython >= 3.12)
+# ``sha256``: the package's one SHA-256 (config keys, sweep signatures,
+# store checksums, the code salt), the interpreter's own -- the way
+# ``random`` takes its SHA-512.  The ``hashlib`` module loads OpenSSL:
+# 3.6 MiB of RSS in every process that imports it, for the same digest
+# (docs/PERFORMANCE.md, "No OpenSSL in a sweep").
+try:
+    from _sha2 import sha256  # CPython >= 3.12
 except ImportError:
     try:
-        from _sha256 import sha256 as _lean_sha256  # CPython <= 3.11
-    except ImportError:
-        from hashlib import sha256 as _lean_sha256
+        from _sha256 import sha256  # CPython <= 3.11
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha256
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "ResultStore",
     "code_salt",
     "default_store_path",
+    "sha256",
 ]
 
 # Schema of the store *file* (layout/keying).  Orthogonal to the salt,
@@ -91,7 +98,7 @@ def code_salt(root: Optional[os.PathLike] = None) -> Optional[str]:
     sources = sorted(root.rglob("*.py"))
     if not sources:
         return None
-    digest = _sha256()
+    digest = sha256()
     try:
         for path in sources:
             digest.update(path.relative_to(root).as_posix().encode())
@@ -102,23 +109,10 @@ def code_salt(root: Optional[os.PathLike] = None) -> Optional[str]:
     return f"code-py{major}.{minor}-{digest.hexdigest()[:24]}"
 
 
-def _sha256(data: bytes = b""):
-    """A SHA-256 object, without loading OpenSSL to get one.
-
-    ``import hashlib`` costs 4 MiB of RSS and 3 ms; a command answered
-    from the store hashes one megabyte, so it uses the interpreter's own
-    implementation.  A process that has loaded ``hashlib`` anyway (a
-    sweep: config keys hash with it) gets OpenSSL's, 5x faster on a
-    large cache file.  The digest is the same either way.
-    """
-    hashlib = sys.modules.get("hashlib")
-    return (hashlib.sha256 if hashlib is not None else _lean_sha256)(data)
-
-
 def _entries_checksum(entries: Dict[str, dict]) -> str:
     """Content checksum of the entry table (detects bit-rot/truncation)."""
     canonical = json.dumps(entries, sort_keys=True)
-    return _sha256(canonical.encode()).hexdigest()[:32]
+    return sha256(canonical.encode()).hexdigest()[:32]
 
 
 class ResultStore:

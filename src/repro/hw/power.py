@@ -15,12 +15,13 @@ leakage is summed per cell instance, scaled by drive size.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .cells import CELL_INDEX, CELLS, VDD
 from .netlist import KIND_CONST0, KIND_CONST1, KIND_INPUT, Netlist
-from .timing import analyze_timing, compute_loads
+from .timing import TimingReport, analyze_timing, compute_loads, zeros
 
 __all__ = ["PowerReport", "signal_probabilities", "analyze_power"]
 
@@ -40,10 +41,10 @@ def signal_probabilities(
     input_probability: float = 0.5,
     max_iterations: int = 8,
     tolerance: float = 1e-4,
-) -> List[float]:
+) -> array[float]:
     """One-probability of each net under independence assumptions."""
     n = nl.num_nets
-    probs = [0.0] * n
+    probs = zeros(n)
     kinds = nl.kinds
     fanins = nl.fanins
 
@@ -118,16 +119,21 @@ def analyze_power(
     nl: Netlist,
     frequency_ghz: Optional[float] = None,
     input_probability: float = 0.5,
+    timing: Optional[TimingReport] = None,
 ) -> PowerReport:
     """Dynamic + leakage power.
 
     If ``frequency_ghz`` is omitted the design is assumed to run at its
-    own minimum cycle time (as a synthesis report would).
+    own minimum cycle time (as a synthesis report would).  ``timing`` is
+    a report of the netlist as it stands (``recover_timing`` returns
+    one): its loads and cycle time are used instead of re-timing.
     """
     if frequency_ghz is None:
-        frequency_ghz = analyze_timing(nl).min_cycle_ghz
+        if timing is None:
+            timing = analyze_timing(nl)
+        frequency_ghz = timing.min_cycle_ghz
     probs = signal_probabilities(nl, input_probability)
-    loads = compute_loads(nl)
+    loads = compute_loads(nl) if timing is None else timing.loads
 
     # Dynamic: 0.5 * alpha * C * V^2 * f per net.
     # fF * V^2 * GHz = 1e-15 F * 1e9 Hz * V^2 = 1e-6 W = 1e-3 mW.

@@ -13,12 +13,11 @@ reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
 
 from .cells import CELL_INDEX, MAX_SIZE
 from .netlist import Netlist
-from .timing import analyze_timing
+from .timing import TimingReport, analyze_timing
 
 __all__ = ["SizingResult", "recover_timing"]
 
@@ -33,6 +32,9 @@ class SizingResult:
     final_delay_ps: float
     iterations: int
     gates_resized: int
+    #: Timing of the sizes the pass left in the netlist: the final
+    #: report, so the caller need not re-time.
+    report: TimingReport = field(repr=False, compare=False)
 
     @property
     def improvement(self) -> float:
@@ -54,8 +56,9 @@ def recover_timing(
     path (registers keep unit drive) by ``upsize_factor`` up to
     ``MAX_SIZE``, then re-times.  Stops early when a round improves the
     critical path by less than ``min_improvement`` or nothing can grow.
+    The result carries the timing report of the sizes it leaves.
     """
-    report = analyze_timing(nl)
+    report = best_report = analyze_timing(nl)
     initial = report.delay_ps
     best = initial
     # Sizing state of the best netlist seen so far.  Upsizing a
@@ -84,6 +87,7 @@ def recover_timing(
             resized += round_resized
             improvement = 1.0 - report.delay_ps / best
             best = report.delay_ps
+            best_report = report
             best_sizes = list(sizes)
             if improvement < min_improvement:
                 break
@@ -92,4 +96,4 @@ def recover_timing(
             # sizing and stop searching.
             sizes[:] = best_sizes
             break
-    return SizingResult(initial, best, it, resized)
+    return SizingResult(initial, best, it, resized, best_report)

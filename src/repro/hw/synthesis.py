@@ -26,7 +26,6 @@ from .sw_alloc_gates import (
     build_switch_allocator_netlist,
     estimate_switch_allocator_gates,
 )
-from .timing import analyze_timing
 from .vc_alloc_gates import (
     build_vc_allocator_netlist,
     estimate_vc_allocator_gates,
@@ -88,10 +87,14 @@ def synthesize(
     size_iterations: int = 8,
     frequency_ghz: Optional[float] = None,
 ) -> SynthesisReport:
-    """Characterize an already-built netlist (sizing + timing + power)."""
+    """Characterize an already-built netlist (sizing + timing + power).
+
+    One timing pass per sizing round: the report of the final sizes
+    gives the delay and power's loads and cycle time.
+    """
     sizing = recover_timing(nl, max_iterations=size_iterations)
-    timing = analyze_timing(nl)
-    power = analyze_power(nl, frequency_ghz=frequency_ghz)
+    timing = sizing.report
+    power = analyze_power(nl, frequency_ghz=frequency_ghz, timing=timing)
     return SynthesisReport(
         name=nl.name,
         delay_ns=timing.delay_ns,

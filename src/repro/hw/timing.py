@@ -10,8 +10,9 @@ arrival times are computed in one linear sweep.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .cells import CELLS, TAU_PS, WIRE_CAP_FF
 from .netlist import KIND_INPUT, Netlist
@@ -30,9 +31,19 @@ SETUP_PS = 1.5 * TAU_PS
 _DFF_NAME = "DFF"
 
 
-def compute_loads(nl: Netlist) -> List[float]:
+def zeros(n: int) -> array[float]:
+    """``n`` unboxed doubles, all 0.0: a per-net number table.
+
+    A list of floats holds one 24-byte float object per net besides its
+    8-byte slot; the values (and so every sum over them) are the same
+    IEEE doubles either way.
+    """
+    return array("d", bytes(8 * n))
+
+
+def compute_loads(nl: Netlist) -> array[float]:
     """Output load (fF) per net: fanin pin caps plus wire cap per sink."""
-    loads = [0.0] * nl.num_nets
+    loads = zeros(nl.num_nets)
     kinds = nl.kinds
     sizes = nl.sizes
     cin = [c.input_cap_ff for c in CELLS]
@@ -59,12 +70,14 @@ def _dff_ix() -> int:
     return CELL_INDEX[_DFF_NAME]
 
 
-def compute_arrivals(nl: Netlist, loads: List[float] = None) -> List[float]:
+def compute_arrivals(
+    nl: Netlist, loads: Optional[Sequence[float]] = None
+) -> array[float]:
     """Arrival time (ps) at every net, single topological sweep."""
     if loads is None:
         loads = compute_loads(nl)
     n = nl.num_nets
-    arrivals = [0.0] * n
+    arrivals = zeros(n)
     kinds = nl.kinds
     fanins = nl.fanins
     sizes = nl.sizes
@@ -100,8 +113,8 @@ class TimingReport:
     delay_ps: float  # critical path delay incl. setup
     critical_endpoint: int  # net id of the worst endpoint
     critical_path: Tuple[int, ...]  # nets from a source to the endpoint
-    arrivals: List[float]
-    loads: List[float]
+    arrivals: array[float]  # ps per net
+    loads: array[float]  # fF per net
 
     @property
     def delay_ns(self) -> float:

@@ -12,6 +12,7 @@ network or the allocator core (see docs/PERFORMANCE.md, "Start-up").
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -291,10 +292,11 @@ def validate_config(cfg: SimulationConfig) -> None:
     reject a bad sweep before its first point runs.
 
     Also rejects what no run can mean but the simulator would quietly
-    turn into a table of zeros: a negative phase length or offered
-    load, a read fraction that is not a probability; and a negative
-    seed, which no traffic stream can be seeded with.  (A zero-length
-    measurement window stays legal, see :func:`run_simulation`.)
+    turn into a table of zeros: a negative phase length, a negative or
+    infinite offered load, a read fraction that is not a probability;
+    and a negative seed, which no traffic stream can be seeded with.
+    (A zero-length measurement window stays legal, see
+    :func:`run_simulation`.)
     """
     desc = describe(cfg.topology)
     desc.mode(cfg.routing)
@@ -304,6 +306,10 @@ def validate_config(cfg: SimulationConfig) -> None:
         value = getattr(cfg, name)
         if not value >= 0:  # also catches NaN
             raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if not math.isfinite(cfg.injection_rate):
+        raise ValueError(
+            f"injection_rate must be finite, got {cfg.injection_rate!r}"
+        )
     if not 0.0 <= cfg.read_fraction <= 1.0:
         raise ValueError(
             f"read_fraction must be in [0, 1], got {cfg.read_fraction!r}"

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import socket
 import sys
 import time
 from pathlib import Path
@@ -163,10 +161,25 @@ class JsonlReporter(SweepReporter):
 # run manifest
 # ----------------------------------------------------------------------
 def host_info() -> Dict[str, Any]:
-    """Host fingerprint of a run manifest."""
+    """Host fingerprint of a run manifest, from ``os.uname()``.
+
+    ``platform`` is ``sysname-release-machine``: ``platform.platform()``
+    without its ``-with-glibcX.Y`` suffix, which costs the ``platform``,
+    ``socket`` and ``subprocess`` imports, a ``uname -p`` child and a scan
+    of the interpreter binary.  Without ``os.uname`` (Windows) the
+    platform is ``sys.platform`` and the hostname ``COMPUTERNAME``.
+    """
+    uname = getattr(os, "uname", None)
+    if uname is None:
+        hostname = os.environ.get("COMPUTERNAME", "")
+        platform = sys.platform
+    else:
+        u = uname()
+        hostname = u.nodename
+        platform = f"{u.sysname}-{u.release}-{u.machine}"
     return {
-        "hostname": socket.gethostname(),
-        "platform": platform.platform(),
+        "hostname": hostname,
+        "platform": platform,
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
     }

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import os
+import sys
 import time
 
 import pytest
@@ -20,6 +22,7 @@ from repro.obs.telemetry import (
     EmptyTelemetryError,
     JsonlReporter,
     build_run_manifest,
+    host_info,
     read_jsonl,
     summarize_metrics_dir,
     write_run_manifest,
@@ -173,6 +176,17 @@ class TestManifest:
         assert loaded["cache"]["path"] == str(cache.path)
         assert loaded["host"]["python"]
         assert loaded["command"] == ["repro", "sweep"]
+
+    def test_host_info_comes_from_uname(self, monkeypatch):
+        u = os.uname()
+        assert host_info() == {
+            "hostname": u.nodename,
+            "platform": f"{u.sysname}-{u.release}-{u.machine}",
+            "python": sys.version.split()[0],
+            "cpu_count": os.cpu_count(),
+        }
+        monkeypatch.delattr(os, "uname")
+        assert host_info()["platform"] == sys.platform
 
     def test_manifest_without_stats_or_cache(self):
         manifest = build_run_manifest([_quick_cfg()], wall_time_s=0.0)

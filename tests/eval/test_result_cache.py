@@ -138,6 +138,25 @@ class TestKeying:
     def test_key_is_stable_across_instances(self):
         assert config_key(SimulationConfig()) == config_key(SimulationConfig())
 
+    def test_keys_and_signatures_are_pinned(self):
+        # Recorded when keys still hashed through hashlib: whichever
+        # SHA-256 computes them, no cache or checkpoint is invalidated.
+        from repro.eval.checkpoint import sweep_signature
+        from repro.faults.plan import parse_fault_spec
+
+        plain = SimulationConfig()
+        faulted = SimulationConfig(
+            topology="fbfly", injection_rate=0.3, traffic_pattern="transpose",
+            faults=parse_fault_spec("vcs=0.05,seed=3"),
+        )
+        assert config_key(plain) == "41eb76681cff1e9e66613164299f6b65"
+        assert config_key(plain, salt="x") == "2df75f246fdf7c7bf46a5b194fde47c3"
+        assert config_key(faulted) == "d15f772c14b5fbcaff1e0ecc016e9ffa"
+        assert config_key(faulted, salt="x") == "f7d978d30ce551da76d1240d48f537f9"
+        keys = [config_key(plain), config_key(faulted)]
+        assert sweep_signature(keys) == "b545bf55b2d9ca68a4b391ca0faa9693"
+        assert sweep_signature([]) == "e3b0c44298fc1c149afbf4c8996fb924"
+
 
 class TestKernelIndependence:
     """Cache keys must not encode the simulation kernel.

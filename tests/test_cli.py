@@ -244,6 +244,16 @@ class TestCommands:
          "error: seed must be >= 0, got -1"),
         (["sweep", "--faults", "vcs=0.05,seed=-1", "--no-cache"],
          "error: bad --faults spec: seed must be >= 0, got -1"),
+        # An infinite offered load is no operating point.
+        (["sweep", "--rates", "0.1,inf"],
+         "error: injection_rate must be finite, got inf"),
+        # quality's rates are request probabilities.
+        (["quality", "--rates", "0.5,1.5"],
+         "error: --rates are request probabilities in [0, 1], got 1.5"),
+        (["quality", "--rates", "-0.1"],
+         "error: --rates are request probabilities in [0, 1], got -0.1"),
+        (["quality", "--rates", "nan"],
+         "error: --rates are request probabilities in [0, 1], got nan"),
     ])
     def test_bad_input_is_one_error_line_and_exit_2(
         self, argv, message, capsys, monkeypatch
@@ -262,6 +272,19 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
+        # Neither result store was touched.
+        for var in ("REPRO_SWEEP_CACHE", "REPRO_COST_CACHE"):
+            assert not os.path.exists(os.environ[var])
+
+    def test_uncached_sweep_builds_no_manifest(self, capsys, monkeypatch):
+        # With no cache and no --metrics there is nowhere to write one.
+        def no_manifest(*args, **kwargs):
+            raise AssertionError("built a manifest nothing writes")
+
+        monkeypatch.setattr("repro.obs.telemetry.build_run_manifest", no_manifest)
+        assert main(["sweep", "--rates", "0.05", "--cycles", "60",
+                     "--no-cache"]) == 0
+        assert "zero-load" in capsys.readouterr().out
 
     def test_sweep_resume_checkpoint_cycle(self, capsys, tmp_path):
         ckpt = tmp_path / "sweep.ckpt.jsonl"

@@ -119,6 +119,52 @@ def test_a_simulation_loads_no_numpy_in_any_process(argv, tmp_path):
     assert offenders(modules + [name for name, _ in times], ("numpy",)) == []
 
 
+#: OpenSSL: ``hashlib`` loads ``_hashlib``, ``ssl`` loads ``_ssl``.
+OPENSSL = ("_hashlib", "_ssl")
+
+
+@pytest.mark.parametrize("argv,also_forbidden", [
+    (SWEEP + ["--no-cache"], ("socket", "subprocess", "platform")),
+    (SWEEP + ["--no-cache", "--jobs", "2"], ()),
+    (SWEEP + ["--no-cache", "--timeout", "60"], ()),
+], ids=["inline", "--jobs 2", "--timeout pool"])
+def test_a_sweep_loads_no_openssl_in_any_process(argv, also_forbidden, tmp_path):
+    # Keys, signatures and checksums hash with the interpreter's SHA-256;
+    # the run manifest takes its host fingerprint from os.uname().
+    modules, times, _ = import_report.traced_run(argv, cwd=tmp_path)
+    assert "repro.netsim.router" in modules
+    everywhere = modules + [name for name, _ in times]
+    assert offenders(everywhere, OPENSSL + also_forbidden) == []
+
+
+def test_a_warm_sweep_loads_no_openssl(tmp_path):
+    argv = SWEEP + ["--cache-path", str(tmp_path / "c.json")]
+    for _ in ("cold", "warm"):
+        modules, times, _ = import_report.traced_run(argv, cwd=tmp_path)
+        everywhere = modules + [name for name, _ in times]
+        # The manifest beside the cache is still written.
+        assert offenders(everywhere, OPENSSL + ("platform", "subprocess")) == []
+    assert "repro.netsim.router" not in modules  # the warm run hit
+    assert (tmp_path / "c.manifest.json").exists()
+
+
+def test_a_connect_client_loads_no_openssl(tmp_path):
+    # The server side runs asyncio (which imports ssl); the client is a
+    # plain socket.
+    from tests.serve.conftest import ServeHarness
+
+    harness = ServeHarness(tmp_path / "state")
+    try:
+        harness.start_worker()
+        modules, times, _ = import_report.traced_run(
+            SWEEP + ["--connect", harness.address], cwd=tmp_path,
+        )
+    finally:
+        harness.stop()
+    assert "repro.serve.client" in modules
+    assert offenders(modules + [name for name, _ in times], OPENSSL) == []
+
+
 @pytest.mark.parametrize("argv,computed", [
     (["quality", "--samples", "20", "--rates", "0.5", "--no-cache"], "repro.eval.matching"),
     (["transitions"], "repro.core.vc_partition"),
