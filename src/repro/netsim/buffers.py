@@ -5,12 +5,18 @@ flit slots (8 in the paper's configuration).  The VC state machine is
 implicit in the fields: a VC with a head flit at the front and no
 output VC is *waiting for VC allocation*; with an output VC assigned it
 is *active* and competes in switch allocation.
+
+The buffer is a plain ``list``, not a ``deque``: it never holds more
+than ``depth`` flits (one more under a duplicated-credit fault), so
+``pop(0)`` moves at most a handful of pointers, while an idle deque
+holds a 528-byte block -- over ten times an empty list -- in each of
+the thousands of input VCs a network builds (docs/PERFORMANCE.md,
+"A built network holds only its state").
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .flit import Flit
 
@@ -23,7 +29,7 @@ class InputVC:
     __slots__ = ("queue", "output_port", "output_vc", "depth", "high_water")
 
     def __init__(self, depth: int) -> None:
-        self.queue: Deque[Flit] = deque()
+        self.queue: List[Flit] = []
         self.depth = depth
         # Route/allocation state for the packet currently at the front.
         self.output_port = -1
@@ -78,7 +84,7 @@ class InputVC:
 
     def pop_front(self) -> Tuple[Flit, bool]:
         """Remove the front flit; returns (flit, packet_finished)."""
-        flit = self.queue.popleft()
+        flit = self.queue.pop(0)
         finished = flit.is_tail
         if finished:
             self.output_port = -1

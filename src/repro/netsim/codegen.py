@@ -36,7 +36,7 @@ wall-clock reads like any simulation-package file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .kernels import DEFAULT_KERNEL, KERNELS
 
@@ -310,7 +310,7 @@ class _Gen:
         e.line("_dq_ = _di_.output_port")
         e.line("_du_ = _di_.output_vc")
         e.line("_dqu_ = _di_.queue")
-        e.line("_fl_ = _dqu_.popleft()")
+        e.line("_fl_ = _dqu_.pop(0)")
         e.line("if _fl_.is_tail:")
         e.push()
         e.line("_di_.output_port = -1")
@@ -1620,6 +1620,26 @@ _SOURCES: Dict[Tuple[KernelSpec, bool], str] = {}
 _FACTORIES: Dict[Tuple[KernelSpec, bool], Callable] = {}
 
 
+def _resolve_malloc_trim() -> Optional[Callable[[int], int]]:
+    """glibc's ``malloc_trim``, or ``None`` where there is none.
+
+    Resolved once per process: a ``ctypes.CDLL`` made per call leaves
+    cyclic garbage behind each time.
+    """
+    try:
+        import ctypes
+
+        trim = ctypes.CDLL(None).malloc_trim
+    except (ImportError, OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_malloc_trim = _resolve_malloc_trim()
+
+
 def generate_source(spec: KernelSpec, profiled: bool = False) -> str:
     """Render the generated-kernel module source for ``spec``."""
     return _Gen(spec, profiled).render()
@@ -1648,6 +1668,12 @@ def kernel_factory(spec: KernelSpec, profiled: bool = False) -> Callable:
         exec(code, ns)
         fn = ns["make_step"]
         _FACTORIES[key] = fn
+        # Parsing and compiling the module peaks at a few MiB of C heap
+        # that pymalloc (which allocates its arenas with mmap) never
+        # reuses: hand it back to the OS rather than keep it for life
+        # (docs/PERFORMANCE.md, "A built network holds only its state").
+        if _malloc_trim is not None:
+            _malloc_trim(0)
     return fn
 
 

@@ -13,6 +13,7 @@ network or the allocator core (see docs/PERFORMANCE.md, "Start-up").
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -292,24 +293,41 @@ def validate_config(cfg: SimulationConfig) -> None:
     reject a bad sweep before its first point runs.
 
     Also rejects what no run can mean but the simulator would quietly
-    turn into a table of zeros: a negative phase length, a negative or
-    infinite offered load, a read fraction that is not a probability;
-    and a negative seed, which no traffic stream can be seeded with.
-    (A zero-length measurement window stays legal, see
+    turn into a table of zeros or a traceback mid-run: an integer field
+    holding anything :func:`operator.index` refuses (or a ``bool``), a
+    negative phase length, a buffer with no slot, a negative or
+    infinite offered load, a latency cap that is not positive (NaN
+    included; ``inf`` stays legal and means latency never flags
+    saturation), a read fraction that is not a probability; and a
+    negative seed, which no traffic stream can be seeded with.  (A
+    zero-length measurement window stays legal, see
     :func:`run_simulation`.)
     """
     desc = describe(cfg.topology)
     desc.mode(cfg.routing)
     resolve_pattern(cfg.traffic_pattern, desc.num_terminals, cfg.hotspot_terminals)
+    for name in ("vcs_per_class", "buffer_depth", "seed", "warmup_cycles",
+                 "measure_cycles", "drain_cycles", "watchdog_cycles"):
+        value = getattr(cfg, name)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     for name in ("seed", "warmup_cycles", "measure_cycles", "drain_cycles",
                  "injection_rate"):
         value = getattr(cfg, name)
         if not value >= 0:  # also catches NaN
             raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if cfg.buffer_depth < 1:
+        raise ValueError(f"buffer_depth must be >= 1, got {cfg.buffer_depth!r}")
     if not math.isfinite(cfg.injection_rate):
         raise ValueError(
             f"injection_rate must be finite, got {cfg.injection_rate!r}"
         )
+    if not cfg.latency_cap > 0:  # also catches NaN
+        raise ValueError(f"latency_cap must be > 0, got {cfg.latency_cap!r}")
     if not 0.0 <= cfg.read_fraction <= 1.0:
         raise ValueError(
             f"read_fraction must be in [0, 1], got {cfg.read_fraction!r}"

@@ -719,7 +719,7 @@ class Router:
         ivc = self._ivc_flat[pv]
         q, u = ivc.output_port, ivc.output_vc
         queue = ivc.queue
-        flit = queue.popleft()
+        flit = queue.pop(0)
         if flit.is_tail:
             # Tail: the packet releases its input VC and output VC.
             ivc.output_port = -1

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..eval.checkpoint import SweepCheckpoint, sweep_signature
 from ..eval.runner import PointFailure, SweepStats, config_key
-from ..netsim.config import SimulationConfig, SimulationResult
+from ..netsim.config import SimulationConfig, SimulationResult, validate_config
 from ..obs.metrics import emit_warning
 from ..obs.telemetry import JsonlReporter
 from .cache import ShardedResultCache
@@ -524,18 +524,28 @@ class SweepServer:
             parsed = [
                 (int(p["index"]), dict(p["config"])) for p in points
             ]
-            # Keys are recomputed from the configs we actually parsed:
-            # a client-supplied key could poison the shared cache.
-            keys = [
-                config_key(SimulationConfig.from_dict(cfg), self.cache.salt)
-                for _, cfg in parsed
-            ]
         except (KeyError, TypeError, ValueError) as exc:
             outq.put_nowait({
                 "type": "error",
                 "message": f"bad submit point: {exc}",
             })
             return None
+        # Keys are recomputed from the configs we actually parsed: a
+        # client-supplied key could poison the shared cache.  A config
+        # no run can mean is refused here, before any checkpoint, lease
+        # or cache write.
+        keys = []
+        for index, cfg_dict in parsed:
+            try:
+                cfg = SimulationConfig.from_dict(cfg_dict)
+                validate_config(cfg)
+                keys.append(config_key(cfg, self.cache.salt))
+            except (KeyError, TypeError, ValueError) as exc:
+                outq.put_nowait({
+                    "type": "error",
+                    "message": f"bad submit point {index}: {exc}",
+                })
+                return None
 
         signature = sweep_signature(keys)
         checkpoint = SweepCheckpoint(

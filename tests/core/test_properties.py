@@ -105,9 +105,28 @@ def _state(obj):
         return [_state(x) for x in obj]
     if isinstance(obj, dict):
         return {_state(k): _state(v) for k, v in obj.items()}
-    if hasattr(obj, "__dict__"):
-        return type(obj).__name__, _state(vars(obj))
+    # Arbiters are slotted: read every slot along the MRO as well as
+    # any instance dict, or two objects would compare by identity.
+    slots = [
+        name
+        for cls in type(obj).__mro__
+        for name in cls.__dict__.get("__slots__", ())
+        if hasattr(obj, name)
+    ]
+    if slots or hasattr(obj, "__dict__"):
+        attrs = dict(getattr(obj, "__dict__", {}))
+        attrs.update((name, getattr(obj, name)) for name in slots)
+        return type(obj).__name__, _state(attrs)
     return obj
+
+
+def test_state_sees_a_round_robin_pointer():
+    # Guard for the snapshot above: two allocators that differ in one
+    # slotted arbiter's pointer must not look the same.
+    a, b = SeparableInputFirstAllocator(3, 3), SeparableInputFirstAllocator(3, 3)
+    assert _state(a) == _state(b)
+    b._row_arbs[0].advance(0)
+    assert _state(a) != _state(b)
 
 
 @given(stream=request_matrix_streams(), factory=st.sampled_from(ALLOCATOR_FACTORIES))

@@ -9,6 +9,7 @@ from repro.netsim.simulator import (
     SimulationConfig,
     build_network,
     run_simulation,
+    validate_config,
 )
 from repro.netsim.topology import build_mesh
 from repro.netsim.traffic import permutation_dest, uniform_random_dest
@@ -23,6 +24,29 @@ class TestConfig:
         # read: 1 + 5; write: 5 + 1 -> always 6.
         for req in (PacketType.READ_REQUEST, PacketType.WRITE_REQUEST):
             assert req.size + req.reply_type.size == FLITS_PER_TRANSACTION
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(buffer_depth=0), "buffer_depth must be >= 1, got 0"),
+        (dict(buffer_depth=-1), "buffer_depth must be >= 1, got -1"),
+        (dict(buffer_depth=1.5), "buffer_depth must be an integer, got 1.5"),
+        (dict(buffer_depth=True), "buffer_depth must be an integer, got True"),
+        (dict(warmup_cycles=2.5), "warmup_cycles must be an integer, got 2.5"),
+        (dict(seed=False), "seed must be an integer, got False"),
+        (dict(vcs_per_class=2.0), "vcs_per_class must be an integer, got 2.0"),
+        (dict(latency_cap=float("nan")), "latency_cap must be > 0, got nan"),
+        (dict(latency_cap=0.0), "latency_cap must be > 0, got 0.0"),
+        (dict(latency_cap=-5), "latency_cap must be > 0, got -5"),
+    ])
+    def test_a_config_no_run_can_mean_is_one_value_error(self, bad, message):
+        with pytest.raises(ValueError) as err:
+            validate_config(SimulationConfig(**bad))
+        assert str(err.value) == message
+
+    def test_any_index_integer_and_an_infinite_cap_stay_legal(self):
+        validate_config(SimulationConfig(
+            buffer_depth=np.int64(4), seed=np.uint32(7),
+            latency_cap=float("inf"),
+        ))
 
 
 class TestTrafficHelpers:

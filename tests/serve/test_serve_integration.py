@@ -176,6 +176,35 @@ class TestRemoteScheduler:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("bad,field", [
+        (dict(buffer_depth=0), "buffer_depth"),
+        (dict(injection_rate=-0.1), "injection_rate"),
+        (dict(warmup_cycles=2.5), "warmup_cycles"),
+    ])
+    def test_a_point_no_run_can_mean_is_refused_before_any_write(
+        self, harness, bad, field
+    ):
+        harness.start_worker()
+        good, worse = _configs(2)
+        host, port = parse_address(harness.address)
+        sock = MessageSocket.connect(host, port, timeout=10.0)
+        try:
+            sock.send(hello_message("client"))
+            sock.recv()
+            sock.send({"type": "submit", "points": [
+                {"index": 0, "config": good.to_dict()},
+                {"index": 1, "config": dict(worse.to_dict(), **bad)},
+            ]})
+            reply = sock.recv()
+        finally:
+            sock.close()
+        assert reply["type"] == "error", reply
+        assert reply["message"].startswith("bad submit point 1: " + field)
+        events = [row["event"] for row in harness.events()]
+        assert "sweep_submitted" not in events and "lease" not in events
+        assert not list(harness.state_dir.glob("checkpoints/*"))
+        assert not list(harness.state_dir.glob("cache/**/*.json*"))
+
     def test_resume_serves_journaled_points_without_workers(self, tmp_path):
         # A server crash loses in-memory state but not the per-sweep
         # checkpoint journal.  A restarted server must serve journaled
