@@ -1,26 +1,24 @@
-"""Shared infrastructure for the figure-regeneration benchmarks.
+"""Shared infrastructure for the figure-regeneration tests.
 
-Each benchmark module regenerates one table/figure from the paper,
-asserts its qualitative shape (who wins, by roughly what factor, where
-crossovers fall), saves the rendered table under ``benchmarks/results/``
-and reports wall time through pytest-benchmark.
+Each module regenerates one table/figure from the paper, asserts its
+qualitative shape (who wins, by roughly what factor, where crossovers
+fall) and saves the rendered table under ``benchmarks/results/``.  The
+committed tables are the default-fidelity output, so a run that
+changes one shows up in ``git diff benchmarks/results``.
 
-Fidelity knobs (environment variables):
+Environment:
 
-* ``REPRO_SAMPLES``  -- request matrices per matching-quality point
-  (paper: 10000; default here: 500).
-* ``REPRO_SIM_CYCLES`` -- measurement cycles per network-simulation
-  point (default 1200; the paper's simulator runs far longer).
-* ``REPRO_FULL=1``   -- paper fidelity for both knobs.
-* ``REPRO_JOBS``     -- worker processes for the network sweeps
-  (default 1; results are bit-identical at any job count).
+* ``REPRO_FULL=1`` -- paper fidelity: 10000 request matrices per
+  matching-quality point and 10000 measured cycles per network point
+  (default: 500 and 1200).
+* ``REPRO_JOBS`` -- worker processes for the network sweeps (default 1;
+  results are bit-identical at any job count).
 
 Simulation sweeps are memoized in ``benchmarks/.sweep_cache.json``
-(keyed by the full config + simulator revision, so fidelity-knob or
-simulator changes re-simulate automatically); synthesis results in
-``benchmarks/.cost_cache.json``, salted with a digest of the whole
-``repro`` package, so any source edit re-synthesizes -- neither file
-ever needs deleting by hand, and the cost cache is not committed.
+(keyed by the full config + simulator revision) and synthesis results
+in ``benchmarks/.cost_cache.json`` (salted with a digest of the whole
+``repro`` package).  Neither is committed, and neither ever needs
+deleting by hand: a changed config or source re-computes on its own.
 """
 
 import os
@@ -34,13 +32,20 @@ from repro.eval.runner import ResultCache
 RESULTS_DIR = Path(__file__).parent / "results"
 
 FULL = os.environ.get("REPRO_FULL", "") == "1"
-NUM_SAMPLES = int(os.environ.get("REPRO_SAMPLES", "10000" if FULL else "500"))
-SIM_MEASURE_CYCLES = int(
-    os.environ.get("REPRO_SIM_CYCLES", "10000" if FULL else "1200")
+NUM_SAMPLES = 10000 if FULL else 500
+_MEASURE = 10000 if FULL else 1200
+#: The warmup / measure / drain windows of every network point.
+SIM_WINDOWS = dict(
+    warmup_cycles=max(300, _MEASURE // 3),
+    measure_cycles=_MEASURE,
+    drain_cycles=_MEASURE,
 )
-SIM_WARMUP_CYCLES = max(300, SIM_MEASURE_CYCLES // 3)
-SIM_DRAIN_CYCLES = SIM_MEASURE_CYCLES
 SIM_JOBS = int(os.environ.get("REPRO_JOBS", "1"))
+
+
+def panel_tag(point) -> str:
+    """A design point's label as a file-name fragment."""
+    return point.label.replace(" ", "_").replace("(", "").replace(")", "")
 
 
 def save_result(name: str, text: str) -> None:
@@ -52,7 +57,7 @@ def save_result(name: str, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def cost_cache():
-    """Repo-local synthesis cache shared by the cost benchmarks."""
+    """Repo-local synthesis cache shared by the cost tests."""
     return CostCache(str(Path(__file__).parent / ".cost_cache.json"))
 
 
@@ -60,8 +65,3 @@ def cost_cache():
 def sweep_cache():
     """Repo-local simulation-result cache shared by the network sweeps."""
     return ResultCache(Path(__file__).parent / ".sweep_cache.json")
-
-
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -16,7 +16,7 @@ passing (DESIGN.md section 6).
 import numpy as np
 import pytest
 
-from conftest import run_once, save_result
+from conftest import save_result
 from repro.core import (
     IterativeSLIPAllocator,
     MatrixArbiter,
@@ -33,26 +33,23 @@ from repro.hw.area import total_area
 from repro.hw.sizing import recover_timing
 
 
-def test_ablation_islip_iterations(benchmark):
+def test_ablation_islip_iterations():
     """One extra iteration recovers most of the wavefront's matching
     advantage -- but would double allocation delay, which is the
     paper's argument for single-pass allocators."""
 
-    def collect():
-        rng = np.random.default_rng(3)
-        n = 10
-        wf = WavefrontAllocator(n, n)
-        slips = {k: IterativeSLIPAllocator(n, n, iterations=k) for k in (1, 2, 3, 4)}
-        totals = {k: 0 for k in slips}
-        totals["wf"] = 0
-        for _ in range(2000):
-            req = rng.random((n, n)) < 0.5
-            totals["wf"] += matching_size(wf.allocate(req))
-            for k, alloc in slips.items():
-                totals[k] += matching_size(alloc.allocate(req))
-        return {k: v / totals["wf"] for k, v in totals.items() if k != "wf"}
-
-    ratios = run_once(benchmark, collect)
+    rng = np.random.default_rng(3)
+    n = 10
+    wf = WavefrontAllocator(n, n)
+    slips = {k: IterativeSLIPAllocator(n, n, iterations=k) for k in (1, 2, 3, 4)}
+    totals = {k: 0 for k in slips}
+    totals["wf"] = 0
+    for _ in range(2000):
+        req = rng.random((n, n)) < 0.5
+        totals["wf"] += matching_size(wf.allocate(req))
+        for k, alloc in slips.items():
+            totals[k] += matching_size(alloc.allocate(req))
+    ratios = {k: v / totals["wf"] for k, v in totals.items() if k != "wf"}
     save_result(
         "ablation_islip",
         format_table(
@@ -67,23 +64,19 @@ def test_ablation_islip_iterations(benchmark):
     assert ratios[3] > 0.99
 
 
-def test_ablation_wavefront_rotation_fairness(benchmark):
+def test_ablation_wavefront_rotation_fairness():
     """With a fixed priority diagonal, cells on the favored diagonal win
     every cycle and others starve; rotation equalizes grant shares."""
 
-    def collect():
-        n = 4
-        req = np.ones((n, n), dtype=bool)
-        shares = {}
-        for rotate in (True, False):
-            wf = WavefrontAllocator(n, n, rotate_priority=rotate)
-            wins = np.zeros((n, n))
-            for _ in range(400):
-                wins += wf.allocate(req)
-            shares[rotate] = wins.max() / wins.sum()
-        return shares
-
-    shares = run_once(benchmark, collect)
+    n = 4
+    req = np.ones((n, n), dtype=bool)
+    shares = {}
+    for rotate in (True, False):
+        wf = WavefrontAllocator(n, n, rotate_priority=rotate)
+        wins = np.zeros((n, n))
+        for _ in range(400):
+            wins += wf.allocate(req)
+        shares[rotate] = wins.max() / wins.sum()
     save_result(
         "ablation_wf_rotation",
         f"max cell grant share, full load 4x4: rotating={shares[True]:.3f}, "
@@ -95,20 +88,14 @@ def test_ablation_wavefront_rotation_fairness(benchmark):
     assert shares[True] < 0.10
 
 
-def test_ablation_gate_sizing(benchmark):
+def test_ablation_gate_sizing():
     """Timing recovery trades area for delay, reproducing the mechanism
     behind the paper's 'faster -- and therefore, larger -- gates'."""
 
-    def collect():
-        nl = build_switch_allocator_netlist(10, 4, "sep_if", "rr", "nonspec")
-        before_delay = analyze_timing(nl).delay_ps
-        before_area = total_area(nl)
-        recover_timing(nl, max_iterations=10)
-        after_delay = analyze_timing(nl).delay_ps
-        after_area = total_area(nl)
-        return before_delay, before_area, after_delay, after_area
-
-    bd, ba, ad, aa = run_once(benchmark, collect)
+    nl = build_switch_allocator_netlist(10, 4, "sep_if", "rr", "nonspec")
+    bd, ba = analyze_timing(nl).delay_ps, total_area(nl)
+    recover_timing(nl, max_iterations=10)
+    ad, aa = analyze_timing(nl).delay_ps, total_area(nl)
     save_result(
         "ablation_sizing",
         f"switch allocator P=10 V=4 sep_if/rr: unsized {bd/1000:.2f} ns / "
@@ -118,28 +105,24 @@ def test_ablation_gate_sizing(benchmark):
     assert aa >= ba
 
 
-def test_ablation_arbiter_fairness(benchmark):
+def test_ablation_arbiter_fairness():
     """Matrix (LRS) arbitration equalizes service exactly under full
     load; round-robin is also fair there, but under *asymmetric* load
     the matrix arbiter tracks least-recently-served more closely."""
 
-    def collect():
-        rng = np.random.default_rng(11)
-        n = 4
-        # Input 0 requests every cycle; inputs 1..3 request half the time.
-        out = {}
-        for name, arb in (("rr", RoundRobinArbiter(n)), ("m", MatrixArbiter(n))):
-            wins = [0] * n
-            for _ in range(4000):
-                reqs = [True] + (rng.random(3) < 0.5).tolist()
-                w = arb.arbitrate(reqs)
-                if w is not None:
-                    wins[w] += 1
-            total = sum(wins)
-            out[name] = [w / total for w in wins]
-        return out
-
-    shares = run_once(benchmark, collect)
+    rng = np.random.default_rng(11)
+    n = 4
+    # Input 0 requests every cycle; inputs 1..3 request half the time.
+    shares = {}
+    for name, arb in (("rr", RoundRobinArbiter(n)), ("m", MatrixArbiter(n))):
+        wins = [0] * n
+        for _ in range(4000):
+            reqs = [True] + (rng.random(3) < 0.5).tolist()
+            w = arb.arbitrate(reqs)
+            if w is not None:
+                wins[w] += 1
+        total = sum(wins)
+        shares[name] = [w / total for w in wins]
     save_result(
         "ablation_arbiter_fairness",
         format_table(
@@ -155,7 +138,7 @@ def test_ablation_arbiter_fairness(benchmark):
         assert min(shares[policy]) > 0.1
 
 
-def test_ablation_wavefront_implementations(benchmark):
+def test_ablation_wavefront_implementations():
     """Section 2.2's implementation note: the rotation-based loop-free
     wavefront (Hurt et al. [9]) is far smaller than the replicated-array
     version but slower at the paper's design sizes -- which is why the
@@ -165,32 +148,28 @@ def test_ablation_wavefront_implementations(benchmark):
         build_wavefront_matrix_rotated,
     )
 
-    def collect():
-        rows = []
-        for n in (10, 20, 40):
-            stats = {}
-            for name, builder in (
-                ("replicated", build_wavefront_matrix),
-                ("rotated", build_wavefront_matrix_rotated),
-            ):
-                nl = Netlist()
-                req = [nl.inputs(n) for _ in range(n)]
-                for row in builder(nl, req):
-                    for x in row:
-                        nl.mark_output(x)
-                stats[name] = (analyze_timing(nl).delay_ps / 1000, total_area(nl))
-            rows.append(
-                [
-                    n,
-                    f"{stats['replicated'][0]:.2f}",
-                    f"{stats['replicated'][1]:,.0f}",
-                    f"{stats['rotated'][0]:.2f}",
-                    f"{stats['rotated'][1]:,.0f}",
-                ]
-            )
-        return rows
-
-    rows = run_once(benchmark, collect)
+    rows = []
+    for n in (10, 20, 40):
+        stats = {}
+        for name, builder in (
+            ("replicated", build_wavefront_matrix),
+            ("rotated", build_wavefront_matrix_rotated),
+        ):
+            nl = Netlist()
+            req = [nl.inputs(n) for _ in range(n)]
+            for row in builder(nl, req):
+                for x in row:
+                    nl.mark_output(x)
+            stats[name] = (analyze_timing(nl).delay_ps / 1000, total_area(nl))
+        rows.append(
+            [
+                n,
+                f"{stats['replicated'][0]:.2f}",
+                f"{stats['replicated'][1]:,.0f}",
+                f"{stats['rotated'][0]:.2f}",
+                f"{stats['rotated'][1]:,.0f}",
+            ]
+        )
     save_result(
         "ablation_wavefront_impl",
         format_table(
@@ -206,30 +185,26 @@ def test_ablation_wavefront_implementations(benchmark):
         assert float(row[4].replace(",", "")) < 0.5 * float(row[2].replace(",", ""))
 
 
-def test_ablation_buffer_depth(benchmark):
+def test_ablation_buffer_depth():
     """Sensitivity to the fixed 8-flit-per-VC buffers of Section 3.2:
     deeper buffers raise saturation throughput with diminishing
     returns (the credit round-trip must be covered)."""
     from repro.eval.netperf import latency_sweep
     from repro.netsim.simulator import SimulationConfig
 
-    def collect():
-        rates = (0.1, 0.2, 0.3, 0.38, 0.45)
-        sats = {}
-        for depth in (2, 4, 8, 16):
-            base = SimulationConfig(
-                topology="mesh",
-                vcs_per_class=1,
-                buffer_depth=depth,
-                warmup_cycles=400,
-                measure_cycles=1200,
-                drain_cycles=1200,
-            )
-            curve = latency_sweep(base, rates, stop_after_saturation=False)
-            sats[depth] = curve.saturation_rate()
-        return sats
-
-    sats = run_once(benchmark, collect)
+    rates = (0.1, 0.2, 0.3, 0.38, 0.45)
+    sats = {}
+    for depth in (2, 4, 8, 16):
+        base = SimulationConfig(
+            topology="mesh",
+            vcs_per_class=1,
+            buffer_depth=depth,
+            warmup_cycles=400,
+            measure_cycles=1200,
+            drain_cycles=1200,
+        )
+        curve = latency_sweep(base, rates, stop_after_saturation=False)
+        sats[depth] = curve.saturation_rate()
     save_result(
         "ablation_buffer_depth",
         format_table(

@@ -11,14 +11,7 @@ Absolute percentages depend on the cell library; the assertions accept
 a band around the paper's numbers (see EXPERIMENTS.md).
 """
 
-from conftest import (
-    SIM_DRAIN_CYCLES,
-    SIM_MEASURE_CYCLES,
-    SIM_WARMUP_CYCLES,
-    run_once,
-    save_result,
-    cost_cache,  # noqa: F401
-)
+from conftest import SIM_WINDOWS, save_result
 from repro.eval.cost import sparse_savings, vc_allocator_costs
 from repro.eval.design_points import ALL_POINTS
 from repro.eval.netperf import latency_sweep
@@ -26,22 +19,18 @@ from repro.eval.tables import format_table
 from repro.netsim.simulator import SimulationConfig
 
 
-def test_claim_sparse_vc_allocation_savings(benchmark, cost_cache):
-    def collect():
-        best = {"delay": 0.0, "area": 0.0, "power": 0.0}
-        rows = []
-        for point in ALL_POINTS:
-            results = vc_allocator_costs(point, cache=cost_cache)
-            for curve, s in sparse_savings(results).items():
-                rows.append(
-                    [point.label, curve, f"{s['delay']:.1%}",
-                     f"{s['area']:.1%}", f"{s['power']:.1%}"]
-                )
-                for k in best:
-                    best[k] = max(best[k], s[k])
-        return best, rows
-
-    best, rows = run_once(benchmark, collect)
+def test_claim_sparse_vc_allocation_savings(cost_cache):
+    best = {"delay": 0.0, "area": 0.0, "power": 0.0}
+    rows = []
+    for point in ALL_POINTS:
+        results = vc_allocator_costs(point, cache=cost_cache)
+        for curve, s in sparse_savings(results).items():
+            rows.append(
+                [point.label, curve, f"{s['delay']:.1%}",
+                 f"{s['area']:.1%}", f"{s['power']:.1%}"]
+            )
+            for k in best:
+                best[k] = max(best[k], s[k])
     save_result(
         "claims_sparse_vc",
         format_table(
@@ -58,28 +47,22 @@ def test_claim_sparse_vc_allocation_savings(benchmark, cost_cache):
     assert 0.50 < best["power"] < 0.95
 
 
-def test_claim_vc_allocator_choice_does_not_matter_at_network_level(benchmark):
+def test_claim_vc_allocator_choice_does_not_matter_at_network_level():
     """Section 4.3.3: zero-load latency and saturation bandwidth are
     virtually unchanged across VC allocator architectures."""
     rates = (0.05, 0.2, 0.35, 0.45, 0.55)
 
-    def collect():
-        curves = {}
-        for arch in ("sep_if", "sep_of", "wf"):
-            base = SimulationConfig(
-                topology="fbfly",
-                vcs_per_class=2,
-                vc_alloc_arch=arch,
-                sw_alloc_arch="sep_if",
-                speculation="pessimistic",
-                warmup_cycles=SIM_WARMUP_CYCLES,
-                measure_cycles=SIM_MEASURE_CYCLES,
-                drain_cycles=SIM_DRAIN_CYCLES,
-            )
-            curves[arch] = latency_sweep(base, rates, stop_after_saturation=False)
-        return curves
-
-    curves = run_once(benchmark, collect)
+    curves = {}
+    for arch in ("sep_if", "sep_of", "wf"):
+        base = SimulationConfig(
+            topology="fbfly",
+            vcs_per_class=2,
+            vc_alloc_arch=arch,
+            sw_alloc_arch="sep_if",
+            speculation="pessimistic",
+            **SIM_WINDOWS,
+        )
+        curves[arch] = latency_sweep(base, rates, stop_after_saturation=False)
     zs = {a: c.zero_load for a, c in curves.items()}
     sats = {a: c.saturation_rate() for a, c in curves.items()}
     save_result(

@@ -13,14 +13,7 @@
 
 import pytest
 
-from conftest import (
-    SIM_DRAIN_CYCLES,
-    SIM_MEASURE_CYCLES,
-    SIM_WARMUP_CYCLES,
-    run_once,
-    save_result,
-    cost_cache,  # noqa: F401
-)
+from conftest import SIM_WINDOWS, save_result
 from repro.core import VCPartition
 from repro.eval.tables import format_table
 from repro.hw import SynthesisCapacityError, synthesize_vc_allocator
@@ -28,24 +21,20 @@ from repro.netsim.routing.torus import TorusDatelineRouting
 from repro.netsim.simulator import SimulationConfig, run_simulation
 
 
-def test_extension_rotated_wavefront_rescues_failed_points(benchmark):
-    def collect():
-        rows = []
-        for C in (2, 4):
-            part = VCPartition.fbfly(C)
-            with pytest.raises(SynthesisCapacityError):
-                synthesize_vc_allocator(10, part, "wf", "rr", True)
-            rot = synthesize_vc_allocator(
-                10, part, "wf", "rr", True, wavefront_impl="rotated"
-            )
-            sep = synthesize_vc_allocator(10, part, "sep_if", "rr", True)
-            rows.append(
-                [f"fbfly 2x2x{C}", f"{rot.delay_ns:.2f}", f"{rot.area_um2:,.0f}",
-                 f"{sep.delay_ns:.2f}", f"{sep.area_um2:,.0f}"]
-            )
-        return rows
-
-    rows = run_once(benchmark, collect)
+def test_extension_rotated_wavefront_rescues_failed_points():
+    rows = []
+    for C in (2, 4):
+        part = VCPartition.fbfly(C)
+        with pytest.raises(SynthesisCapacityError):
+            synthesize_vc_allocator(10, part, "wf", "rr", True)
+        rot = synthesize_vc_allocator(
+            10, part, "wf", "rr", True, wavefront_impl="rotated"
+        )
+        sep = synthesize_vc_allocator(10, part, "sep_if", "rr", True)
+        rows.append(
+            [f"fbfly 2x2x{C}", f"{rot.delay_ns:.2f}", f"{rot.area_um2:,.0f}",
+             f"{sep.delay_ns:.2f}", f"{sep.area_um2:,.0f}"]
+        )
     save_result(
         "extension_rotated_wf",
         format_table(
@@ -63,23 +52,17 @@ def test_extension_rotated_wavefront_rescues_failed_points(benchmark):
         assert float(row[1]) > 2.0 * float(row[3])
 
 
-def test_extension_lookahead_routing(benchmark):
-    def collect():
-        out = {}
-        for lookahead in (True, False):
-            cfg = SimulationConfig(
-                topology="mesh",
-                vcs_per_class=1,
-                injection_rate=0.05,
-                lookahead=lookahead,
-                warmup_cycles=SIM_WARMUP_CYCLES,
-                measure_cycles=SIM_MEASURE_CYCLES,
-                drain_cycles=SIM_DRAIN_CYCLES,
-            )
-            out[lookahead] = run_simulation(cfg).avg_latency
-        return out
-
-    lat = run_once(benchmark, collect)
+def test_extension_lookahead_routing():
+    lat = {}
+    for lookahead in (True, False):
+        cfg = SimulationConfig(
+            topology="mesh",
+            vcs_per_class=1,
+            injection_rate=0.05,
+            lookahead=lookahead,
+            **SIM_WINDOWS,
+        )
+        lat[lookahead] = run_simulation(cfg).avg_latency
     saving = 1 - lat[True] / lat[False]
     save_result(
         "extension_lookahead",
@@ -90,23 +73,17 @@ def test_extension_lookahead_routing(benchmark):
     assert 0.10 < saving < 0.35
 
 
-def test_extension_torus_dateline(benchmark):
-    def collect():
-        part = TorusDatelineRouting.partition(2)
-        sparse = synthesize_vc_allocator(5, part, "sep_if", "rr", True)
-        dense = synthesize_vc_allocator(5, part, "sep_if", "rr", False)
-        cfg = SimulationConfig(
-            topology="torus",
-            vcs_per_class=1,
-            injection_rate=0.2,
-            warmup_cycles=SIM_WARMUP_CYCLES,
-            measure_cycles=SIM_MEASURE_CYCLES,
-            drain_cycles=SIM_DRAIN_CYCLES,
-        )
-        res = run_simulation(cfg)
-        return part, sparse, dense, res
-
-    part, sparse, dense, res = run_once(benchmark, collect)
+def test_extension_torus_dateline():
+    part = TorusDatelineRouting.partition(2)
+    sparse = synthesize_vc_allocator(5, part, "sep_if", "rr", True)
+    dense = synthesize_vc_allocator(5, part, "sep_if", "rr", False)
+    cfg = SimulationConfig(
+        topology="torus",
+        vcs_per_class=1,
+        injection_rate=0.2,
+        **SIM_WINDOWS,
+    )
+    res = run_simulation(cfg)
     save_result(
         "extension_torus",
         f"torus dateline partition {part.describe()}: "

@@ -8,7 +8,7 @@ quadrants.
 
 import numpy as np
 
-from conftest import run_once, save_result
+from conftest import save_result
 from repro.core import VCPartition
 from repro.eval.tables import format_table
 
@@ -29,11 +29,9 @@ def _render(part):
     return header + f"\nlegal transitions: {part.num_legal_transitions()} / {V * V}"
 
 
-def test_fig04_transition_matrix(benchmark):
+def test_fig04_transition_matrix():
     part = VCPartition.fbfly(4)
-
-    text = run_once(benchmark, lambda: _render(part))
-    save_result("fig04_transitions", text)
+    save_result("fig04_transitions", _render(part))
 
     mat = np.asarray(part.transition_matrix())
     # Headline numbers from Section 4.2.

@@ -14,20 +14,17 @@ checks the qualitative results of Section 4.3.1:
 
 import pytest
 
-from conftest import run_once, save_result, cost_cache  # noqa: F401
+from conftest import panel_tag, save_result
 from repro.eval.cost import sparse_savings, vc_allocator_costs
 from repro.eval.design_points import ALL_POINTS, FBFLY_POINTS, MESH_POINTS
 from repro.eval.tables import format_cost_results
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_fig05_06_vc_allocator_cost(benchmark, cost_cache, point):
-    results = run_once(
-        benchmark, lambda: vc_allocator_costs(point, cache=cost_cache)
-    )
-    tag = point.label.replace(" ", "_").replace("(", "").replace(")", "")
+def test_fig05_06_vc_allocator_cost(cost_cache, point):
+    results = vc_allocator_costs(point, cache=cost_cache)
     save_result(
-        f"fig05_06_vc_cost_{tag}",
+        f"fig05_06_vc_cost_{panel_tag(point)}",
         format_cost_results(results, title=f"Figures 5/6 panel: {point.label}"),
     )
 
@@ -67,46 +64,38 @@ def test_fig05_06_vc_allocator_cost(benchmark, cost_cache, point):
             assert m.power_mw > rr.power_mw
 
 
-def test_fig05_wavefront_cost_grows_fastest(benchmark, cost_cache):
+def test_fig05_wavefront_cost_grows_fastest(cost_cache):
     """The wf area ratio between C=2 and C=1 mesh points exceeds the
     separable ratio (Section 4.3.1 scaling observation)."""
 
-    def collect():
-        out = {}
-        for point in MESH_POINTS[:2]:
-            for r in vc_allocator_costs(
-                point,
-                variants=[("sep_if", "rr"), ("wf", "rr")],
-                cache=cost_cache,
-            ):
-                if not r.failed and r.variant == "sparse":
-                    out[(point.vcs_per_class, r.arch)] = r.area_um2
-        return out
-
-    areas = run_once(benchmark, collect)
+    areas = {}
+    for point in MESH_POINTS[:2]:
+        for r in vc_allocator_costs(
+            point,
+            variants=[("sep_if", "rr"), ("wf", "rr")],
+            cache=cost_cache,
+        ):
+            if not r.failed and r.variant == "sparse":
+                areas[(point.vcs_per_class, r.arch)] = r.area_um2
     wf_ratio = areas[(2, "wf")] / areas[(1, "wf")]
     sep_ratio = areas[(2, "sep_if")] / areas[(1, "sep_if")]
     assert wf_ratio > sep_ratio
 
 
-def test_fig05_wavefront_best_tradeoff_at_single_vc(benchmark, cost_cache):
+def test_fig05_wavefront_best_tradeoff_at_single_vc(cost_cache):
     """Paper: for C=1, sparse wf is among the best area-delay tradeoffs;
     as C grows, wf delay exceeds the separable implementations'."""
 
-    def collect():
-        one = {
-            r.curve: r
-            for r in vc_allocator_costs(MESH_POINTS[0], cache=cost_cache)
-            if not r.failed and r.variant == "sparse"
-        }
-        four = {
-            r.curve: r
-            for r in vc_allocator_costs(MESH_POINTS[2], cache=cost_cache)
-            if not r.failed and r.variant == "sparse"
-        }
-        return one, four
-
-    one, four = run_once(benchmark, collect)
+    one = {
+        r.curve: r
+        for r in vc_allocator_costs(MESH_POINTS[0], cache=cost_cache)
+        if not r.failed and r.variant == "sparse"
+    }
+    four = {
+        r.curve: r
+        for r in vc_allocator_costs(MESH_POINTS[2], cache=cost_cache)
+        if not r.failed and r.variant == "sparse"
+    }
     # At C=1 the wavefront is delay-competitive with the rr separable
     # variants (within ~30%; removing the separable allocators' dead
     # update-enable trees unloaded their grant nets and pushed the

@@ -9,7 +9,7 @@ paper's reported 10-25% range on the largest configurations.
 
 import pytest
 
-from conftest import NUM_SAMPLES, run_once, save_result
+from conftest import NUM_SAMPLES, panel_tag, save_result
 from repro.eval.design_points import ALL_POINTS
 from repro.eval.matching import vc_matching_quality
 from repro.eval.tables import format_curves
@@ -18,14 +18,10 @@ RATES = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_fig07_vc_matching_quality(benchmark, point):
-    curves = run_once(
-        benchmark,
-        lambda: vc_matching_quality(point, rates=RATES, num_samples=NUM_SAMPLES),
-    )
-    tag = point.label.replace(" ", "_").replace("(", "").replace(")", "")
+def test_fig07_vc_matching_quality(point):
+    curves = vc_matching_quality(point, rates=RATES, num_samples=NUM_SAMPLES)
     save_result(
-        f"fig07_vc_quality_{tag}",
+        f"fig07_vc_quality_{panel_tag(point)}",
         format_curves(
             "req/VC/cycle",
             list(RATES),
@@ -57,17 +53,13 @@ def test_fig07_vc_matching_quality(benchmark, point):
         assert 1.05 < wf.at(1.0) / sep_of.at(1.0) < 1.50
 
 
-def test_fig07_degradation_grows_with_vcs_per_class(benchmark):
-    def collect():
-        out = {}
-        for point in ALL_POINTS:
-            if point.topology != "mesh":
-                continue
-            curves = vc_matching_quality(
-                point, archs=("sep_if",), rates=(1.0,), num_samples=NUM_SAMPLES
-            )
-            out[point.vcs_per_class] = curves["sep_if"].at(1.0)
-        return out
-
-    q = run_once(benchmark, collect)
+def test_fig07_degradation_grows_with_vcs_per_class():
+    q = {}
+    for point in ALL_POINTS:
+        if point.topology != "mesh":
+            continue
+        curves = vc_matching_quality(
+            point, archs=("sep_if",), rates=(1.0,), num_samples=NUM_SAMPLES
+        )
+        q[point.vcs_per_class] = curves["sep_if"].at(1.0)
     assert q[1] > q[2] > q[4]

@@ -10,20 +10,17 @@ delay; speculation roughly doubles allocator area.
 
 import pytest
 
-from conftest import run_once, save_result, cost_cache  # noqa: F401
+from conftest import panel_tag, save_result
 from repro.eval.cost import speculation_delay_savings, switch_allocator_costs
 from repro.eval.design_points import ALL_POINTS
 from repro.eval.tables import format_cost_results
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_fig10_11_switch_allocator_cost(benchmark, cost_cache, point):
-    results = run_once(
-        benchmark, lambda: switch_allocator_costs(point, cache=cost_cache)
-    )
-    tag = point.label.replace(" ", "_").replace("(", "").replace(")", "")
+def test_fig10_11_switch_allocator_cost(cost_cache, point):
+    results = switch_allocator_costs(point, cache=cost_cache)
     save_result(
-        f"fig10_11_sw_cost_{tag}",
+        f"fig10_11_sw_cost_{panel_tag(point)}",
         format_cost_results(results, title=f"Figures 10/11 panel: {point.label}"),
     )
 
@@ -68,19 +65,15 @@ def test_fig10_11_switch_allocator_cost(benchmark, cost_cache, point):
         assert 1.5 < ratio < 3.0, curve
 
 
-def test_fig10_pessimistic_savings_peak(benchmark, cost_cache):
+def test_fig10_pessimistic_savings_peak(cost_cache):
     """The largest pessimistic-vs-conventional delay saving across all
     points lands in the paper's reported neighborhood (up to 23%)."""
 
-    def collect():
-        best = 0.0
-        for point in ALL_POINTS:
-            results = switch_allocator_costs(point, cache=cost_cache)
-            for s in speculation_delay_savings(results).values():
-                best = max(best, s)
-        return best
-
-    best = run_once(benchmark, collect)
+    best = 0.0
+    for point in ALL_POINTS:
+        results = switch_allocator_costs(point, cache=cost_cache)
+        for s in speculation_delay_savings(results).values():
+            best = max(best, s)
     save_result(
         "fig10_peak_speculation_saving",
         f"peak pessimistic-vs-conventional delay saving: {best:.1%} "

@@ -9,7 +9,7 @@ request per input port.
 
 import pytest
 
-from conftest import NUM_SAMPLES, run_once, save_result
+from conftest import NUM_SAMPLES, panel_tag, save_result
 from repro.eval.design_points import ALL_POINTS
 from repro.eval.matching import switch_matching_quality
 from repro.eval.tables import format_curves
@@ -18,14 +18,10 @@ RATES = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_fig12_switch_matching_quality(benchmark, point):
-    curves = run_once(
-        benchmark,
-        lambda: switch_matching_quality(point, rates=RATES, num_samples=NUM_SAMPLES),
-    )
-    tag = point.label.replace(" ", "_").replace("(", "").replace(")", "")
+def test_fig12_switch_matching_quality(point):
+    curves = switch_matching_quality(point, rates=RATES, num_samples=NUM_SAMPLES)
     save_result(
-        f"fig12_sw_quality_{tag}",
+        f"fig12_sw_quality_{panel_tag(point)}",
         format_curves(
             "req/VC/cycle",
             list(RATES),
@@ -60,22 +56,18 @@ def test_fig12_switch_matching_quality(benchmark, point):
         assert sep_if.at(1.0) < sep_of.at(1.0)
 
 
-def test_fig12_quality_gap_grows_with_radix(benchmark):
+def test_fig12_quality_gap_grows_with_radix():
     """The wf-over-sep_if advantage is larger on the higher-radix
     flattened butterfly than on the mesh (same V per class)."""
 
-    def collect():
-        gaps = {}
-        for point in ALL_POINTS:
-            if point.vcs_per_class != 4:
-                continue
-            curves = switch_matching_quality(
-                point, rates=(1.0,), num_samples=NUM_SAMPLES
-            )
-            gaps[point.topology] = (
-                curves["wf"].at(1.0) - curves["sep_if"].at(1.0)
-            )
-        return gaps
-
-    gaps = run_once(benchmark, collect)
+    gaps = {}
+    for point in ALL_POINTS:
+        if point.vcs_per_class != 4:
+            continue
+        curves = switch_matching_quality(
+            point, rates=(1.0,), num_samples=NUM_SAMPLES
+        )
+        gaps[point.topology] = (
+            curves["wf"].at(1.0) - curves["sep_if"].at(1.0)
+        )
     assert gaps["fbfly"] > gaps["mesh"] - 0.02

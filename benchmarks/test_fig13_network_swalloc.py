@@ -14,14 +14,7 @@ allocator and pessimistic speculation as in Section 5.3.3, and asserts:
 
 import pytest
 
-from conftest import (
-    SIM_DRAIN_CYCLES,
-    SIM_JOBS,
-    SIM_MEASURE_CYCLES,
-    SIM_WARMUP_CYCLES,
-    run_once,
-    save_result,
-)
+from conftest import SIM_JOBS, SIM_WINDOWS, panel_tag, save_result
 from repro.eval.design_points import ALL_POINTS
 from repro.eval.netperf import latency_sweep
 from repro.eval.tables import format_curves
@@ -47,29 +40,23 @@ def _base(point, arch):
         sw_alloc_arch=arch,
         vc_alloc_arch="sep_if",
         speculation="pessimistic",
-        warmup_cycles=SIM_WARMUP_CYCLES,
-        measure_cycles=SIM_MEASURE_CYCLES,
-        drain_cycles=SIM_DRAIN_CYCLES,
+        **SIM_WINDOWS,
     )
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_fig13_switch_allocator_network_performance(benchmark, point, sweep_cache):
+def test_fig13_switch_allocator_network_performance(point, sweep_cache):
     rates = RATE_GRID[(point.topology, point.vcs_per_class)]
 
-    def sweep_all():
-        return {
-            arch: latency_sweep(
-                _base(point, arch), rates, label=arch, stop_after_saturation=False,
-                jobs=SIM_JOBS, cache=sweep_cache,
-            )
-            for arch in ARCHS
-        }
-
-    curves = run_once(benchmark, sweep_all)
-    tag = point.label.replace(" ", "_").replace("(", "").replace(")", "")
+    curves = {
+        arch: latency_sweep(
+            _base(point, arch), rates, label=arch, stop_after_saturation=False,
+            jobs=SIM_JOBS, cache=sweep_cache,
+        )
+        for arch in ARCHS
+    }
     save_result(
-        f"fig13_network_{tag}",
+        f"fig13_network_{panel_tag(point)}",
         format_curves(
             "inj rate",
             list(rates),
@@ -97,27 +84,23 @@ def test_fig13_switch_allocator_network_performance(benchmark, point, sweep_cach
         assert sat["wf"] > 1.10 * sat["sep_if"]
 
 
-def test_fig13_wf_advantage_grows_with_vcs_on_fbfly(benchmark, sweep_cache):
+def test_fig13_wf_advantage_grows_with_vcs_on_fbfly(sweep_cache):
     """Section 5.3.3: the wavefront's saturation advantage on the
     flattened butterfly grows from C=1 to C=4."""
 
-    def collect():
-        adv = {}
-        for point in ALL_POINTS:
-            if point.topology != "fbfly" or point.vcs_per_class == 2:
-                continue
-            rates = RATE_GRID[(point.topology, point.vcs_per_class)]
-            sat = {}
-            for arch in ("sep_if", "wf"):
-                curve = latency_sweep(
-                    _base(point, arch), rates, stop_after_saturation=False,
-                    jobs=SIM_JOBS, cache=sweep_cache,
-                )
-                sat[arch] = curve.saturation_rate()
-            adv[point.vcs_per_class] = sat["wf"] / sat["sep_if"]
-        return adv
-
-    adv = run_once(benchmark, collect)
+    adv = {}
+    for point in ALL_POINTS:
+        if point.topology != "fbfly" or point.vcs_per_class == 2:
+            continue
+        rates = RATE_GRID[(point.topology, point.vcs_per_class)]
+        sat = {}
+        for arch in ("sep_if", "wf"):
+            curve = latency_sweep(
+                _base(point, arch), rates, stop_after_saturation=False,
+                jobs=SIM_JOBS, cache=sweep_cache,
+            )
+            sat[arch] = curve.saturation_rate()
+        adv[point.vcs_per_class] = sat["wf"] / sat["sep_if"]
     save_result(
         "fig13_wf_advantage",
         f"wf/sep_if saturation ratio on fbfly: C=1 -> {adv[1]:.3f}, "

@@ -15,14 +15,7 @@ allocator, and asserts the Section 5.3.3 findings:
 
 import pytest
 
-from conftest import (
-    SIM_DRAIN_CYCLES,
-    SIM_JOBS,
-    SIM_MEASURE_CYCLES,
-    SIM_WARMUP_CYCLES,
-    run_once,
-    save_result,
-)
+from conftest import SIM_JOBS, SIM_WINDOWS, panel_tag, save_result
 from repro.eval.design_points import ALL_POINTS
 from repro.eval.netperf import latency_sweep
 from repro.eval.tables import format_curves
@@ -48,30 +41,24 @@ def _base(point, scheme):
         sw_alloc_arch="sep_if",
         vc_alloc_arch="sep_if",
         speculation=scheme,
-        warmup_cycles=SIM_WARMUP_CYCLES,
-        measure_cycles=SIM_MEASURE_CYCLES,
-        drain_cycles=SIM_DRAIN_CYCLES,
+        **SIM_WINDOWS,
     )
 
 
 @pytest.mark.parametrize("point", ALL_POINTS, ids=lambda p: p.label)
-def test_fig14_speculation_network_performance(benchmark, point, sweep_cache):
+def test_fig14_speculation_network_performance(point, sweep_cache):
     rates = RATE_GRID[(point.topology, point.vcs_per_class)]
 
-    def sweep_all():
-        return {
-            label: latency_sweep(
-                _base(point, scheme), rates, label=label,
-                stop_after_saturation=False,
-                jobs=SIM_JOBS, cache=sweep_cache,
-            )
-            for label, scheme in SCHEMES.items()
-        }
-
-    curves = run_once(benchmark, sweep_all)
-    tag = point.label.replace(" ", "_").replace("(", "").replace(")", "")
+    curves = {
+        label: latency_sweep(
+            _base(point, scheme), rates, label=label,
+            stop_after_saturation=False,
+            jobs=SIM_JOBS, cache=sweep_cache,
+        )
+        for label, scheme in SCHEMES.items()
+    }
     save_result(
-        f"fig14_speculation_{tag}",
+        f"fig14_speculation_{panel_tag(point)}",
         format_curves(
             "inj rate",
             list(rates),
@@ -105,37 +92,33 @@ def test_fig14_speculation_network_performance(benchmark, point, sweep_cache):
     assert sat_req > 0.88 * sat_gnt
 
 
-def test_fig14_speculation_gain_largest_with_few_vcs(benchmark, sweep_cache):
+def test_fig14_speculation_gain_largest_with_few_vcs(sweep_cache):
     """Section 5.3.3: the saturation-rate gain from speculation is
     larger in networks with fewer VCs (14% for mesh 2x1x1 vs <5% for
     the VC-rich configurations)."""
 
-    def collect():
-        gains = {}
-        for C in (1, 4):
-            point = next(
-                p for p in ALL_POINTS if p.topology == "mesh" and p.vcs_per_class == C
+    gains = {}
+    for C in (1, 4):
+        point = next(
+            p for p in ALL_POINTS if p.topology == "mesh" and p.vcs_per_class == C
+        )
+        rates = RATE_GRID[("mesh", C)]
+        curves = {
+            scheme: latency_sweep(
+                _base(point, scheme), rates, stop_after_saturation=False,
+                jobs=SIM_JOBS, cache=sweep_cache,
             )
-            rates = RATE_GRID[("mesh", C)]
-            curves = {
-                scheme: latency_sweep(
-                    _base(point, scheme), rates, stop_after_saturation=False,
-                    jobs=SIM_JOBS, cache=sweep_cache,
-                )
-                for scheme in ("nonspec", "pessimistic")
-            }
-            # Saturation compared at a COMMON absolute latency threshold
-            # (3x the non-speculative zero-load): the speculative router
-            # must not be held to a stricter limit just because its
-            # zero-load latency is lower.
-            z_ref = curves["nonspec"].zero_load
-            sat = {
-                s: c.saturation_rate(zero_load=z_ref) for s, c in curves.items()
-            }
-            gains[C] = sat["pessimistic"] / sat["nonspec"]
-        return gains
-
-    gains = run_once(benchmark, collect)
+            for scheme in ("nonspec", "pessimistic")
+        }
+        # Saturation compared at a COMMON absolute latency threshold
+        # (3x the non-speculative zero-load): the speculative router
+        # must not be held to a stricter limit just because its
+        # zero-load latency is lower.
+        z_ref = curves["nonspec"].zero_load
+        sat = {
+            s: c.saturation_rate(zero_load=z_ref) for s, c in curves.items()
+        }
+        gains[C] = sat["pessimistic"] / sat["nonspec"]
     save_result(
         "fig14_speculation_gain",
         f"speculation saturation gain on mesh: C=1 -> {gains[1]:.3f}, "

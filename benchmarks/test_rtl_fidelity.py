@@ -10,7 +10,7 @@ exactly, because the netlists are cycle-exact implementations of the
 behavioural allocators (see tests/hw/test_gate_behaviour.py).
 """
 
-from conftest import run_once, save_result
+from conftest import save_result
 from repro.eval.design_points import DesignPoint
 from repro.eval.matching import switch_matching_quality
 from repro.eval.rtl_quality import rtl_switch_matching_quality
@@ -19,15 +19,11 @@ from repro.eval.tables import format_table
 RATES = (0.2, 0.6, 1.0)
 
 
-def test_rtl_vs_behavioural_quality(benchmark):
-    def collect():
-        rtl = rtl_switch_matching_quality(5, 2, rates=RATES, num_samples=200, seed=9)
-        beh = switch_matching_quality(
-            DesignPoint("mesh", 5, 1), rates=RATES, num_samples=200, seed=9
-        )
-        return rtl, beh
-
-    rtl, beh = run_once(benchmark, collect)
+def test_rtl_vs_behavioural_quality():
+    rtl = rtl_switch_matching_quality(5, 2, rates=RATES, num_samples=200, seed=9)
+    beh = switch_matching_quality(
+        DesignPoint("mesh", 5, 1), rates=RATES, num_samples=200, seed=9
+    )
     rows = []
     for arch in ("sep_if", "sep_of", "wf"):
         for i, rate in enumerate(RATES):

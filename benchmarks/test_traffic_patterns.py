@@ -9,13 +9,7 @@ and checks the winner does not flip.
 
 import pytest
 
-from conftest import (
-    SIM_DRAIN_CYCLES,
-    SIM_MEASURE_CYCLES,
-    SIM_WARMUP_CYCLES,
-    run_once,
-    save_result,
-)
+from conftest import SIM_WINDOWS, save_result
 from repro.eval.netperf import latency_sweep
 from repro.eval.tables import format_table
 from repro.netsim.simulator import SimulationConfig
@@ -31,42 +25,36 @@ def _base(pattern, arch):
         sw_alloc_arch=arch,
         traffic_pattern=pattern,
         speculation="pessimistic",
-        warmup_cycles=SIM_WARMUP_CYCLES,
-        measure_cycles=SIM_MEASURE_CYCLES,
-        drain_cycles=SIM_DRAIN_CYCLES,
+        **SIM_WINDOWS,
     )
 
 
-def test_pattern_invariance_wf_vs_sep_if(benchmark):
-    def collect():
-        table = {}
-        for pattern in PATTERNS:
-            curves = {
-                arch: latency_sweep(
-                    _base(pattern, arch), RATES, stop_after_saturation=False
-                )
-                for arch in ("sep_if", "wf")
+def test_pattern_invariance_wf_vs_sep_if():
+    table = {}
+    for pattern in PATTERNS:
+        curves = {
+            arch: latency_sweep(
+                _base(pattern, arch), RATES, stop_after_saturation=False
+            )
+            for arch in ("sep_if", "wf")
+        }
+        # Permutation patterns: compare saturation at a COMMON
+        # latency threshold (3x the sep_if zero-load).  Hotspot
+        # traffic saturates on the hot terminals' ejection bandwidth
+        # -- allocator-independent, with a knife-edge latency knee
+        # that makes the latency-crossing metric noisy -- so compare
+        # the *accepted throughput* at the highest offered load.
+        if pattern == "hotspot":
+            table[pattern] = {
+                arch: max(p.accepted for p in c.points)
+                for arch, c in curves.items()
             }
-            # Permutation patterns: compare saturation at a COMMON
-            # latency threshold (3x the sep_if zero-load).  Hotspot
-            # traffic saturates on the hot terminals' ejection bandwidth
-            # -- allocator-independent, with a knife-edge latency knee
-            # that makes the latency-crossing metric noisy -- so compare
-            # the *accepted throughput* at the highest offered load.
-            if pattern == "hotspot":
-                table[pattern] = {
-                    arch: max(p.accepted for p in c.points)
-                    for arch, c in curves.items()
-                }
-            else:
-                z_ref = curves["sep_if"].zero_load
-                table[pattern] = {
-                    arch: c.saturation_rate(zero_load=z_ref)
-                    for arch, c in curves.items()
-                }
-        return table
-
-    table = run_once(benchmark, collect)
+        else:
+            z_ref = curves["sep_if"].zero_load
+            table[pattern] = {
+                arch: c.saturation_rate(zero_load=z_ref)
+                for arch, c in curves.items()
+            }
     rows = [
         [pattern, f"{s['sep_if']:.3f}", f"{s['wf']:.3f}",
          f"{s['wf'] / s['sep_if']:.2f}x"]

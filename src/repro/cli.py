@@ -1129,7 +1129,7 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
                    help="record a flit-lifecycle trace to FILE "
                         "(Chrome trace-event JSON; open in "
                         "Perfetto); forces a serial, uncached run")
-    p.add_argument("--sample-every", type=int, default=100,
+    p.add_argument("--sample-every", type=_positive_int, default=100,
                    metavar="N",
                    help="metrics sampling cadence in cycles "
                         "(default: 100)")
@@ -1241,7 +1241,7 @@ def _add_faults_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pattern", default="uniform")
     p.add_argument("--cycles", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--iterations", type=int, default=5,
+    p.add_argument("--iterations", type=_positive_int, default=5,
                    help="binary-search depth per saturation probe "
                         "(default: 5)")
     _add_cache_args(p, sweep=True)

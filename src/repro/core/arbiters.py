@@ -25,7 +25,9 @@ Three arbiter families from the paper are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Type
+
+from ..allocator_names import ARBITER_KINDS
 
 __all__ = [
     "Arbiter",
@@ -377,11 +379,9 @@ class TreeArbiter(Arbiter):
         return top * gs + local
 
 
-_ARBITER_KINDS = {
-    "rr": RoundRobinArbiter,
-    "m": MatrixArbiter,
-    "fixed": FixedPriorityArbiter,
-}
+_ARBITER_KINDS: Dict[str, Type[Arbiter]] = dict(
+    zip(ARBITER_KINDS, (RoundRobinArbiter, MatrixArbiter, FixedPriorityArbiter))
+)
 
 
 def make_arbiter(kind: str, num_inputs: int) -> Arbiter:

@@ -29,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..allocator_names import SPECULATION_SCHEMES
 from .switch_allocator import SwitchAllocator, SwitchGrants, SwitchRequests
 
 __all__ = ["SpeculativeSwitchAllocator", "SpeculativeGrants", "SPECULATION_SCHEMES"]
-
-SPECULATION_SCHEMES = ("nonspec", "conventional", "pessimistic")
 
 
 @dataclass

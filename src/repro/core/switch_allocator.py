@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..allocator_names import SWITCH_ALLOCATOR_ARCHS
 from .arbiters import Arbiter, make_arbiter
 from .wavefront import WavefrontAllocator
 
 __all__ = ["SwitchAllocator", "SWITCH_ALLOCATOR_ARCHS", "port_request_matrix"]
-
-SWITCH_ALLOCATOR_ARCHS = ("sep_if", "sep_of", "wf")
 
 # requests[p][v] is the output port requested by VC v at input port p,
 # or None when the VC has no flit ready.

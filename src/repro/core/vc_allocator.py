@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ..allocator_names import VC_ALLOCATOR_ARCHS
 from .arbiters import Arbiter, TreeArbiter, make_arbiter
 from .vc_partition import VCPartition
 from .wavefront import WavefrontAllocator
 
 __all__ = ["VCRequest", "VCAllocator", "VC_ALLOCATOR_ARCHS"]
-
-VC_ALLOCATOR_ARCHS = ("sep_if", "sep_of", "wf")
 
 
 class VCRequest(NamedTuple):

@@ -17,6 +17,12 @@ import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..allocator_names import (
+    ARBITER_KINDS,
+    SPECULATION_SCHEMES,
+    SWITCH_ALLOCATOR_ARCHS,
+    VC_ALLOCATOR_ARCHS,
+)
 from ..faults.plan import FaultPlan
 from .stats import LatencySummary
 from .topology import describe
@@ -288,17 +294,19 @@ def resolve_pattern(
 
 def validate_config(cfg: SimulationConfig) -> None:
     """Raise the ValueError :func:`build_network` would -- unknown
-    topology, routing mode or traffic pattern, hotspot outside the
-    terminal range -- without building anything, so a front end can
-    reject a bad sweep before its first point runs.
+    topology, routing mode, traffic pattern, allocator, arbiter or
+    speculation scheme, hotspot outside the terminal range, no VC per
+    class -- without building anything or loading the allocator core,
+    so a front end can reject a bad sweep before its first point runs.
 
     Also rejects what no run can mean but the simulator would quietly
-    turn into a table of zeros or a traceback mid-run: an integer field
-    holding anything :func:`operator.index` refuses (or a ``bool``), a
-    negative phase length, a buffer with no slot, a negative or
-    infinite offered load, a latency cap that is not positive (NaN
-    included; ``inf`` stays legal and means latency never flags
-    saturation), a read fraction that is not a probability; and a
+    turn into a table of zeros, a traceback mid-run or a cache key of
+    its own: an integer field holding anything :func:`operator.index`
+    refuses (or a ``bool``), a ``lookahead`` that is not a ``bool``, a
+    negative phase length or watchdog, a buffer with no slot, a
+    negative or infinite offered load, a latency cap that is not
+    positive (NaN included; ``inf`` stays legal and means latency never
+    flags saturation), a read fraction that is not a probability; and a
     negative seed, which no traffic stream can be seeded with.  (A
     zero-length measurement window stays legal, see
     :func:`run_simulation`.)
@@ -306,6 +314,20 @@ def validate_config(cfg: SimulationConfig) -> None:
     desc = describe(cfg.topology)
     desc.mode(cfg.routing)
     resolve_pattern(cfg.traffic_pattern, desc.num_terminals, cfg.hotspot_terminals)
+    for name, legal in (
+        ("vc_alloc_arch", VC_ALLOCATOR_ARCHS),
+        ("vc_alloc_arbiter", ARBITER_KINDS),
+        ("sw_alloc_arch", SWITCH_ALLOCATOR_ARCHS),
+        ("sw_alloc_arbiter", ARBITER_KINDS),
+        ("speculation", SPECULATION_SCHEMES),
+    ):
+        value = getattr(cfg, name)
+        if value not in legal:
+            raise ValueError(
+                f"{name} must be one of {', '.join(legal)}, got {value!r}"
+            )
+    if not isinstance(cfg.lookahead, bool):
+        raise ValueError(f"lookahead must be a bool, got {cfg.lookahead!r}")
     for name in ("vcs_per_class", "buffer_depth", "seed", "warmup_cycles",
                  "measure_cycles", "drain_cycles", "watchdog_cycles"):
         value = getattr(cfg, name)
@@ -316,12 +338,14 @@ def validate_config(cfg: SimulationConfig) -> None:
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
     for name in ("seed", "warmup_cycles", "measure_cycles", "drain_cycles",
-                 "injection_rate"):
+                 "watchdog_cycles", "injection_rate"):
         value = getattr(cfg, name)
         if not value >= 0:  # also catches NaN
             raise ValueError(f"{name} must be >= 0, got {value!r}")
-    if cfg.buffer_depth < 1:
-        raise ValueError(f"buffer_depth must be >= 1, got {cfg.buffer_depth!r}")
+    for name in ("vcs_per_class", "buffer_depth"):
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     if not math.isfinite(cfg.injection_rate):
         raise ValueError(
             f"injection_rate must be finite, got {cfg.injection_rate!r}"

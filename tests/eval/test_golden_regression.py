@@ -28,7 +28,7 @@ from repro.netsim.simulator import SimulationConfig, run_simulation
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 # Fidelity the recorded tables were produced at (benchmarks/conftest.py
-# defaults): REPRO_SIM_CYCLES=1200 -> warmup 400, measure 1200, drain 1200.
+# SIM_WINDOWS without REPRO_FULL): warmup 400, measure 1200, drain 1200.
 RECORDED_FIDELITY = dict(
     warmup_cycles=400, measure_cycles=1200, drain_cycles=1200
 )

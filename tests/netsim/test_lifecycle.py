@@ -79,8 +79,18 @@ def _run(cfg=CFG, kernel="compiled", observer=None, profiler=None, raises=None):
         run_simulation(cfg, **kwargs)
 
 
+@pytest.fixture(scope="module")
+def first_use_done():
+    # Each case once, unmeasured: what a first use builds once per
+    # process -- numpy's generator for the first fault plan with rates,
+    # a compiled kernel -- is not the garbage of a finished run, so a
+    # case must not depend on a test before it to have paid for it.
+    for case in CASES.values():
+        _run(**case)
+
+
 @pytest.fixture
-def collector_off():
+def collector_off(first_use_done):
     gc.collect()
     gc.disable()
     try:

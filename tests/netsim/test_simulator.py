@@ -36,6 +36,25 @@ class TestConfig:
         (dict(latency_cap=float("nan")), "latency_cap must be > 0, got nan"),
         (dict(latency_cap=0.0), "latency_cap must be > 0, got 0.0"),
         (dict(latency_cap=-5), "latency_cap must be > 0, got -5"),
+        # Each of these used to raise only once a network was built, or
+        # not at all.
+        (dict(sw_alloc_arch="bogus"),
+         "sw_alloc_arch must be one of sep_if, sep_of, wf, got 'bogus'"),
+        (dict(vc_alloc_arch="bogus"),
+         "vc_alloc_arch must be one of sep_if, sep_of, wf, got 'bogus'"),
+        (dict(vc_alloc_arbiter="bogus"),
+         "vc_alloc_arbiter must be one of rr, m, fixed, got 'bogus'"),
+        (dict(sw_alloc_arbiter="bogus"),
+         "sw_alloc_arbiter must be one of rr, m, fixed, got 'bogus'"),
+        (dict(speculation="bogus"),
+         "speculation must be one of nonspec, conventional, pessimistic, "
+         "got 'bogus'"),
+        (dict(vcs_per_class=0), "vcs_per_class must be >= 1, got 0"),
+        (dict(vcs_per_class=-1), "vcs_per_class must be >= 1, got -1"),
+        # The kernel generator wrote `is not 0` for this one.
+        (dict(lookahead=0), "lookahead must be a bool, got 0"),
+        # Ran with the watchdog off, under a cache key of its own.
+        (dict(watchdog_cycles=-5), "watchdog_cycles must be >= 0, got -5"),
     ])
     def test_a_config_no_run_can_mean_is_one_value_error(self, bad, message):
         with pytest.raises(ValueError) as err:

@@ -180,6 +180,8 @@ class TestRemoteScheduler:
         (dict(buffer_depth=0), "buffer_depth"),
         (dict(injection_rate=-0.1), "injection_rate"),
         (dict(warmup_cycles=2.5), "warmup_cycles"),
+        # Used to be leased, and retried on workers until it failed.
+        (dict(sw_alloc_arch="bogus"), "sw_alloc_arch"),
     ])
     def test_a_point_no_run_can_mean_is_refused_before_any_write(
         self, harness, bad, field

@@ -66,6 +66,10 @@ class TestParser:
         ["faults", "--cycles", "-1"],
         ["resilience", "--cycles", "0"],
         ["quality", "--samples", "0", "--rates", "0.5"],
+        # Used to end in a ValueError traceback, exit 1.
+        ["sweep", "--metrics", "obs-out", "--sample-every", "0"],
+        # Used to print a saturation column from zero bisection steps.
+        ["faults", "--iterations", "0"],
     ])
     def test_sweep_rejects_nonsensical_runner_values(self, argv, capsys):
         # Bad worker/hardening values must die at the argparse layer
