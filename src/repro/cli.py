@@ -427,7 +427,7 @@ def cmd_sweep(args) -> int:
 
     instrumented = bool(args.metrics or args.trace)
     metrics_dir = Path(args.metrics) if args.metrics else None
-    jobs = args.jobs
+    jobs = args.jobs  # None: one worker per usable CPU (run_sweep)
 
     observer = None
     sim_fn = None
@@ -439,7 +439,7 @@ def cmd_sweep(args) -> int:
         from .obs.metrics import emit_warning
         from .obs.observer import SimObserver
 
-        if jobs > 1:
+        if jobs is not None and jobs > 1:
             emit_warning(
                 "instrumented_sweep_forced_serial",
                 "--metrics/--trace force jobs=1; observers cannot cross "
@@ -1114,9 +1114,10 @@ def _add_simulate_args(p: argparse.ArgumentParser) -> None:
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     _add_network_args(p)
     p.add_argument("--rates", default="0.05,0.15,0.25,0.35")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (1 = serial; results "
-                        "are identical either way)")
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker processes (default: one per usable "
+                        "CPU, at most one per uncached point; 1 = "
+                        "serial; results are identical either way)")
     _add_cache_args(p, sweep=True)
     p.add_argument("--progress", action="store_true",
                    help="report per-point progress on stderr")
@@ -1273,9 +1274,10 @@ def _add_resilience_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1,
                    help="seeds both the traffic and the faulted-link "
                         "selection (default: 1)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (1 = serial; results are "
-                        "identical either way)")
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker processes (default: one per usable "
+                        "CPU, at most one per uncached point; 1 = "
+                        "serial; results are identical either way)")
     _add_cache_args(p, sweep=True)
     p.add_argument("--progress", action="store_true",
                    help="report per-point progress on stderr")

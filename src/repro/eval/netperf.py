@@ -117,7 +117,7 @@ def latency_sweep(
     rates: Sequence[float],
     label: str = "",
     stop_after_saturation: bool = True,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
     reporter: Optional[SweepReporter] = None,
     sim_fn: Optional[Callable[[SimulationConfig], SimulationResult]] = None,
@@ -130,10 +130,11 @@ def latency_sweep(
 ) -> LatencyCurve:
     """Run the simulator across ``rates`` and collect a latency curve.
 
-    ``jobs > 1`` evaluates the points through the parallel sweep engine
-    (:mod:`repro.eval.runner`); ``cache`` memoizes completed points on
-    disk.  With ``stop_after_saturation`` the curve is truncated just
-    past the first saturated point: the serial path stops simulating
+    ``jobs > 1`` (or ``None``: one worker per usable CPU) evaluates the
+    points through the parallel sweep engine (:mod:`repro.eval.runner`);
+    ``cache`` memoizes completed points on disk.  With
+    ``stop_after_saturation`` the curve is truncated just past the
+    first saturated point: the serial path stops simulating
     there, while the parallel/reporter path computes all points and
     truncates afterwards, so both produce identical ``SweepPoint``
     sequences.
@@ -160,7 +161,8 @@ def latency_sweep(
         or checkpoint is not None
         or on_failure != "raise"
     )
-    if jobs > 1 or reporter is not None or hardened or scheduler is not None:
+    if (jobs is None or jobs > 1 or reporter is not None or hardened
+            or scheduler is not None):
         results = run_sweep(
             configs, jobs=jobs, cache=cache, reporter=reporter, sim_fn=sim_fn,
             timeout=timeout, retries=retries, backoff=backoff,

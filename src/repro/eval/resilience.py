@@ -215,7 +215,7 @@ def run_resilience_campaign(
     speculation: str = "pessimistic",
     cycles: int = 1000,
     seed: int = 1,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
     reporter: Optional[SweepReporter] = None,
     timeout: Optional[float] = None,

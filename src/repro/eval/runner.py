@@ -8,10 +8,11 @@ Becker & Dally sweep six design points across many injection rates
 This module supplies the machinery the per-figure drivers share:
 
 * :func:`run_sweep` fans points out across worker processes
-  (``jobs > 1``) or runs them inline (``jobs <= 1``).  Results come
-  back in input order, and because every simulation derives its RNG
-  streams purely from ``(config.seed, terminal_id)``, parallel results
-  are bit-identical to serial ones.
+  (``jobs > 1``; ``jobs=None`` is one per usable CPU, see
+  :func:`usable_cpus`) or runs them inline (``jobs <= 1``).  Results
+  come back in input order, and because every simulation derives its
+  RNG streams purely from ``(config.seed, terminal_id)``, parallel
+  results are bit-identical to serial ones.
 
 * :class:`ResultCache` memoizes completed
   :class:`~repro.netsim.simulator.SimulationResult` objects on disk,
@@ -25,9 +26,10 @@ This module supplies the machinery the per-figure drivers share:
   :class:`ConsoleReporter` prints points done, cache hits, sims/sec
   and an ETA.
 
-Execution is *hardened*: the parallel path runs one OS process per
-point, so a worker that raises, hangs past ``timeout`` or is killed
-outright fails only its own point -- recorded as a structured
+Execution is *hardened*: the parallel path runs points in long-lived
+worker processes, one point at a time each, so a worker that raises,
+hangs past ``timeout`` or is killed outright fails only its own point
+(a dead or killed worker is replaced) -- recorded as a structured
 :class:`PointFailure` (with bounded retry + exponential backoff) while
 the rest of the sweep completes.  Pair with
 :class:`~repro.eval.checkpoint.SweepCheckpoint` for crash-safe
@@ -69,6 +71,7 @@ __all__ = [
     "ProcessPoolScheduler",
     "run_point",
     "run_sweep",
+    "usable_cpus",
 ]
 
 # Schema of the cache *file*: the store's (kept under its old name).
@@ -369,24 +372,45 @@ def run_point(
     return result
 
 
-def _point_entry(conn, worker_fn, cfg_dict) -> None:
-    """Child-process entry: run one point, report through the pipe.
-
-    Every outcome is reduced to a picklable tuple; an exception's
-    ``snapshot`` attribute (e.g. a watchdog deadlock snapshot) rides
-    along as machine-readable detail.
-    """
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (a container or ``taskset`` narrows it), else
+    ``os.cpu_count()``."""
     try:
-        payload = worker_fn(cfg_dict)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # report everything; the parent judges
-        detail = getattr(exc, "snapshot", None)
-        if detail is not None and not isinstance(detail, dict):
-            detail = None
-        try:
-            conn.send(("error", type(exc).__name__, str(exc), detail))
-        except Exception:
-            pass  # parent is gone or detail unpicklable; exit silently
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def _error_report(exc: BaseException) -> tuple:
+    """An exception as a picklable tuple; its ``snapshot`` attribute
+    (e.g. a watchdog deadlock snapshot) rides along as machine-readable
+    detail."""
+    detail = getattr(exc, "snapshot", None)
+    if detail is not None and not isinstance(detail, dict):
+        detail = None
+    return ("error", type(exc).__name__, str(exc), detail)
+
+
+def _worker_loop(conn, worker_fn, parent_ends) -> None:
+    """Pool-worker entry: run one point per request until the parent
+    closes its end of the pipe.
+
+    ``parent_ends`` are the parent's pipe ends this process inherited
+    at fork (its own and every older sibling's); closing them here is
+    what lets the parent's close -- or death -- reach this loop as EOF.
+    """
+    for end in parent_ends:
+        end.close()
+    try:
+        while True:
+            cfg_dict = conn.recv()
+            try:
+                conn.send(("ok", worker_fn(cfg_dict)))
+            except BaseException as exc:  # report everything; the parent judges
+                conn.send(_error_report(exc))
+    except BaseException:
+        pass  # pipe closed, parent gone, or a report that would not pickle
     finally:
         conn.close()
 
@@ -403,18 +427,22 @@ def _run_hardened_pool(
     backoff: float,
     worker_fn: Callable[[dict], dict],
 ) -> None:
-    """One process per point with crash/timeout isolation.
+    """At most ``jobs`` long-lived workers, one point at a time each,
+    with crash/timeout isolation.
 
-    Unlike a shared executor, a worker that dies (or is killed past its
-    deadline) takes down exactly one attempt: the point is retried with
-    exponential backoff until its attempt budget runs out, then handed
-    to ``fail`` -- which either records a :class:`PointFailure` or
-    raises, per the sweep's ``on_failure`` policy.
+    A worker is started when a point is ready and none is idle, so a
+    sweep of N pending points starts ``min(N, jobs)`` of them.  One that
+    dies (or is killed past its deadline) takes down exactly one attempt
+    and is replaced: the point is retried with exponential backoff until
+    its attempt budget runs out, then handed to ``fail`` -- which either
+    records a :class:`PointFailure` or raises, per the sweep's
+    ``on_failure`` policy.
     """
     import multiprocessing as mp
     from multiprocessing import connection as mp_connection
 
     ctx = mp.get_context()
+    forked = ctx.get_start_method() == "fork"
     # (not-before time, -offered load, index, attempt#) -- a heap so
     # backoff-delayed retries interleave correctly with first attempts.
     # Side by side, first attempts start longest-first: a point costs
@@ -426,21 +454,33 @@ def _run_hardened_pool(
         for i in pending
     ]
     heapq.heapify(ready)
-    running: Dict[Any, tuple] = {}  # recv conn -> (index, attempt, proc, deadline)
+    idle: List[tuple] = []  # (conn, proc) of workers waiting for a point
+    running: Dict[Any, tuple] = {}  # conn -> (index, attempt, proc, deadline)
 
-    def launch(index: int, attempt: int) -> None:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
+    def start_worker() -> tuple:
+        # Only called with no worker idle: every other parent end is busy.
+        conn, child_conn = ctx.Pipe()
+        inherited = list(running) + [conn]
         proc = ctx.Process(
-            target=_point_entry,
-            args=(send_conn, worker_fn, configs[index].to_dict()),
+            target=_worker_loop,
+            args=(child_conn, worker_fn, inherited if forked else ()),
             daemon=True,
         )
         proc.start()
-        send_conn.close()  # child holds the write end now
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        running[recv_conn] = (index, attempt, proc, deadline)
+        child_conn.close()  # the worker holds that end now
+        return conn, proc
 
-    def reap(proc) -> None:
+    def hand_off(index: int, attempt: int) -> None:
+        conn, proc = idle.pop() if idle else start_worker()
+        try:
+            conn.send(configs[index].to_dict())
+        except OSError:
+            pass  # died while idle: its EOF reads as this attempt's crash
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        running[conn] = (index, attempt, proc, deadline)
+
+    def retire(conn, proc) -> None:
+        conn.close()
         proc.join(timeout=5.0)
         if proc.is_alive():  # pragma: no cover - pathological worker
             proc.kill()
@@ -464,7 +504,7 @@ def _run_hardened_pool(
             now = time.monotonic()
             while ready and len(running) < jobs and ready[0][0] <= now:
                 _, _, index, attempt = heapq.heappop(ready)
-                launch(index, attempt)
+                hand_off(index, attempt)
 
             waits: List[float] = []
             if ready and len(running) < jobs:
@@ -488,15 +528,16 @@ def _run_hardened_pool(
                     msg = conn.recv()
                 except (EOFError, OSError):
                     msg = None  # died without reporting
-                conn.close()
-                reap(proc)
                 if msg is None:
+                    retire(conn, proc)
                     handle_failure(
                         index, attempt, "crash", "WorkerCrashed",
                         f"worker process exited with code {proc.exitcode} "
                         "before reporting a result", None,
                     )
-                elif msg[0] == "ok":
+                    continue
+                idle.append((conn, proc))
+                if msg[0] == "ok":
                     record(index, SimulationResult.from_payload(msg[1]))
                 else:
                     _, etype, emessage, detail = msg
@@ -514,20 +555,19 @@ def _run_hardened_pool(
                 for conn in expired:
                     index, attempt, proc, _ = running.pop(conn)
                     proc.terminate()
-                    reap(proc)
-                    conn.close()
+                    retire(conn, proc)
                     handle_failure(
                         index, attempt, "timeout", "PointTimeout",
                         f"exceeded the {timeout:g}s wall-clock budget", None,
                     )
     finally:
-        # On abort (on_failure="raise" or KeyboardInterrupt), don't
-        # leave orphaned simulations burning CPU.
-        for conn, (_, _, proc, _) in running.items():
+        # Idle workers read EOF and exit; on abort (on_failure="raise"
+        # or KeyboardInterrupt) busy ones are stopped, so no orphaned
+        # simulation keeps burning CPU.
+        for _, _, proc, _ in running.values():
             proc.terminate()
-            conn.close()
-        for _, (_, _, proc, _) in running.items():
-            reap(proc)
+        for conn, proc in idle + [(c, p) for c, (_, _, p, _) in running.items()]:
+            retire(conn, proc)
 
 
 class PointScheduler:
@@ -539,8 +579,8 @@ class PointScheduler:
     need computing.  Implementations decide *where* the work runs:
 
     * :class:`InlineScheduler` -- this process, one point at a time;
-    * :class:`ProcessPoolScheduler` -- the hardened one-process-per-
-      point local pool (crash/timeout isolation);
+    * :class:`ProcessPoolScheduler` -- the hardened local pool of
+      long-lived worker processes (crash/timeout isolation);
     * :class:`repro.serve.client.RemoteScheduler` -- a ``repro serve``
       job-queue server sharding points across worker fleets.
 
@@ -594,11 +634,8 @@ class InlineScheduler(PointScheduler):
                         stats.retries += 1
                         time.sleep(self.backoff * (2 ** (attempt - 1)))
                         continue
-                    detail = getattr(exc, "snapshot", None)
-                    if detail is not None and not isinstance(detail, dict):
-                        detail = None
-                    fail(i, "exception", type(exc).__name__, str(exc),
-                         detail, attempt)
+                    _, error, message, detail = _error_report(exc)
+                    fail(i, "exception", error, message, detail, attempt)
                     break
                 else:
                     record(i, result)
@@ -606,7 +643,7 @@ class InlineScheduler(PointScheduler):
 
 
 class ProcessPoolScheduler(PointScheduler):
-    """One hardened OS process per point (see :func:`_run_hardened_pool`)."""
+    """Hardened local worker processes (see :func:`_run_hardened_pool`)."""
 
     def __init__(
         self,
@@ -627,8 +664,8 @@ class ProcessPoolScheduler(PointScheduler):
 
         worker_fn = self.worker_fn
         if worker_fn is None:
-            # Forked children inherit this interpreter, so pay for the
-            # machine once, here, rather than once per point process:
+            # Forked workers inherit this interpreter, so pay for the
+            # machine once, here, rather than once per worker:
             # importing the simulator loads everything a point touches,
             # and prewarm_kernels compiles each design point's kernel.
             # A custom worker_fn may never simulate.
@@ -645,7 +682,7 @@ class ProcessPoolScheduler(PointScheduler):
 
 def run_sweep(
     configs: Sequence[SimulationConfig],
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
     reporter: Optional[SweepReporter] = None,
     sim_fn: Optional[Callable[[SimulationConfig], SimulationResult]] = None,
@@ -659,17 +696,20 @@ def run_sweep(
 ) -> List[Optional[SimulationResult]]:
     """Evaluate every config, in input order, cache-first.
 
-    ``jobs > 1`` fans cache misses out across worker processes; results
-    are bit-identical to a serial run because each point is seeded only
-    by its own config.  ``sim_fn`` substitutes the simulator for the
-    *inline* path (tests inject analytic models); the process pool runs
+    ``jobs > 1`` fans cache misses out across at most ``jobs`` worker
+    processes; results are bit-identical to a serial run because each
+    point is seeded only by its own config.  ``jobs=None`` takes one
+    worker per :func:`usable_cpus`, capped at the points that actually
+    need computing, so a sweep with one cache miss runs inline.
+    ``sim_fn`` substitutes the simulator for the *inline* path (tests
+    inject analytic models); the process pool runs
     ``worker_fn`` (default: the real :func:`run_simulation_worker`),
     which must be an importable module-level callable.
 
     Hardening:
 
     * ``timeout`` -- per-point wall-clock budget in seconds.  Enforced
-      by running points in their own processes, so a non-``None``
+      by running points in worker processes, so a non-``None``
       timeout routes even ``jobs=1`` sweeps through the pool (unless
       ``sim_fn`` pins them inline).
     * ``retries``/``backoff`` -- each failed point is retried up to
@@ -755,9 +795,10 @@ def run_sweep(
         reporter.point_failed(configs[i], failure, stats)
 
     if scheduler is None:
-        # Default selection preserves the pre-PointScheduler behavior
-        # exactly: sim_fn pins execution inline (tests inject analytic
-        # models); jobs>1 or a timeout route through the hardened pool.
+        # sim_fn pins execution inline (tests inject analytic models);
+        # jobs>1 or a timeout route through the hardened pool.
+        if jobs is None:
+            jobs = min(usable_cpus(), len(pending))
         use_pool = sim_fn is None and (jobs > 1 or timeout is not None)
         if use_pool:
             scheduler = ProcessPoolScheduler(

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 # inside a function (the allocator core and the terminals' random
 # streams behind ``assemble`` and the partition factories, the fault
 # runtime behind ``FaultPlan.materialize``).  A parent that imports it
-# before forking therefore hands every point process a complete
+# before forking therefore hands every pool worker a complete
 # interpreter (``ProcessPoolScheduler.run``).
 from ..faults import state as _fault_state  # noqa: F401
 from ..faults.watchdog import Watchdog, WatchdogError
@@ -94,9 +94,9 @@ def prewarm_kernels(configs: Iterable[SimulationConfig]) -> None:
     """Compile the generated kernel of every distinct design point in
     ``configs`` into the process-wide factory cache.
 
-    Called by a parent about to fork one child per point: the children
-    inherit the compiled factories instead of each paying codegen on its
-    first router.  A config naming an unknown topology or routing mode
+    Called by a parent about to fork its pool workers: they inherit the
+    compiled factories instead of each paying codegen on its first
+    router.  A config naming an unknown topology or routing mode
     is skipped; its own point reports the error.  If a fault plan draws
     (a rate > 0), numpy's generator is imported here too.
     """

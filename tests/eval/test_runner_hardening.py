@@ -192,30 +192,61 @@ class TestRetries:
         assert results[0] is not None
 
 
-class _LaunchSpy:
-    """A multiprocessing context that notes, in the parent, the offered
-    load of every point process it is asked to start."""
+class _HandOffSpy:
+    """The parent's end of a worker pipe, noting the offered load of
+    every point it hands to that worker."""
+
+    def __init__(self, conn, handed):
+        self._conn = conn
+        self._handed = handed
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def send(self, cfg_dict):
+        self._handed.append(cfg_dict["injection_rate"])
+        self._conn.send(cfg_dict)
+
+
+class _PoolSpy:
+    """A multiprocessing context that notes, in the parent, every
+    worker process it starts and every point handed to a worker."""
 
     def __init__(self, ctx):
         self._ctx = ctx
-        self.launched = []
+        self.started = []
+        self.handed = []
 
     def __getattr__(self, name):
         return getattr(self._ctx, name)
 
+    def Pipe(self):
+        parent_end, child_end = self._ctx.Pipe()
+        return _HandOffSpy(parent_end, self.handed), child_end
+
     def Process(self, target, args, daemon):
-        self.launched.append(args[2]["injection_rate"])
-        return self._ctx.Process(target=target, args=args, daemon=daemon)
+        proc = self._ctx.Process(target=target, args=args, daemon=daemon)
+        self.started.append(proc)
+        return proc
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    import multiprocessing
+
+    spy = _PoolSpy(multiprocessing.get_context())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: spy)
+    return spy
 
 
 class TestLaunchOrder:
     RATES = (0.05, 0.15, 0.25, 0.35, 0.45, 0.25)
 
-    def _launched(self, monkeypatch, rates=RATES, **kwargs):
-        import multiprocessing
+    @pytest.fixture(autouse=True)
+    def _spy(self, pool_spy):
+        self.spy = pool_spy
 
-        spy = _LaunchSpy(multiprocessing.get_context())
-        monkeypatch.setattr(multiprocessing, "get_context", lambda: spy)
+    def _launched(self, rates=RATES, **kwargs):
         configs = [
             SimulationConfig(injection_rate=r, seed=i)
             for i, r in enumerate(rates)
@@ -223,24 +254,122 @@ class TestLaunchOrder:
         results = run_sweep(configs, worker_fn=mixed_worker, **kwargs)
         # Whatever the launch order, results land by index.
         assert [r.config for r in results] == configs
-        return spy.launched
+        return self.spy.handed
 
-    def test_side_by_side_the_saturated_point_starts_first(self, monkeypatch):
+    def test_side_by_side_the_saturated_point_starts_first(self):
         # Ties (the two 0.25 points) keep index order.
-        assert self._launched(monkeypatch, jobs=2) == [
+        assert self._launched(jobs=2) == [
             0.45, 0.35, 0.25, 0.25, 0.15, 0.05]
 
-    def test_one_job_keeps_index_order(self, monkeypatch):
-        assert self._launched(monkeypatch, jobs=1, timeout=60.0) == list(
-            self.RATES)
+    def test_one_job_keeps_index_order(self):
+        assert self._launched(jobs=1, timeout=60.0) == list(self.RATES)
 
     def test_a_retry_does_not_jump_the_queue(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_FLAKY_MARKER", str(tmp_path / "marker"))
         launched = self._launched(
-            monkeypatch, (0.05, FLAKY_RATE, 0.15), jobs=2, retries=1, backoff=0.05
+            (0.05, FLAKY_RATE, 0.15), jobs=2, retries=1, backoff=0.05
         )
         assert launched[:3] == [FLAKY_RATE, 0.15, 0.05]
         assert sorted(launched) == [0.05, 0.15, FLAKY_RATE, FLAKY_RATE]
+
+
+def _serial(cfg):
+    return SimulationResult.from_payload(_payload(cfg.to_dict()))
+
+
+class TestLongLivedWorkers:
+    """Workers outlive their points: a sweep starts one per job, and a
+    crash or a timeout costs exactly the worker that ran that point."""
+
+    def test_six_points_at_two_jobs_start_two_workers(self, pool_spy):
+        configs = _cfgs(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        results = run_sweep(configs, jobs=2, worker_fn=mixed_worker)
+        assert results == [_serial(cfg) for cfg in configs]
+        # Both read EOF when the sweep closed their pipes and exited.
+        assert [proc.exitcode for proc in pool_spy.started] == [0, 0]
+
+    def test_never_more_workers_than_points(self, pool_spy):
+        run_sweep(_cfgs(0.1, 0.2), jobs=8, worker_fn=mixed_worker)
+        assert len(pool_spy.started) == 2
+
+    @pytest.mark.parametrize("rate,kind", [
+        (CRASH_RATE, "crash"), (HANG_RATE, "timeout"),
+    ])
+    def test_a_lost_worker_is_replaced_for_the_next_point(
+        self, pool_spy, rate, kind
+    ):
+        configs = _cfgs(rate, 0.1, 0.2)
+        cap = _FailureCapture()
+        results = run_sweep(
+            configs, jobs=1, timeout=2.0, worker_fn=mixed_worker,
+            on_failure="record", reporter=cap,
+        )
+        assert [f.kind for f in cap.failures] == [kind]
+        assert len(pool_spy.started) == 2  # the first worker, then its stand-in
+        assert results[1:] == [_serial(cfg) for cfg in configs[1:]]
+
+    def test_an_exception_keeps_its_worker(self, pool_spy):
+        results = run_sweep(
+            _cfgs(RAISE_RATE, 0.1), jobs=1, timeout=60.0,
+            worker_fn=mixed_worker, on_failure="record",
+        )
+        assert len(pool_spy.started) == 1
+        assert results[1] == _serial(_cfgs(0.1)[0])
+
+    def test_an_aborted_sweep_leaves_no_worker(self):
+        import multiprocessing
+
+        with pytest.raises(SweepPointError):
+            run_sweep(
+                _cfgs(0.1, HANG_RATE, RAISE_RATE, 0.2), jobs=2,
+                worker_fn=mixed_worker, on_failure="raise",
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupted_sweep_leaves_no_worker(self):
+        import multiprocessing
+
+        class Interrupt(NullReporter):
+            def point_done(self, cfg, result, cached, stats):
+                raise KeyboardInterrupt
+
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(
+                _cfgs(HANG_RATE, 0.1, 0.2, 0.3), jobs=2,
+                worker_fn=mixed_worker, reporter=Interrupt(),
+            )
+        assert time.monotonic() - t0 < 30.0  # the hung point was stopped
+        assert multiprocessing.active_children() == []
+
+
+class TestDefaultJobs:
+    """``jobs=None``: one worker per usable CPU, at most one per point
+    that needs computing."""
+
+    @pytest.fixture(autouse=True)
+    def _three_cpus(self, monkeypatch):
+        monkeypatch.setattr("repro.eval.runner.usable_cpus", lambda: 3)
+
+    def test_workers_are_the_lesser_of_cpus_and_pending_points(self, pool_spy):
+        run_sweep(_cfgs(0.1, 0.2, 0.3, 0.4, 0.5), jobs=None,
+                  worker_fn=mixed_worker)
+        assert len(pool_spy.started) == 3
+        run_sweep(_cfgs(0.1, 0.2), jobs=None, worker_fn=mixed_worker)
+        assert len(pool_spy.started) == 3 + 2
+
+    def test_one_pending_point_runs_inline(self, pool_spy, tmp_path):
+        from repro.eval.runner import ResultCache
+
+        configs = [SimulationConfig(injection_rate=r, warmup_cycles=20,
+                                    measure_cycles=40, drain_cycles=40)
+                   for r in (0.05, 0.1)]
+        cache = ResultCache(tmp_path / "cache.json")
+        run_sweep(configs[:1], cache=cache, jobs=1)
+        # One hit, one miss: the miss runs here, as a one-point sweep does.
+        results = run_sweep(configs, cache=cache, jobs=None)
+        assert pool_spy.started == []
+        assert [r.config for r in results] == configs
 
 
 class TestCheckpointResume:

@@ -23,7 +23,8 @@ class TestParser:
 
     def test_sweep_runner_defaults(self):
         args = build_parser().parse_args(["sweep"])
-        assert args.jobs == 1
+        assert args.jobs is None  # run_sweep: one worker per usable CPU
+        assert build_parser().parse_args(["resilience"]).jobs is None
         assert args.no_cache is False
         assert args.cache_path is None
         assert args.progress is False
@@ -194,6 +195,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "matching efficiency" in out
         assert "latency breakdown" in out
+
+    @pytest.mark.parametrize("jobs,noted", [([], False), (["--jobs", "2"], True)])
+    def test_instrumented_sweep_notes_only_an_explicit_jobs(
+        self, jobs, noted, capsys, tmp_path
+    ):
+        # The default --jobs is the usable CPUs: an instrumented sweep
+        # that never asked for workers runs serially without a word.
+        from repro.obs.metrics import recent_warnings
+
+        before = len(recent_warnings())
+        rc = main(["sweep", "--rates", "0.05,0.1", "--cycles", "60",
+                   "--metrics", str(tmp_path / "obs"), *jobs])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert ("forces a serial run" in err) is noted
+        codes = [w.code for w in recent_warnings()[before:]]
+        assert ("instrumented_sweep_forced_serial" in codes) is noted
 
     def test_sweep_writes_manifest_next_to_cache(self, capsys, monkeypatch,
                                                  tmp_path):

@@ -124,7 +124,7 @@ OPENSSL = ("_hashlib", "_ssl")
 
 
 @pytest.mark.parametrize("argv,also_forbidden", [
-    (SWEEP + ["--no-cache"], ("socket", "subprocess", "platform")),
+    (SWEEP + ["--no-cache", "--jobs", "1"], ("socket", "subprocess", "platform")),
     (SWEEP + ["--no-cache", "--jobs", "2"], ()),
     (SWEEP + ["--no-cache", "--timeout", "60"], ()),
 ], ids=["inline", "--jobs 2", "--timeout pool"])
@@ -137,8 +137,20 @@ def test_a_sweep_loads_no_openssl_in_any_process(argv, also_forbidden, tmp_path)
     assert offenders(everywhere, OPENSSL + also_forbidden) == []
 
 
+def test_a_one_point_sweep_runs_inline_by_default(tmp_path):
+    # --jobs defaults to the usable CPUs, capped at the points to compute.
+    modules = import_report.loaded_modules(
+        ["sweep", "--rates", "0.05", "--cycles", "60", "--no-cache"],
+        cwd=tmp_path,
+    )
+    assert "repro.netsim.router" in modules
+    assert offenders(modules, ("multiprocessing", "socket")) == []
+
+
 def test_a_warm_sweep_loads_no_openssl(tmp_path):
-    argv = SWEEP + ["--cache-path", str(tmp_path / "c.json")]
+    # Inline (multiprocessing.util imports subprocess), so the cold run
+    # shows what writing the manifest loads.
+    argv = SWEEP + ["--jobs", "1", "--cache-path", str(tmp_path / "c.json")]
     for _ in ("cold", "warm"):
         modules, times, _ = import_report.traced_run(argv, cwd=tmp_path)
         everywhere = modules + [name for name, _ in times]
