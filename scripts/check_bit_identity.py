@@ -5,8 +5,8 @@ Runs every design point in a seeded config matrix (allocator
 architectures x topologies x faults on/off x observer on/off, plus the
 torus and the fault-tolerant routing modes under a permanent link
 fault, so every topology description is covered) under the
-reference kernel and every kernel under test (default: ``fast`` and the
-generated per-design-point ``compiled`` kernel) and asserts the
+reference kernel and every kernel under test (default: ``fast`` and
+``compiled``, see :data:`DEFAULT_KERNELS`) and asserts the
 resulting :class:`~repro.netsim.simulator.SimulationResult` payloads --
 every statistic, down to the last misspeculation counter -- are
 identical.  For observed runs the collected metrics rows must match as
@@ -23,8 +23,8 @@ pair.
 
 This is the command-line face of the equivalence harness (the pytest
 face lives in ``tests/perf/test_kernel_equivalence.py``); CI runs it
-with ``--quick``, and any optimisation work on the fast or compiled
-kernels should keep it green at full depth:
+with ``--quick``, and any optimisation work on the generated kernel
+should keep it green at full depth:
 
     PYTHONPATH=src python scripts/check_bit_identity.py [--quick] [-v]
         [--kernel NAME ...]
@@ -34,9 +34,9 @@ against the kernel registry (``repro.netsim.kernels.KERNELS``) and an
 unknown name exits with status 2 listing the available kernels.
 
 When a compiled point differs, read what was generated: ``--dump-kernel
-DIR`` writes the source of every template design point (plain and
-``-prof`` variant, one ``<slug>.py`` each) into DIR and exits without
-comparing anything.
+DIR`` writes the source of every template design point (the plain,
+``-prof``, ``-hooked`` and ``-prof-hooked`` render, one ``<slug>.py``
+each) into DIR and exits without comparing anything.
 
 Exit status 0 iff every point is identical.
 """
@@ -63,7 +63,11 @@ from repro.netsim.simulator import SimulationConfig, build_network, run_simulati
 from repro.obs.observer import SimObserver
 from repro.obs.profiling import PhaseProfiler
 
-# Kernels compared against "reference" when --kernel is not given.
+# Kernels compared against "reference" when --kernel is not given.  Both
+# run the generated step: "compiled" its plain render, or the hooked one
+# on observed and faulted points; "fast" the hooked render even with
+# nothing attached, which checks that detached hook sites change
+# nothing.  ("fast" keeps its name because benchmark probes select it.)
 DEFAULT_KERNELS = ("fast", "compiled")
 
 # Short but non-trivial windows: long enough to reach steady state and

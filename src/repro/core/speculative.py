@@ -27,7 +27,7 @@ Figure 14).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..allocator_names import SPECULATION_SCHEMES
 from .switch_allocator import SwitchAllocator, SwitchGrants, SwitchRequests
@@ -97,10 +97,6 @@ class SpeculativeSwitchAllocator:
         else:
             self._spec_alloc = SwitchAllocator(num_ports, num_vcs, arch, arbiter)
         self._empty_grants: SwitchGrants = [None] * num_ports
-        # Shadow the forwarding method with the bound target: the
-        # uncontested fast path calls this once per conflict-free
-        # router cycle, and the extra frame is pure overhead.
-        self.grant_uncontested = self._nonspec_alloc.grant_uncontested
 
     @property
     def check_requests(self) -> bool:
@@ -177,75 +173,6 @@ class SpeculativeSwitchAllocator:
             in_busy, out_busy = self._grant_summary(ns_grants)
         else:  # pessimistic
             in_busy, out_busy = self._request_summary(nonspec_requests)
-
-        masked: SwitchGrants = [None] * self.num_ports
-        discarded = 0
-        survivors: List[int] = []
-        for p, g in enumerate(sp_grants):
-            if g is None:
-                continue
-            _, q = g
-            if in_busy[p] or out_busy[q]:
-                discarded += 1
-            else:
-                masked[p] = g
-                survivors.append(p)
-        self._spec_alloc.commit(survivors)
-        return SpeculativeGrants(ns_grants, masked, discarded)
-
-    # ------------------------------------------------------------------
-    def grant_uncontested(self, items: Sequence[Tuple[int, int, int]]) -> None:
-        """Uncontested-cycle commit, forwarded to the non-speculative
-        core (see :meth:`SwitchAllocator.grant_uncontested`).
-
-        Cycles eligible for this path have no speculative requests by
-        definition, so the speculative core's state is untouched --
-        exactly what :meth:`allocate_sparse` does with empty
-        ``sp_items``.
-        """
-        self._nonspec_alloc.grant_uncontested(items)
-
-    # ------------------------------------------------------------------
-    def allocate_sparse(
-        self,
-        ns_items: Sequence[Tuple[int, int, int]],
-        sp_items: Sequence[Tuple[int, int, int]],
-    ) -> SpeculativeGrants:
-        """Hot-path :meth:`allocate` over sparse requests.
-
-        ``ns_items`` / ``sp_items`` list the active requests as
-        ``(input_port, vc, output_port)`` triples, ascending by
-        ``(input_port, vc)`` (see
-        :meth:`repro.core.switch_allocator.SwitchAllocator.allocate_sparse`).
-        Grants, misspeculation accounting and arbiter updates are
-        identical to the dense path.
-        """
-        if ns_items:
-            ns_grants = self._nonspec_alloc.allocate_sparse(ns_items)
-        else:
-            ns_grants = list(self._empty_grants)
-        if self._spec_alloc is None or not sp_items:
-            return SpeculativeGrants(ns_grants, list(self._empty_grants))
-
-        if not ns_items:
-            # No non-speculative requests: neither masking scheme can
-            # discard anything (pessimistic masks on requests,
-            # conventional on grants -- both empty here), so every
-            # speculative grant survives and the arbiter updates commit
-            # inline instead of staging + commit-all.
-            sp_grants = self._spec_alloc.allocate_sparse(sp_items)
-            return SpeculativeGrants(ns_grants, sp_grants, 0)
-
-        sp_grants = self._spec_alloc.allocate_sparse(sp_items, commit=False)
-
-        if self.scheme == "conventional":
-            in_busy, out_busy = self._grant_summary(ns_grants)
-        else:  # pessimistic: busy bits straight from the request triples
-            in_busy = [False] * self.num_ports
-            out_busy = [False] * self.num_ports
-            for p, _v, q in ns_items:
-                in_busy[p] = True
-                out_busy[q] = True
 
         masked: SwitchGrants = [None] * self.num_ports
         discarded = 0

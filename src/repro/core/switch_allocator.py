@@ -80,10 +80,6 @@ class SwitchAllocator:
         self.num_vcs = num_vcs
         self.arch = arch
         self.arbiter_kind = arbiter
-        # True when the stage arbiters are plain round-robin: lets the
-        # uncontested fast path poke their pointers directly instead of
-        # paying two method calls per grant.
-        self._all_rr = arbiter == "rr"
         #: Validate requests on every allocate() call; the network
         #: simulator disables this on its per-cycle hot path.
         self.check_requests = True
@@ -182,219 +178,6 @@ class SwitchAllocator:
             for arb, winner in pending.pop(p, ()):
                 arb.advance(winner)
         pending.clear()
-
-    # -- sparse fast path ------------------------------------------------
-    def allocate_sparse(
-        self, items: Sequence[Tuple[int, int, int]], commit: bool = True
-    ) -> SwitchGrants:
-        """Hot-path :meth:`allocate` over sparse requests.
-
-        ``items`` lists the active requests as ``(input_port, vc,
-        output_port)`` triples, sorted ascending by ``(input_port, vc)``
-        -- exactly the non-``None`` cells of the dense request structure.
-        No validation is performed, and ``fault_mask`` filtering is the
-        caller's responsibility (the router masks blocked ports while
-        building ``items``).  Grants and staged/committed priority
-        updates are identical to the dense path; the differential
-        harness in ``tests/perf`` pins this equivalence.
-
-        With ``commit=True`` the priority updates are applied inline as
-        each grant is issued rather than staged and replayed: by then
-        every selection of the cycle has already been made (stage-1
-        selects precede stage 2, and each arbiter instance is advanced
-        at most once per cycle), so the inline order cannot change any
-        outcome.
-        """
-        self._pending = {}
-        if self.arch == "sep_if":
-            return self._allocate_sep_if_sparse(items, commit)
-        if self.arch == "sep_of":
-            return self._allocate_sep_of_sparse(items, commit)
-        return self._allocate_wavefront_sparse(items, commit)
-
-    def grant_uncontested(self, items: Sequence[Tuple[int, int, int]]) -> None:
-        """Commit a cycle whose sparse request set is conflict-free.
-
-        Precondition: every input port and every output port appears at
-        most once across ``items`` (the triples form a partial
-        permutation of the port-request matrix).  All three
-        architectures grant such a request set in full -- stage-1
-        arbiters see a single requesting VC, stage-2/output arbiters a
-        single bidder, and the wavefront sweep never meets an occupied
-        row or column -- so the grants are exactly ``items`` and only
-        the priority updates remain: the winning VC arbiter and (for
-        the separable archs) the output-port arbiter advance per grant,
-        while the wavefront diagonal rotates once per non-empty
-        allocation.  The router's fast kernel uses this to skip the
-        matching machinery on contention-free cycles; the differential
-        harness pins equivalence with :meth:`allocate_sparse`.
-        """
-        vc_arbs = self._vc_arbs
-        wavefront = self._wavefront
-        if wavefront is None:
-            port_arbs = self._port_arbs
-            if self._all_rr:
-                # Inlined RoundRobinArbiter.advance (winner validity is
-                # guaranteed by the request-building loop).
-                for p, v, q in items:
-                    a = vc_arbs[p]
-                    w = v + 1
-                    a._pointer = w if w < a.num_inputs else 0
-                    a = port_arbs[q]
-                    w = p + 1
-                    a._pointer = w if w < a.num_inputs else 0
-                return
-            for p, v, q in items:
-                vc_arbs[p].advance(v)
-                port_arbs[q].advance(p)
-        else:
-            for p, v, _q in items:
-                vc_arbs[p].advance(v)
-            if items:
-                wavefront.advance_priority()
-
-    def _allocate_sep_if_sparse(
-        self, items: Sequence[Tuple[int, int, int]], commit: bool
-    ) -> SwitchGrants:
-        grants: SwitchGrants = [None] * self.num_ports
-        vc_arbs = self._vc_arbs
-        port_arbs = self._port_arbs
-        n = len(items)
-
-        # Single request: both stages see one bidder, which wins.
-        if n == 1:
-            p, v, q = items[0]
-            grants[p] = (v, q)
-            if commit:
-                vc_arbs[p].advance(v)
-                port_arbs[q].advance(p)
-            else:
-                self._pending[p] = ((vc_arbs[p], v), (port_arbs[q], p))
-            return grants
-
-        # Stage 1: pick a winning VC at each active input port.  Items
-        # of one port are consecutive (ascending order); the common
-        # single-VC case needs no arbitration.
-        by_out: Dict[int, List[int]] = {}
-        bid_vc: Dict[int, int] = {}
-        i = 0
-        while i < n:
-            p, v, q = items[i]
-            j = i + 1
-            if j < n and items[j][0] == p:
-                vs = [v]
-                qs = [q]
-                while j < n and items[j][0] == p:
-                    item = items[j]
-                    vs.append(item[1])
-                    qs.append(item[2])
-                    j += 1
-                v = vc_arbs[p].select_sparse(vs)
-                q = qs[vs.index(v)]
-            bid_vc[p] = v
-            lst = by_out.get(q)
-            if lst is None:
-                by_out[q] = [p]
-            else:
-                lst.append(p)
-            i = j
-
-        # Stage 2: arbitrate among forwarded requests at each output
-        # port (a non-empty bidder list always yields a winner).
-        pending = self._pending
-        for q, ports in by_out.items():
-            arb = port_arbs[q]
-            winner = ports[0] if len(ports) == 1 else arb.select_sparse(ports)
-            vc = bid_vc[winner]
-            grants[winner] = (vc, q)
-            if commit:
-                vc_arbs[winner].advance(vc)
-                arb.advance(winner)
-            else:
-                pending[winner] = ((vc_arbs[winner], vc), (arb, winner))
-        return grants
-
-    def _allocate_sep_of_sparse(
-        self, items: Sequence[Tuple[int, int, int]], commit: bool
-    ) -> SwitchGrants:
-        grants: SwitchGrants = [None] * self.num_ports
-
-        # Port-level request columns (ports ascending per column, since
-        # items are sorted by input port).
-        cols: Dict[int, List[int]] = {}
-        # Requests grouped per input port, preserving (v, q) order.
-        rows: Dict[int, List[Tuple[int, int]]] = {}
-        for p, v, q in items:
-            row = rows.get(p)
-            if row is None:
-                rows[p] = [(v, q)]
-            else:
-                row.append((v, q))
-            col = cols.get(q)
-            if col is None:
-                cols[q] = [p]
-            elif col[-1] != p:  # collapse multiple VCs of one port
-                col.append(p)
-
-        # Stage 1: each requested output port offers itself to one input.
-        offers: Dict[int, int] = {}
-        for q, ports in cols.items():
-            offers[q] = self._port_arbs[q].select_sparse(ports)
-
-        # Stage 2: each input port arbitrates among VCs able to use a
-        # granted output.
-        for p, row in rows.items():
-            vs = [v for v, q in row if offers.get(q) == p]
-            if not vs:
-                continue
-            if len(vs) == 1:
-                vc = vs[0]
-            else:
-                vc = self._vc_arbs[p].select_sparse(vs)
-            out = next(q for v, q in row if v == vc)
-            grants[p] = (vc, out)
-            if commit:
-                self._vc_arbs[p].advance(vc)
-                self._port_arbs[out].advance(p)
-            else:
-                self._pending[p] = (
-                    (self._vc_arbs[p], vc),
-                    (self._port_arbs[out], p),
-                )
-        return grants
-
-    def _allocate_wavefront_sparse(
-        self, items: Sequence[Tuple[int, int, int]], commit: bool
-    ) -> SwitchGrants:
-        # Pair-based sweep: the port-request matrix is never built.
-        # Deduplicated (p, q) pairs in row-major order reproduce the
-        # dense path's enumeration of the matrix; grant iteration order
-        # is immaterial (each granted row is independent).
-        P = self.num_ports
-        grants: SwitchGrants = [None] * P
-        rows: Dict[int, List[Tuple[int, int]]] = {}
-        pair_set: set = set()
-        for p, v, q in items:
-            row = rows.get(p)
-            if row is None:
-                rows[p] = [(v, q)]
-            else:
-                row.append((v, q))
-            pair_set.add((p, q))
-        assert self._wavefront is not None
-        vc_arbs = self._vc_arbs
-        for p, q in self._wavefront.allocate_pairs(sorted(pair_set)):
-            vs = [v for v, qq in rows[p] if qq == q]
-            if len(vs) == 1:
-                vc = vs[0]
-            else:
-                vc = vc_arbs[p].select_sparse(vs)
-            grants[p] = (vc, q)
-            if commit:
-                vc_arbs[p].advance(vc)
-            else:
-                self._pending[p] = ((vc_arbs[p], vc),)
-        return grants
 
     @staticmethod
     def crossbar_config(grants: SwitchGrants, num_ports: int) -> List[List[bool]]:

@@ -136,9 +136,9 @@ class VCAllocator:
             else:
                 self._wavefronts = [WavefrontAllocator(n, n)]
                 self._wf_block_rows = [list(range(n))]
-            # flat VC index -> (block index, block-local index): lets
-            # both paths feed each wavefront block its own cells directly
-            # instead of materialising the n x n request matrix.
+            # flat VC index -> (block index, block-local index): feeds
+            # each wavefront block its own cells directly instead of
+            # materialising the n x n request matrix.
             self._wf_local: List[Optional[Tuple[int, int]]] = [None] * n
             for b, rows in enumerate(self._wf_block_rows):
                 for a, flat in enumerate(rows):
@@ -209,180 +209,6 @@ class VCAllocator:
         if self.arch == "sep_of":
             return self._allocate_sep_of(requests)
         return self._allocate_wavefront(requests)
-
-    # -- sparse fast path ------------------------------------------------
-    def allocate_sparse(
-        self, items: Sequence[Tuple[int, int, Sequence[int]]]
-    ) -> List[Optional[Tuple[int, int]]]:
-        """Hot-path :meth:`allocate` over sparse requests.
-
-        ``items`` lists the active requests as ``(flat_input_index,
-        output_port, candidate_vcs)`` triples, ascending by index, with
-        ascending candidates -- exactly the non-``None`` slots of the
-        dense request vector, unpacked (no :class:`VCRequest` objects
-        are built on the hot path).  Returns grants *aligned with*
-        ``items`` (not with the flat P*V vector).  No validation is
-        performed; ``fault_mask`` is honoured exactly as in the dense
-        path.  Grants and priority updates are identical to the dense
-        path; the differential harness in ``tests/perf`` pins this
-        equivalence.
-        """
-        if self.fault_mask is not None:
-            items = self._mask_items(items)
-        if self.arch == "sep_if":
-            return self._allocate_sep_if_sparse(items)
-        if self.arch == "sep_of":
-            return self._allocate_sep_of_sparse(items)
-        return self._allocate_wavefront_sparse(items)
-
-    def _mask_items(
-        self, items: Sequence[Tuple[int, int, Sequence[int]]]
-    ) -> List[Tuple[int, int, Sequence[int]]]:
-        """Sparse-form :meth:`_mask_requests`; fully-masked requests stay
-        in the list with an empty candidate set so the returned grants
-        remain aligned with the caller's ``items``."""
-        mask = self.fault_mask
-        V = self.num_vcs
-        out: List[Tuple[int, int, Sequence[int]]] = list(items)
-        for pos, (i, q, cands) in enumerate(items):
-            if not cands:
-                continue
-            base = q * V
-            survivors = [u for u in cands if base + u not in mask]
-            if len(survivors) != len(cands):
-                out[pos] = (i, q, survivors)
-        return out
-
-    def _allocate_sep_if_sparse(
-        self, items: Sequence[Tuple[int, int, Sequence[int]]]
-    ) -> List[Optional[Tuple[int, int]]]:
-        V = self.num_vcs
-        grants: List[Optional[Tuple[int, int]]] = [None] * len(items)
-        input_arbs = self._input_arbs
-
-        # Single request: its stage-1 pick meets no stage-2 competition.
-        if len(items) == 1:
-            i, q, cands = items[0]
-            if not cands:
-                return grants
-            choice = (
-                cands[0] if len(cands) == 1 else input_arbs[i].select_sparse(cands)
-            )
-            grants[0] = (q, choice)
-            input_arbs[i].advance(choice)
-            self._output_arbs[q * V + choice].advance(i)
-            return grants
-
-        # Stage 1: each input VC picks one candidate output VC to bid on.
-        bidders: dict = {}
-        pos_of: dict = {}
-        for pos, (i, q, cands) in enumerate(items):
-            if not cands:
-                continue
-            choice = cands[0] if len(cands) == 1 else input_arbs[i].select_sparse(cands)
-            b = q * V + choice
-            lst = bidders.get(b)
-            if lst is None:
-                bidders[b] = [i]
-            else:
-                lst.append(i)
-            pos_of[i] = pos
-
-        # Stage 2: each output VC with bids arbitrates among them.
-        for out, who in bidders.items():
-            if len(who) == 1:
-                winner = who[0]
-            else:
-                winner = self._output_arbs[out].select_sparse(who)
-            grants[pos_of[winner]] = divmod(out, V)
-            input_arbs[winner].advance(out % V)
-            self._output_arbs[out].advance(winner)
-        return grants
-
-    def _allocate_sep_of_sparse(
-        self, items: Sequence[Tuple[int, int, Sequence[int]]]
-    ) -> List[Optional[Tuple[int, int]]]:
-        V = self.num_vcs
-        grants: List[Optional[Tuple[int, int]]] = [None] * len(items)
-
-        # Expand: which input VCs request each output VC?
-        requested_by: dict = {}
-        for i, q, cands in items:
-            base = q * V
-            for cand in cands:
-                out = base + cand
-                lst = requested_by.get(out)
-                if lst is None:
-                    requested_by[out] = [i]
-                else:
-                    lst.append(i)
-
-        # Stage 1: each requested output VC offers itself to one input VC.
-        offers: dict = {}
-        for out, who in requested_by.items():
-            offers[out] = who[0] if len(who) == 1 else self._output_arbs[
-                out
-            ].select_sparse(who)
-
-        # Stage 2: each input VC picks among the output VCs offered to it.
-        for pos, (i, q, cands) in enumerate(items):
-            if not cands:
-                continue
-            base = q * V
-            offered = [cand for cand in cands if offers.get(base + cand) == i]
-            if not offered:
-                continue
-            if len(offered) == 1:
-                choice = offered[0]
-            else:
-                choice = self._input_arbs[i].select_sparse(offered)
-            grants[pos] = (q, choice)
-            self._input_arbs[i].advance(choice)
-            self._output_arbs[base + choice].advance(i)
-        return grants
-
-    def _allocate_wavefront_sparse(
-        self, items: Sequence[Tuple[int, int, Sequence[int]]]
-    ) -> List[Optional[Tuple[int, int]]]:
-        """Pair-based wavefront sweep: no request matrix is built.
-
-        Requests are bucketed into per-message-class blocks as
-        block-local (row, col) pairs and each non-empty block sweeps
-        via :meth:`WavefrontAllocator.allocate_pairs`.  Sorting each
-        bucket restores the row-major enumeration the dense path sweeps,
-        so grants and diagonal rotations are identical.  (Legal sparse
-        request streams never cross message classes; the dense path
-        likewise ignores cross-block cells.)
-        """
-        V = self.num_vcs
-        wf_local = self._wf_local
-        block_pairs: List[List[Tuple[int, int]]] = [
-            [] for _ in self._wavefronts
-        ]
-        for i, q, cands in items:
-            if not cands:
-                continue
-            b, a = wf_local[i]
-            base = q * V
-            pairs = block_pairs[b]
-            for cand in cands:
-                pairs.append((a, wf_local[base + cand][1]))
-
-        grants_by_row: dict = {}
-        for bidx, pairs in enumerate(block_pairs):
-            if not pairs:
-                continue
-            pairs.sort()
-            rows = self._wf_block_rows[bidx]
-            for a, c in self._wavefronts[bidx].allocate_pairs(pairs):
-                grants_by_row[rows[a]] = rows[c]
-
-        return [
-            divmod(grants_by_row[i], V)
-            if cands and i in grants_by_row
-            else None
-            for i, q, cands in items
-        ]
 
     def _mask_requests(
         self, requests: Sequence[Optional[VCRequest]]

@@ -19,7 +19,7 @@ request OR).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 from .base import Allocator, Matrix
 
@@ -74,49 +74,6 @@ class WavefrontAllocator(Allocator):
                 f"diagonal {diagonal} out of range [0, {self._size})"
             )
         self._diagonal = diagonal
-
-    def advance_priority(self) -> None:
-        """Rotate the priority diagonal exactly as one non-empty
-        :meth:`allocate` call would.
-
-        The switch allocator's uncontested fast path grants a
-        conflict-free request set without running the sweep; it calls
-        this so the diagonal sequence stays identical to the swept
-        path (no-op under the ``rotate_priority=False`` ablation).
-        """
-        if self.rotate_priority:
-            self._diagonal = (self._diagonal + 1) % self._size
-
-    def allocate_pairs(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[Tuple[int, int]]:
-        """Sparse :meth:`allocate`: sweep only the requested cells.
-
-        ``pairs`` lists the requested ``(row, col)`` cells in row-major
-        order (the order the dense path enumerates them in); returns the
-        granted cells.  Bit-identical to the dense path because both
-        stable-sort the same row-major enumeration by wave index, and
-        the greedy row/column knockout is the same.  Costs O(R log R)
-        in the number of requests with no matrix materialisation --
-        this is what keeps the ``wf`` architectures viable on
-        large-radix routers (flattened butterfly) where ``s x s`` is
-        thousands of cells.
-        """
-        granted: List[Tuple[int, int]] = []
-        if not pairs:
-            return granted
-        s = self._size
-        start = self._diagonal
-        row_used: set = set()
-        col_used: set = set()
-        for i, j in sorted(pairs, key=lambda ij: (ij[0] + ij[1] - start) % s):
-            if i not in row_used and j not in col_used:
-                granted.append((i, j))
-                row_used.add(i)
-                col_used.add(j)
-        if self.rotate_priority:
-            self._diagonal = (self._diagonal + 1) % s
-        return granted
 
     def allocate(self, requests: Matrix) -> List[List[bool]]:
         req = self._validated(requests)

@@ -10,21 +10,25 @@ compiled once per :class:`KernelSpec` and cached process-wide; every
 router sharing a design point reuses the same factory.
 
 Bit-identity contract: the generated step replicates
-:meth:`Router._allocation_step_fast` exactly -- same grants, same arbiter
-state evolution, same event-list append order -- for fault-free,
-unobserved cycles.  It carries no observer or fault hooks at all: while
-an observer or fault state is attached, :meth:`Router._bind_step`
-dispatches to the fast kernel instead, whose hook semantics are the
-reference for instrumented runs.  The three-kernel equivalence matrix in
-``tests/perf`` and ``scripts/check_bit_identity.py`` pin this contract.
+:meth:`Router._allocation_step_reference` exactly -- same grants, same
+arbiter state evolution, same event-list append order, and (in the
+hooked variant) the same observer calls and fault counters in the same
+order.  The equivalence matrix in ``tests/perf`` and
+``scripts/check_bit_identity.py`` pins this contract.
 
-Each spec renders in two variants: the default one carries no phase
-hooks, and the *profiled* variant emits ``repro.obs.profiling`` phase
-marks (routing / vc_alloc / link_traversal) inline against the profiler
-bound when the step was made.  Which one runs is likewise decided by
-:meth:`Router._bind_step` when a profiler is attached or detached, not
-per cycle.  Both variants are cached per ``(spec, profiled)`` and both
-are rendered for the source linter.
+Each spec renders along two independent axes.  The *profiled* variant
+emits ``repro.obs.profiling`` phase marks (routing / vc_alloc /
+link_traversal) inline against the profiler bound when the step was
+made.  The *hooked* variant carries the observer and fault hooks --
+blocked-link and stuck-VC request masking, the fault counters, the
+``SimObserver`` calls -- against the observer, fault state and stuck-VC
+map bound when the step was made; it skips the scalar shortcuts of the
+plain render, takes the uncontested shortcut only while no observer is
+attached, and never sets the stall latch while anything is attached.
+The plain render carries neither.  Which variant runs is decided by
+:meth:`Router._bind_step` whenever instrumentation is attached or
+detached, not per cycle.  Every variant is cached per ``(spec,
+profiled, hooked)`` and every one is rendered for the source linter.
 
 The generated source is inspectable via
 ``scripts/check_bit_identity.py --dump-kernel DIR``.  It deliberately
@@ -198,13 +202,18 @@ class _Gen:
     ``profiled=True`` renders the phase-hook variant: every routing
     call, VC-allocation core and inlined departure is bracketed with
     ``_prof.begin()`` / ``_prof.phase(...)`` marks against the profiler
-    bound by ``make_step``.  The default render contains no profiling
-    code at all.
+    bound by ``make_step``.  ``hooked=True`` renders the observer and
+    fault hooks against the ``_obs`` / ``_fs`` / ``_stuck`` bindings of
+    ``make_step`` (see the module docstring).  The default render
+    contains neither.
     """
 
-    def __init__(self, spec: KernelSpec, profiled: bool = False) -> None:
+    def __init__(
+        self, spec: KernelSpec, profiled: bool = False, hooked: bool = False
+    ) -> None:
         self.spec = spec
         self.profiled = profiled
+        self.hooked = hooked
         self.P = spec.num_ports
         self.V = spec.num_vcs
         self.M = spec.num_message_classes
@@ -214,6 +223,11 @@ class _Gen:
         self.divV, self.modV = _idx_exprs(self.V)
         self.divRC, self.modRC = _idx_exprs(self.RC)
         self.spec_on = spec.scheme != "nonspec"
+        # Request-set emptiness tests: wavefront switch cores count the
+        # requests the scan wrote into their scratch arrays.
+        wf = spec.sw_arch == "wf"
+        self.ns_any = "_nsn" if wf else "ns_items"
+        self.sp_any = "_spn" if wf else "sp_items"
         self.e = _Emitter()
 
     # -- phase-hook micro-ops ---------------------------------------------
@@ -284,24 +298,25 @@ class _Gen:
 
     # -- grant bookkeeping ------------------------------------------------
     def va_commit(self, flat: str, q: str, u: str) -> None:
-        """Emit the router-side commit of one VC grant (fused: the fast
-        kernel commits after switch allocation, but switch allocation
-        reads neither the input-VC records nor the output holders, so
-        committing at grant time is behavior-identical)."""
+        """Emit the router-side commit of one VC grant (fused: the
+        reference kernel commits after switch allocation, but switch
+        allocation reads neither the input-VC records nor the output
+        holders, so committing at grant time is behavior-identical)."""
         e = self.e
         e.line(f"_gi_ = _ivc_flat[{flat}]")
         e.line(f"_gi_.output_port = {q}")
         e.line(f"_gi_.output_vc = {u}")
         e.line(f"_holder[{q}][{u}] = ({self.divV(flat)}, {self.modV(flat)})")
-        if self.spec_on:
+        if self.spec_on or self.hooked:
             e.line(f"granted_now[{flat}] = ({q}, {u})")
 
-    def depart(self, p: str, v: str) -> None:
+    def depart(self, p: str, v: str, observed: bool = False) -> None:
         """Emit the inlined body of :meth:`Router._depart` for ``(p, v)``.
 
         Requires ``_fev``/``_cev``/``_sg`` in scope; event-list append
-        order is exactly the fast kernel's (callers iterate departures
-        in the same ascending-port order).
+        order is exactly the reference kernel's (callers iterate
+        departures in the same ascending-port order).  ``observed``
+        appends the ``flit_departed`` observer call (hooked render).
         """
         e = self.e
         self.pb()
@@ -348,6 +363,11 @@ class _Gen:
         e.line(f"_lst_.append(_cp_ + ({v},))")
         e.pop()
         e.pop()
+        if observed:
+            e.line("if _obs is not None:")
+            e.push()
+            e.line(f"_obs.flit_departed(_rid, {p}, {v}, _dq_, _du_, _fl_, now)")
+            e.pop()
         self.pe("link_traversal")
 
     # -- switch-allocator cores -------------------------------------------
@@ -828,6 +848,8 @@ class _Gen:
         )
         if self.profiled:
             e.line("Profiled variant: emits repro.obs.profiling phase hooks.")
+        if self.hooked:
+            e.line("Hooked variant: emits observer and fault hooks.")
         e.line('"""')
         e.line("")
         cands = tuple(
@@ -887,6 +909,13 @@ class _Gen:
         e.line("_up_del = router._up_del")
         if self.profiled:
             e.line("_prof = router.profiler")
+        if self.hooked:
+            # Bound once: Router._bind_step makes a new step whenever an
+            # observer or fault state is attached or detached.
+            e.line("_rid = router.id")
+            e.line("_obs = router.observer")
+            e.line("_fs = router.fault_state")
+            e.line("_stuck = router._stuck_by_port")
         e.line("_port_flits = router.port_flits")
         e.line("_sa = router.sw_alloc._nonspec_alloc")
         e.line("_sa_vc_arbs = _sa._vc_arbs")
@@ -928,9 +957,18 @@ class _Gen:
 
     # -- per-cycle step body ----------------------------------------------
     def _emit_step_body(self) -> None:
+        if not self.hooked:
+            self._emit_scalar_paths()
+        self._emit_scan()
+        self._emit_uncontested()
+        self._emit_contested()
+
+    def _emit_scalar_paths(self) -> None:
+        """Emit the shortcuts for one, two and three-or-more busy VCs
+        ahead of the generic scan (plain and profiled renders only: they
+        carry no hook sites)."""
         e = self.e
         spec = self.spec
-        P, V = self.P, self.V
         # Scalar fast path for the dominant cycle shape: exactly one busy
         # VC that already holds an output VC.  No sorting and no request
         # lists -- grant, depart and return with plain locals.  A waiting
@@ -1097,6 +1135,22 @@ class _Gen:
         e.line("return")
         e.pop()
         e.pop()
+
+    def _emit_scan(self) -> None:
+        """Emit the generic busy-VC scan that builds the request sets,
+        and the zero-request return."""
+        e = self.e
+        spec = self.spec
+        hooked = self.hooked
+        if hooked:
+            e.line("if _fs is not None:")
+            e.push()
+            e.line("_blocked = _fs.blocked_ports(_rid, now)")
+            e.pop()
+            e.line("else:")
+            e.push()
+            e.line("_blocked = None")
+            e.pop()
         wf = spec.sw_arch == "wf"
         if wf:
             # Wavefront cores consume the scratch arrays directly; the
@@ -1109,7 +1163,9 @@ class _Gen:
             if self.spec_on:
                 e.line("sp_items = []")
         e.line("va_items = []")
-        e.line("uncontested = True")
+        # Observed cycles always take the contested path, whose observer
+        # calls count every request and grant.
+        e.line("uncontested = _obs is None" if hooked else "uncontested = True")
         e.line("prev_p = -1")
         e.line("out_seen = 0")
         if self.spec_on and spec.scheme == "pessimistic":
@@ -1123,6 +1179,8 @@ class _Gen:
         e.line("if _u >= 0:")
         e.push()
         e.line("_q = _ivc.output_port")
+        if hooked:
+            self._blocked_skip()
         e.line("if _credits[_q][_u] > 0:")
         e.push()
         e.line(f"_p = {self.divV('_pv')}")
@@ -1141,6 +1199,11 @@ class _Gen:
         if self.spec_on and spec.scheme == "pessimistic":
             e.line("ns_in |= 1 << _p")
         e.pop()
+        if hooked:
+            e.line("elif _obs is not None:")
+            e.push()
+            e.line("_obs.credit_stall(_rid, _q, _u)")
+            e.pop()
         e.pop()
         e.line("else:")
         e.push()
@@ -1159,6 +1222,8 @@ class _Gen:
             e.line("did_route = True")
             e.line("continue")
             e.pop()
+        if hooked:
+            self._blocked_skip()
         e.line("_pkt = _front.packet")
         e.line("_h = _holder[_q]")
         if self.M == 1 and self.R == 1:
@@ -1168,6 +1233,22 @@ class _Gen:
         else:
             cands_src = f"_CANDS[_pkt.message_class * {self.R} + _pkt.resource_class]"
         e.line(f"_cands = [_w for _w in {cands_src} if _h[_w] is None]")
+        if hooked:
+            # Stuck VCs leave the candidate set; the map lists every
+            # stuck VC, vc_stuck() applies its start cycle.
+            e.line("if _stuck is not None and _cands:")
+            e.push()
+            e.line("_sh = _stuck.get(_q)")
+            e.line("if _sh:")
+            e.push()
+            e.line(
+                "_kept = [_w for _w in _cands"
+                " if _w not in _sh or not _fs.vc_stuck(_rid, _q, _w, now)]"
+            )
+            e.line('_fs.counters["stuck_vc_masked"] += len(_cands) - len(_kept)')
+            e.line("_cands = _kept")
+            e.pop()
+            e.pop()
         e.line("if _cands:")
         e.push()
         e.line("va_items.append((_pv, _q, _cands))")
@@ -1180,30 +1261,43 @@ class _Gen:
                 e.line(f"sp_items.append(({self.divV('_pv')}, {self.modV('_pv')}, _q))")
         e.line("uncontested = False")
         e.pop()
-        e.pop()
-        e.pop()
-        # Zero-request latch (identical condition to the fast kernel:
-        # the speculative set is non-empty exactly when va_items is).
-        if wf:
-            ns_any = "_nsn"
-            sp_any = "_spn"
-        else:
-            ns_any = "ns_items"
-            sp_any = "sp_items"
-        waiting = sp_any if self.spec_on else "va_items"
-        e.line(f"if not {ns_any} and not {waiting}:")
-        e.push()
-        if spec.lookahead:
-            e.line("_router._alloc_idle = True")
-        else:
-            e.line("if not did_route:")
+        if hooked:
+            e.line("elif _obs is not None:")
             e.push()
-            e.line("_router._alloc_idle = True")
+            e.line("_obs.vc_starved(_rid, _q)")
+            e.pop()
+        e.pop()
+        e.pop()
+        # Zero requests: latch the stall (the speculative set is
+        # non-empty exactly when va_items is).  Only a router with
+        # nothing attached may latch: an observer expects its per-cycle
+        # stall events, and a link fault can lift while the router idles.
+        waiting = self.sp_any if self.spec_on else "va_items"
+        e.line(f"if not {self.ns_any} and not {waiting}:")
+        e.push()
+        latch = []
+        if hooked:
+            latch.append("_obs is None and _fs is None")
+        if not spec.lookahead:
+            latch.append("not did_route")
+        if latch:
+            e.line(f"if {' and '.join(latch)}:")
+            e.push()
+        e.line("_router._alloc_idle = True")
+        if latch:
             e.pop()
         e.line("return")
         e.pop()
-        self._emit_uncontested()
-        self._emit_contested()
+
+    def _blocked_skip(self) -> None:
+        """Emit the hooked scan's downed-link check on ``_q``: the flit
+        waits in place and the fault state counts the held request."""
+        e = self.e
+        e.line("if _blocked is not None and _q in _blocked:")
+        e.push()
+        e.line('_fs.counters["link_blocked_requests"] += 1')
+        e.line("continue")
+        e.pop()
 
     def _emit_uncontested(self) -> None:
         e = self.e
@@ -1230,8 +1324,8 @@ class _Gen:
             self.depart("_p", "_v")
             e.pop()
             e.pop()
-            # grant_uncontested rotates the diagonal once per non-empty
-            # cycle; the request set is non-empty here (uncontested
+            # The wavefront rotates its diagonal once per non-empty
+            # allocation; the request set is non-empty here (uncontested
             # implies no VA/spec requests, and the zero-request case
             # returned above).
             e.line(f"_sa_wf._diagonal = (_sa_wf._diagonal + 1) % {self.P}")
@@ -1250,16 +1344,32 @@ class _Gen:
         e = self.e
         spec = self.spec
         P, V = self.P, self.V
-        wf = spec.sw_arch == "wf"
-        ns_any = "_nsn" if wf else "ns_items"
-        sp_any = "_spn" if wf else "sp_items"
-        if self.spec_on:
+        hooked = self.hooked
+        ns_any, sp_any = self.ns_any, self.sp_any
+        if self.spec_on or hooked:
             e.line("granted_now = {}")
         e.line("if va_items:")
         e.push()
         self.pb()
         self.va_core()
         self.pe("vc_alloc")
+        if hooked:
+            # The cores commit grants in their own order; the observer
+            # hears of them in request order.
+            e.line("if _obs is not None:")
+            e.push()
+            e.line("for _t in va_items:")
+            e.push()
+            e.line("_i = _t[0]")
+            e.line("if _i in granted_now:")
+            e.push()
+            e.line(
+                f"_obs.vc_granted(_rid, {self.divV('_i')}, {self.modV('_i')},"
+                " _ivc_flat[_i].queue[0], now)"
+            )
+            e.pop()
+            e.pop()
+            e.pop()
         e.pop()
         if self.spec_on and spec.scheme == "conventional":
             e.line("_gin = 0")
@@ -1312,9 +1422,10 @@ class _Gen:
             self.sw_core("sp_items", "_sp", True, self._store_sp)
             e.pop()
             e.pop()
-        # Departures, in the fast kernel's order: non-speculative winners
-        # ascending by port, then speculative winners ascending by port.
-        # The persistent grant scratch is cleared as it is consumed.
+        # Departures, in the reference kernel's order: non-speculative
+        # winners ascending by port, then speculative winners ascending
+        # by port.  The persistent grant scratch is cleared as it is
+        # consumed.
         e.line("_fev = network._flit_events")
         e.line("_cev = network._credit_events")
         e.line("_sg = 0")
@@ -1326,10 +1437,12 @@ class _Gen:
         e.line("if _v >= 0:")
         e.push()
         e.line("_nsg[_p] = -1")
-        self.depart("_p", "_v")
+        self.depart("_p", "_v", observed=hooked)
         e.pop()
         e.pop()
         e.pop()
+        if hooked:
+            e.line("_nsw = _sg")
         if self.spec_on:
             e.line(f"if {sp_any}:")
             e.push()
@@ -1349,7 +1462,7 @@ class _Gen:
             )
             e.push()
             e.line("_sw += 1")
-            self.depart("_p", "_v")
+            self.depart("_p", "_v", observed=hooked)
             e.pop()
             e.line("else:")
             e.push()
@@ -1361,6 +1474,32 @@ class _Gen:
         if self.spec_on:
             e.line("_router.speculative_wins += _sw")
             e.line("_router.misspeculations += _miss")
+        if hooked:
+            # Every waiting head with candidates also bids speculatively,
+            # so without speculation its count is the VC request count.
+            wf = spec.sw_arch == "wf"
+            ns_requests = ns_any if wf else f"len({ns_any})"
+            if not self.spec_on:
+                sp_requests = "len(va_items)"
+            else:
+                sp_requests = sp_any if wf else f"len({sp_any})"
+            wins, kills = ("_sw", "_miss") if self.spec_on else ("0", "0")
+            e.line("if _obs is not None:")
+            e.push()
+            e.line("_obs.alloc_cycle(")
+            e.push()
+            e.line("_rid,")
+            e.line("now,")
+            e.line("va_requests=len(va_items),")
+            e.line("va_grants=len(granted_now),")
+            e.line(f"sa_nonspec_requests={ns_requests},")
+            e.line(f"sa_spec_requests={sp_requests},")
+            e.line("sa_nonspec_grants=_nsw,")
+            e.line(f"sa_spec_wins={wins},")
+            e.line(f"sa_spec_kills={kills},")
+            e.pop()
+            e.line(")")
+            e.pop()
 
     def _scalar_ns_grant(self, bind_events: bool = True, rotate: bool = True) -> None:
         """Emit one uncontested switch grant over bound ``_p``/``_v``/``_q``
@@ -1616,8 +1755,8 @@ class _Gen:
 # ----------------------------------------------------------------------
 # factory / cache
 # ----------------------------------------------------------------------
-_SOURCES: Dict[Tuple[KernelSpec, bool], str] = {}
-_FACTORIES: Dict[Tuple[KernelSpec, bool], Callable] = {}
+_SOURCES: Dict[Tuple[KernelSpec, bool, bool], str] = {}
+_FACTORIES: Dict[Tuple[KernelSpec, bool, bool], Callable] = {}
 
 
 def _resolve_malloc_trim() -> Optional[Callable[[int], int]]:
@@ -1640,30 +1779,40 @@ def _resolve_malloc_trim() -> Optional[Callable[[int], int]]:
 _malloc_trim = _resolve_malloc_trim()
 
 
-def generate_source(spec: KernelSpec, profiled: bool = False) -> str:
+def generate_source(
+    spec: KernelSpec, profiled: bool = False, hooked: bool = False
+) -> str:
     """Render the generated-kernel module source for ``spec``."""
-    return _Gen(spec, profiled).render()
+    return _Gen(spec, profiled, hooked).render()
 
 
-def source_for(spec: KernelSpec, profiled: bool = False) -> str:
+def source_for(spec: KernelSpec, profiled: bool = False, hooked: bool = False) -> str:
     """Cached :func:`generate_source`."""
-    key = (spec, profiled)
+    key = (spec, profiled, hooked)
     src = _SOURCES.get(key)
     if src is None:
-        src = generate_source(spec, profiled)
+        src = generate_source(spec, profiled, hooked)
         _SOURCES[key] = src
     return src
 
 
-def kernel_factory(spec: KernelSpec, profiled: bool = False) -> Callable:
-    """Compile (once per spec+variant, process-wide) and return
+def _variant_slug(spec: KernelSpec, profiled: bool = False, hooked: bool = False) -> str:
+    """Display name of one render: the spec's slug plus ``-prof`` and/or
+    ``-hooked``."""
+    return spec.slug() + ("-prof" if profiled else "") + ("-hooked" if hooked else "")
+
+
+def kernel_factory(
+    spec: KernelSpec, profiled: bool = False, hooked: bool = False
+) -> Callable:
+    """Compile (once per spec and variant, process-wide) and return
     ``make_step``."""
-    key = (spec, profiled)
+    key = (spec, profiled, hooked)
     fn = _FACTORIES.get(key)
     if fn is None:
-        src = source_for(spec, profiled)
-        suffix = "-prof" if profiled else ""
-        code = compile(src, f"<compiled-kernel:{spec.slug()}{suffix}>", "exec")
+        src = source_for(spec, profiled, hooked)
+        name = _variant_slug(spec, profiled, hooked)
+        code = compile(src, f"<compiled-kernel:{name}>", "exec")
         ns: dict = {}
         exec(code, ns)
         fn = ns["make_step"]
@@ -1679,7 +1828,11 @@ def kernel_factory(spec: KernelSpec, profiled: bool = False) -> Callable:
 
 def iter_template_sources() -> Iterator[Tuple[str, str]]:
     """Yield ``(slug, source)`` for the representative template specs,
-    covering both the plain and the profiled render of each."""
+    covering every render of each: plain, profiled, hooked, and both."""
     for spec in template_specs():
-        yield spec.slug(), source_for(spec)
-        yield spec.slug() + "-prof", source_for(spec, True)
+        for hooked in (False, True):
+            for profiled in (False, True):
+                yield (
+                    _variant_slug(spec, profiled, hooked),
+                    source_for(spec, profiled, hooked),
+                )

@@ -66,9 +66,9 @@ class Network:
         terminal (pass ``None`` to detach)."""
         self.observer = observer
         for router in self.routers:
-            # Rebinds the step (observed cycles run the fast kernel) and
-            # drops any stall latch: an observer expects per-cycle stall
-            # events, so the generic path must run again.
+            # Rebinds the step (observed cycles run the hooked render of
+            # the generated step) and drops any stall latch: an observer
+            # expects per-cycle stall events, so the scan must run again.
             router.attach_observer(observer)
         for terminal in self.terminals:
             terminal.observer = observer

@@ -110,15 +110,15 @@ class Router:
         # flat ``p * V + v`` indices: ints sort and hash faster than
         # tuples on the per-cycle hot path.
         self._busy: set = set()
-        # Flat-index lookup tables for the fast kernel: one list index
-        # replaces a divmod / double subscript per busy VC per cycle.
+        # Flat-index lookup tables for the allocation steps: one list
+        # index replaces a divmod / double subscript per busy VC.
         self._ivc_flat: List[InputVC] = [
             ivc for port_vcs in self.input_vcs for ivc in port_vcs
         ]
         self._pv_pairs: List[Tuple[int, int]] = [
             (p, v) for p in range(P) for v in range(V)
         ]
-        # Fast-kernel stall latch: True when the last allocation cycle
+        # Stall latch: True when the last generated allocation cycle
         # produced zero requests with no observer/faults attached.  A
         # fully stalled router stays stalled until a flit or credit
         # arrives (its own holders/credits only change through its own
@@ -164,16 +164,17 @@ class Router:
 
         ``"compiled"`` (the default, :data:`DEFAULT_KERNEL`) runs a step
         generated for this router's design point
-        (:mod:`repro.netsim.codegen`); ``"fast"`` is the hand-written
-        sparse step, which also serves every cycle of a compiled router
-        while an observer or fault state is attached (its hook sites are
-        the contract for instrumented runs); ``"reference"`` is the
-        original dense implementation.  All three produce bit-identical
-        simulations -- the differential harness in ``tests/perf``
-        enforces this -- so ``"fast"`` and ``"reference"`` exist as
-        equivalence oracles and debugging fallbacks, selectable via
-        ``run_simulation(..., kernel=...)``.  Assignment rebinds the
-        dispatched step (:meth:`_bind_step`).
+        (:mod:`repro.netsim.codegen`): the plain render, or the
+        hook-carrying one while an observer or fault state is attached.
+        ``"fast"`` binds the hook-carrying render even with nothing
+        attached, so a run can check that detached hook sites change
+        nothing; the name is kept because benchmark probes select it.
+        ``"reference"`` is the original dense implementation, the
+        equivalence oracle and the only kernel for wirings the generator
+        does not model.  All three produce bit-identical simulations --
+        the differential harness in ``tests/perf`` enforces this --
+        selectable via ``run_simulation(..., kernel=...)``.  Assignment
+        rebinds the dispatched step (:meth:`_bind_step`).
         """
         return self._kernel
 
@@ -198,21 +199,20 @@ class Router:
         :class:`~repro.netsim.codegen.CodegenUnsupported` here.
         """
         kernel = self._kernel
-        if kernel == "fast":
-            self._alloc_step = self._allocation_step_fast
-        elif kernel == "reference":
+        if kernel == "reference":
             self._alloc_step = self._allocation_step_reference
-        else:  # compiled
+        else:
             from .codegen import kernel_factory, spec_for_router
 
-            # Checked even when the fast step is about to serve: an
-            # unsupported router must not wait for a detach to say so.
-            spec = spec_for_router(self)
-            if self.observer is not None or self.fault_state is not None:
-                self._alloc_step = self._allocation_step_fast
-            else:
-                make_step = kernel_factory(spec, self.profiler is not None)
-                self._alloc_step = make_step(self)
+            hooked = (
+                kernel == "fast"
+                or self.observer is not None
+                or self.fault_state is not None
+            )
+            make_step = kernel_factory(
+                spec_for_router(self), self.profiler is not None, hooked
+            )
+            self._alloc_step = make_step(self)
         # The stall latch is only valid for the step that set it.
         self._alloc_idle = False
 
@@ -236,17 +236,20 @@ class Router:
         to the faults that actually touch this router.
         """
         self.fault_state = fault_state
-        self._bind_step()
         if fault_state is None:
             self._stuck_by_port = None
             self.vc_alloc.fault_mask = None
             self.sw_alloc.fault_mask = None
-            return
-        self._stuck_by_port = fault_state.stuck_by_port(self.id)
-        # Defense in depth: the allocator itself also refuses stuck VCs,
-        # so a future request-generation change cannot silently grant
-        # a faulted resource.
-        self.vc_alloc.fault_mask = fault_state.stuck_flat(self.id, self.num_vcs)
+        else:
+            self._stuck_by_port = fault_state.stuck_by_port(self.id)
+            # Defense in depth: the dense allocator also refuses stuck
+            # VCs, so a future request-generation change in the
+            # reference step cannot silently grant a faulted resource.
+            self.vc_alloc.fault_mask = fault_state.stuck_flat(
+                self.id, self.num_vcs
+            )
+        # Last: the hooked step binds the stuck-VC map set above.
+        self._bind_step()
 
     # ------------------------------------------------------------------
     # wiring (topology builder API)
@@ -331,209 +334,10 @@ class Router:
         if self._busy and not self._alloc_idle:
             self._alloc_step(network, now)
 
-    def _allocation_step_fast(self, network: "Network", now: int) -> None:
-        """Sparse allocation cycle (the profiled hot path).
-
-        Builds the VA/SA request sets directly in the sparse form the
-        allocators' ``allocate_sparse`` entry points consume, touching
-        only occupied VCs.  Iterates ``_busy`` in sorted order to
-        satisfy the allocators' ascending-index preconditions; every
-        step below is order-independent (requests land in fixed slots,
-        route calls are RNG-free and read state that only mutates after
-        allocation), so the result is bit-identical to the reference
-        path regardless of set iteration order.
-
-        While building the request set the loop also detects the
-        *uncontested* case -- no VC/speculative requests, at most one
-        switch request per input port and per output port.  Such a
-        request set is granted in full by every allocator architecture,
-        so the matching machinery is skipped entirely and only the
-        arbiter priority updates are committed
-        (:meth:`~repro.core.speculative.SpeculativeSwitchAllocator.grant_uncontested`);
-        at typical loads this covers the majority of router cycles.
-        Observer runs always take the generic path so the per-cycle
-        instrumentation counts stay identical.
-        """
-        obs = self.observer
-        if obs is not None:
-            wins0 = self.speculative_wins
-            miss0 = self.misspeculations
-        prof = self.profiler
-
-        fs = self.fault_state
-        if fs is not None:
-            blocked = fs.blocked_ports(self.id, now)
-            self.sw_alloc.fault_mask = blocked
-            stuck = self._stuck_by_port
-        else:
-            blocked = None
-            stuck = None
-
-        ivc_flat = self._ivc_flat
-        pv_pairs = self._pv_pairs
-        credits = self.credits
-        output_holder = self.output_holder
-        class_vcs = self.partition.class_vcs_tuple
-
-        va_items: List[Tuple[int, int, List[int]]] = []
-        ns_items: List[Tuple[int, int, int]] = []
-        sp_items: List[Tuple[int, int, int]] = []
-        ns_append = ns_items.append
-
-        uncontested = obs is None
-        prev_p = -1
-        out_seen = 0  # bitmask of output ports already requested
-        did_route = False
-
-        for pv in sorted(self._busy):
-            ivc = ivc_flat[pv]
-            u = ivc.output_vc
-            if u >= 0:
-                # Active: bid non-speculatively if a credit exists.
-                q = ivc.output_port
-                if blocked is not None and q in blocked:
-                    assert fs is not None  # blocked ports imply fault state
-                    fs.counters["link_blocked_requests"] += 1
-                    continue  # link down: the flit waits in place
-                if credits[q][u] > 0:
-                    p, v = pv_pairs[pv]
-                    ns_append((p, v, q))
-                    if p == prev_p or (out_seen >> q) & 1:
-                        uncontested = False
-                    prev_p = p
-                    out_seen |= 1 << q
-                elif obs is not None:
-                    obs.credit_stall(self.id, q, u)
-            else:
-                front = ivc.queue[0]
-                if not front.is_head:
-                    continue
-                q = front.out_port
-                if q < 0:
-                    if prof is not None:
-                        _t = prof.begin()
-                        front.out_port = self.route_fn(network, self, front.packet)
-                        prof.phase("routing", _t)
-                    else:
-                        front.out_port = self.route_fn(network, self, front.packet)
-                    did_route = True
-                    continue
-                if blocked is not None and q in blocked:
-                    assert fs is not None  # blocked ports imply fault state
-                    fs.counters["link_blocked_requests"] += 1
-                    continue
-                pkt = front.packet
-                holders = output_holder[q]
-                cands = [
-                    w
-                    for w in class_vcs(pkt.message_class, pkt.resource_class)
-                    if holders[w] is None
-                ]
-                if stuck is not None and cands:
-                    stuck_here = stuck.get(q)
-                    if stuck_here:
-                        assert fs is not None  # stuck map implies fault state
-                        kept = [
-                            w
-                            for w in cands
-                            if w not in stuck_here
-                            or not fs.vc_stuck(self.id, q, w, now)
-                        ]
-                        fs.counters["stuck_vc_masked"] += len(cands) - len(kept)
-                        cands = kept
-                if cands:
-                    p, v = pv_pairs[pv]
-                    va_items.append((pv, q, cands))
-                    sp_items.append((p, v, q))
-                    uncontested = False
-                elif obs is not None:
-                    obs.vc_starved(self.id, q)
-
-        if not ns_items and not sp_items:
-            # Zero requests and no state touched: with no faults or
-            # observer attached the request set cannot change until a
-            # flit or credit arrives here, so latch the stall and skip
-            # the scan on subsequent cycles (receive_flit /
-            # receive_credit clear the latch).
-            if fs is None and obs is None and not did_route:
-                self._alloc_idle = True
-            return
-
-        if uncontested:
-            # Conflict-free cycle: every request wins by construction.
-            self.sw_alloc.grant_uncontested(ns_items)
-            depart = self._depart
-            _t = prof.begin() if prof is not None else 0.0
-            for p, v, _q in ns_items:
-                depart(network, now, p, v)
-            if prof is not None:
-                prof.phase("link_traversal", _t)
-            return
-
-        va_grants: List[Optional[Tuple[int, int]]] = []
-        if va_items:
-            if prof is not None:
-                _t = prof.begin()
-                va_grants = self.vc_alloc.allocate_sparse(va_items)
-                prof.phase("vc_alloc", _t)
-            else:
-                va_grants = self.vc_alloc.allocate_sparse(va_items)
-
-        result = self.sw_alloc.allocate_sparse(ns_items, sp_items)
-
-        # Commit this cycle's VC grants.
-        granted_now = {}
-        for (flat, _q, _cands), g in zip(va_items, va_grants):
-            if g is not None:
-                p, v = pv_pairs[flat]
-                q, u = g
-                ivc = ivc_flat[flat]
-                ivc.assign_output(q, u)
-                output_holder[q][u] = (p, v)
-                granted_now[(p, v)] = g
-                if obs is not None:
-                    obs.vc_granted(self.id, p, v, ivc.queue[0], now)
-
-        # Non-speculative switch winners depart.
-        depart = self._depart
-        _t = prof.begin() if prof is not None else 0.0
-        for p, g in enumerate(result.nonspec):
-            if g is not None:
-                depart(network, now, p, g[0])
-
-        # Speculative winners depart only if their VC allocation also
-        # succeeded this cycle and the granted VC has a credit.
-        for p, g in enumerate(result.spec):
-            if g is None:
-                continue
-            v, q = g
-            vag = granted_now.get((p, v))
-            if vag is not None and vag[0] == q and credits[q][vag[1]] > 0:
-                self.speculative_wins += 1
-                depart(network, now, p, v)
-            else:
-                self.misspeculations += 1
-        self.misspeculations += result.spec_discarded
-        if prof is not None:
-            prof.phase("link_traversal", _t)
-
-        if obs is not None:
-            obs.alloc_cycle(
-                self.id,
-                now,
-                va_requests=len(va_items),
-                va_grants=len(granted_now),
-                sa_nonspec_requests=len(ns_items),
-                sa_spec_requests=len(sp_items),
-                sa_nonspec_grants=result.grant_counts()[0],
-                sa_spec_wins=self.speculative_wins - wins0,
-                sa_spec_kills=self.misspeculations - miss0,
-            )
-
     def _allocation_step_reference(self, network: "Network", now: int) -> None:
         """Dense allocation cycle -- the original implementation, kept
-        as the equivalence oracle for the fast kernel (only the busy-set
-        bookkeeping, shared with the fast path, uses flat indices)."""
+        as the equivalence oracle for the generated steps (only the
+        busy-set bookkeeping, shared with them, uses flat indices)."""
         P, V = self.num_ports, self.num_vcs
         part = self.partition
         va_req = self._va_requests

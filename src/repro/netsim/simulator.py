@@ -61,9 +61,9 @@ def build_network(cfg: SimulationConfig, kernel: str = DEFAULT_KERNEL) -> Networ
     ``kernel`` selects the routers' allocation implementation, one of
     :data:`repro.netsim.kernels.KERNELS`: ``"compiled"`` (generated per
     design point; the default, :data:`DEFAULT_KERNEL`), ``"fast"`` (the
-    hand-written sparse step, which also runs the observed and faulted
-    cycles of a compiled network) or ``"reference"`` (the dense
-    oracle).  They are bit-identical by contract -- see
+    hook-carrying render of the generated step, bound even with nothing
+    attached) or ``"reference"`` (the dense oracle).  They are
+    bit-identical by contract -- see
     ``tests/perf/test_kernel_equivalence.py`` -- so the choice never
     affects results, only wall-clock speed, and deliberately does NOT
     enter the simulation config (or its cache key).
@@ -91,28 +91,36 @@ def build_network(cfg: SimulationConfig, kernel: str = DEFAULT_KERNEL) -> Networ
 
 
 def prewarm_kernels(configs: Iterable[SimulationConfig]) -> None:
-    """Compile the generated kernel of every distinct design point in
-    ``configs`` into the process-wide factory cache.
+    """Compile the generated kernel each config's routers will bind into
+    the process-wide factory cache, once per distinct render.
 
     Called by a parent about to fork its pool workers: they inherit the
     compiled factories instead of each paying codegen on its first
-    router.  A config naming an unknown topology or routing mode
-    is skipped; its own point reports the error.  If a fault plan draws
-    (a rate > 0), numpy's generator is imported here too.
+    router.  A config whose fault plan attaches a fault state binds the
+    hook-carrying render (:meth:`Router._bind_step`), every other one
+    the plain render.  A config naming an unknown topology or routing
+    mode is skipped; its own point reports the error.  If a fault plan
+    draws (a rate > 0), numpy's generator is imported here too.
     """
     from .codegen import kernel_factory
 
     configs = list(configs)
-    specs = set()
+    renders = set()
     for cfg in configs:
         try:
-            specs.add(kernel_spec(cfg))
+            spec = kernel_spec(cfg)
         except ValueError:
-            pass
-    for spec in specs:
-        kernel_factory(spec)
+            continue
+        renders.add((spec, _attaches_faults(cfg)))
+    for spec, hooked in renders:
+        kernel_factory(spec, hooked=hooked)
     if any(cfg.faults is not None and cfg.faults.draws for cfg in configs):
         import numpy.random  # noqa: F401
+
+
+def _attaches_faults(cfg: SimulationConfig) -> bool:
+    """Whether :func:`run_simulation` attaches a fault state for ``cfg``."""
+    return cfg.faults is not None and not cfg.faults.is_empty
 
 
 def run_simulation_worker(cfg_dict: Dict[str, Any]) -> Dict[str, Any]:
@@ -146,8 +154,8 @@ def run_simulation(
     ``kernel`` selects the allocation implementation (``"compiled"``,
     the default, ``"fast"`` or ``"reference"``); results are
     bit-identical whichever runs (see :func:`build_network`).  With an
-    observer or a fault plan, a compiled network runs those cycles on
-    the fast kernel.
+    observer or a fault plan, a compiled network runs the hook-carrying
+    render of its generated step.
 
     ``profiler`` opts the run into phase-attribution timing
     (:class:`repro.obs.profiling.PhaseProfiler`).  Like the observer it
@@ -167,7 +175,7 @@ def run_simulation(
             net.attach_observer(observer)
 
         fault_state = None
-        if cfg.faults is not None and not cfg.faults.is_empty:
+        if _attaches_faults(cfg):
             horizon = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles
             fault_state = cfg.faults.materialize(
                 [r.num_ports for r in net.routers],

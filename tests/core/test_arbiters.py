@@ -1,6 +1,8 @@
 """Unit tests for arbiter primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.arbiters import (
     FixedPriorityArbiter,
@@ -225,3 +227,28 @@ class TestMakeArbiter:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown arbiter kind"):
             make_arbiter("lru", 3)
+
+
+# select_sparse is what the generated simulation steps call: it must
+# pick exactly what select() picks on the equivalent dense vector, from
+# any reachable priority state.
+_SPARSE_FACTORIES = {
+    "fixed": lambda: FixedPriorityArbiter(6),
+    "rr": lambda: RoundRobinArbiter(6),
+    "m": lambda: MatrixArbiter(6),
+    "tree-rr": lambda: TreeArbiter(2, 3),
+    "tree-m": lambda: TreeArbiter(2, 3, MatrixArbiter),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_FACTORIES))
+@given(
+    history=st.lists(st.sets(st.integers(0, 5), min_size=1), max_size=6),
+    requests=st.sets(st.integers(0, 5)),
+)
+@settings(max_examples=60, deadline=None)
+def test_select_sparse_matches_select(kind, history, requests):
+    arb = _SPARSE_FACTORIES[kind]()
+    for cycle in history:  # drive the priority state somewhere
+        arb.arbitrate(_mask(6, *cycle))
+    assert arb.select_sparse(sorted(requests)) == arb.select(_mask(6, *requests))

@@ -164,9 +164,9 @@ class TestKernelContracts:
         assert fast == ref
 
     def test_compiled_matches_fast_under_faults(self):
-        # The compiled kernel delegates fault-state cycles to the fast
-        # kernel, so agreement is the contract being restated -- pinned
-        # here so a future codegen fault path must keep it.
+        # With a fault state attached both kernels bind the hooked render
+        # of the generated step, so agreement is the contract being
+        # restated -- pinned here so the two bindings cannot drift.
         cfg = replace(FT_CFG, faults=single_fault(9, 3))
         fast = run_simulation(cfg, kernel="fast").to_payload()
         compiled = run_simulation(cfg, kernel="compiled").to_payload()

@@ -23,6 +23,7 @@ import pytest
 
 from repro.cli import main
 from repro.eval.runner import run_sweep
+from repro.faults.plan import FaultPlan, StuckVC
 from repro.netsim import codegen, simulator
 from repro.netsim.kernels import DEFAULT_KERNEL, KERNELS
 from repro.netsim.router import Router
@@ -156,6 +157,23 @@ class TestPoolPrewarm:
         inline = run_sweep(configs)
         assert [r.to_payload() for r in pooled] == [r.to_payload() for r in inline]
 
+    def test_faulted_sweep_compiles_nothing_in_a_child(self, compile_log):
+        # A fault plan attaches a fault state, so those points' routers
+        # bind the hook-carrying render: the parent compiles it too.
+        if mp.get_start_method() != "fork":
+            pytest.skip("spawned children import afresh and compile for themselves")
+        faults = FaultPlan(stuck_vcs=(StuckVC(0, 1, 0, 50),))
+        configs = [
+            SimulationConfig(injection_rate=rate, faults=plan, **WINDOWS)
+            for rate in (0.05, 0.2)
+            for plan in (None, faults)
+        ]
+        pooled = run_sweep(configs, timeout=120)
+        # The plain and the hooked render of one design point.
+        assert compile_log() == [os.getpid()] * 2
+        inline = run_sweep(configs)
+        assert [r.to_payload() for r in pooled] == [r.to_payload() for r in inline]
+
     def test_custom_worker_triggers_no_prewarm(self, compile_log):
         configs = [SimulationConfig(injection_rate=r) for r in (0.1, 0.2)]
         results = run_sweep(configs, timeout=60, worker_fn=mixed_worker)
@@ -182,6 +200,7 @@ class LogImports:
 sys.meta_path.insert(0, LogImports)
 
 from repro.eval.runner import run_sweep
+from repro.faults.plan import FaultPlan, StuckVC
 from repro.faults.plan import FaultPlan, StuckVC
 from repro.netsim.config import SimulationConfig
 from repro.serve.testing import analytic_worker

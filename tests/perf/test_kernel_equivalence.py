@@ -16,36 +16,44 @@ the reference implementation:
    speculation counters.  The lifecycle cases next to layer 1 do the
    same for the default kernel while an observer, profiler or fault
    state is attached or detached mid-run.
-3. Component-level property tests: the sparse allocator entry points
-   used only by the fast kernel (``allocate_sparse``,
-   ``grant_uncontested``, ``allocate_pairs``) against the dense paths
-   used by the reference kernel, plus the compiled-kernel codegen entry
-   points (``generate_source`` determinism, whole-network lockstep with
-   the fast kernel on randomized traffic), over randomized multi-cycle
-   request streams, comparing both the grants and the post-cycle
-   arbiter priority state.
+3. Property tests of the codegen entry points: ``generate_source``
+   determinism over the whole spec space, and whole-network lockstep of
+   both generated renders with the reference on randomized traffic.
+
+``fast`` is the hook-carrying generated render bound with nothing
+attached, so every ``fast`` row also checks that detached hook sites
+change nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.speculative import SpeculativeSwitchAllocator
-from repro.core.switch_allocator import SwitchAllocator
-from repro.core.vc_allocator import VCAllocator, VCRequest
-from repro.core.vc_partition import VCPartition
-from repro.core.wavefront import WavefrontAllocator
+from repro.allocator_names import (
+    ARBITER_KINDS,
+    SPECULATION_SCHEMES,
+    SWITCH_ALLOCATOR_ARCHS,
+    VC_ALLOCATOR_ARCHS,
+)
 from repro.netsim import codegen
 from repro.netsim.codegen import KERNELS
-from repro.netsim.simulator import SimulationConfig, build_network, run_simulation
+from repro.netsim.router import Router
+from repro.netsim.simulator import (
+    SimulationConfig,
+    build_network,
+    kernel_spec,
+    run_simulation,
+    validate_config,
+)
+from repro.netsim.topology import describe
 from repro.obs.observer import SimObserver
 from repro.obs.profiling import PhaseProfiler
 
@@ -108,16 +116,17 @@ def test_unknown_kernel_name_is_rejected(capsys):
 
 
 def test_dump_kernel_writes_one_importable_module_per_template(tmp_path, capsys):
-    """What to read when a compiled point differs: the plain and the
-    ``-prof`` variant of every template design point, nothing compared."""
+    """What to read when a compiled point differs: the plain, ``-prof``,
+    ``-hooked`` and ``-prof-hooked`` render of every template design
+    point, nothing compared."""
     dump_dir = tmp_path / "kernels"
     assert cbi.main(["--dump-kernel", str(dump_dir)]) == 0
     captured = capsys.readouterr()
     assert "dumped" in captured.err and "IDENTICAL" not in captured.out
     expected = sorted(
-        name
+        f"{spec.slug()}{suffix}.py"
         for spec in codegen.template_specs()
-        for name in (f"{spec.slug()}.py", f"{spec.slug()}-prof.py")
+        for suffix in ("", "-prof", "-hooked", "-prof-hooked")
     )
     assert sorted(p.name for p in dump_dir.iterdir()) == expected
     for path in dump_dir.iterdir():
@@ -168,7 +177,7 @@ def test_bound_step_follows_what_is_attached():
     assert plain.__code__.co_filename.startswith("<compiled-kernel:")
 
     net.attach_observer(SimObserver(sample_every=100))
-    assert router._alloc_step == router._allocation_step_fast
+    assert router._alloc_step.__code__.co_filename.endswith("-hooked>")
     net.attach_observer(None)
     assert router._alloc_step.__code__ is plain.__code__
 
@@ -178,17 +187,29 @@ def test_bound_step_follows_what_is_attached():
     assert router._alloc_step.__code__ is plain.__code__
 
     cbi.attach_faults(net, cbi.design_point("wf", "mesh"))
-    assert router._alloc_step == router._allocation_step_fast
+    assert router._alloc_step.__code__.co_filename.endswith("-hooked>")
     net.attach_fault_state(None)
     assert router._alloc_step.__code__ is plain.__code__
 
 
 def test_generated_step_carries_no_per_cycle_instrumentation_tests():
+    """No render reads the router's instrumentation per cycle: each binds
+    what it needs in ``make_step``, and only the hooked ones call it."""
     for spec in codegen.template_specs():
         for profiled in (False, True):
-            step = codegen.source_for(spec, profiled).split("def step(", 1)[1]
-            for name in ("observer", "fault_state", "profiler", "_compiled_bootstrap"):
-                assert name not in step
+            for hooked in (False, True):
+                src = codegen.source_for(spec, profiled, hooked)
+                step = src.split("def step(", 1)[1]
+                for name in (
+                    "observer",
+                    "fault_state",
+                    "_stuck_by_port",
+                    "profiler",
+                    "_compiled_bootstrap",
+                ):
+                    assert name not in step
+                assert ("_obs.alloc_cycle(" in step) is hooked
+                assert ('_fs.counters["stuck_vc_masked"]' in step) is hooked
 
 
 @pytest.mark.parametrize(
@@ -220,10 +241,60 @@ def test_unsupported_wiring_surfaces_at_bind_time(break_router, field):
         router.kernel = "compiled"
     assert "router 7" in str(exc.value)
     assert field in str(exc.value)
-    # Attaching instrumentation rebinds too, and fails the same way even
-    # though observed cycles would run the fast step.
+    # Attaching instrumentation rebinds too, to the hooked render, and
+    # fails the same way; so does the kernel that always binds it.
     with pytest.raises(codegen.CodegenUnsupported):
         router.attach_observer(SimObserver(sample_every=100))
+    with pytest.raises(codegen.CodegenUnsupported):
+        router.kernel = "fast"
+    # Such wirings run on the reference step.
+    router.kernel = "reference"
+
+
+def test_every_config_allocator_combination_specializes():
+    """What ``CodegenUnsupported`` promises: every allocator combination
+    a :class:`SimulationConfig` can name builds routers the generator
+    models, and their spec is the one ``kernel_spec`` derives from the
+    config.  Routers are built on the reference step: nothing compiles
+    and no cycle runs."""
+    desc = describe("mesh")
+    partition = desc.mode("default").partition(2)
+    combos = list(
+        itertools.product(
+            VC_ALLOCATOR_ARCHS,
+            ARBITER_KINDS,
+            SWITCH_ALLOCATOR_ARCHS,
+            ARBITER_KINDS,
+            SPECULATION_SCHEMES,
+            (True, False),
+        )
+    )
+    assert len(combos) == 3 * 3 * 3 * 3 * 3 * 2
+    for va, va_arb, sa, sa_arb, scheme, lookahead in combos:
+        cfg = SimulationConfig(
+            vcs_per_class=2,
+            vc_alloc_arch=va,
+            vc_alloc_arbiter=va_arb,
+            sw_alloc_arch=sa,
+            sw_alloc_arbiter=sa_arb,
+            speculation=scheme,
+            lookahead=lookahead,
+        )
+        validate_config(cfg)
+        router = Router(
+            0,
+            desc.num_ports,
+            partition,
+            route_fn=None,
+            vc_alloc_arch=va,
+            vc_alloc_arbiter=va_arb,
+            sw_alloc_arch=sa,
+            sw_alloc_arbiter=sa_arb,
+            speculation=scheme,
+            lookahead=lookahead,
+            kernel="reference",
+        )
+        assert codegen.spec_for_router(router) == kernel_spec(cfg)
 
 
 def test_unknown_kernel_is_rejected_by_the_router():
@@ -234,239 +305,6 @@ def test_unknown_kernel_is_rejected_by_the_router():
 
 def test_ugal_hop_tables_match_port_arithmetic():
     assert cbi.ugal_hop_table_problems() == []
-
-
-# ---------------------------------------------------------------------------
-# Layer 2: sparse-vs-dense component properties
-# ---------------------------------------------------------------------------
-
-
-# -- wavefront pair sweep ---------------------------------------------------
-
-
-@st.composite
-def _wf_case(draw):
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
-    rotations = draw(st.integers(0, max(m, n) - 1))
-    cells = draw(
-        st.sets(
-            st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
-            max_size=m * n,
-        )
-    )
-    return m, n, rotations, sorted(cells)
-
-
-@given(case=_wf_case())
-@settings(max_examples=200, deadline=None)
-def test_wavefront_pairs_matches_dense(case):
-    m, n, rotations, cells = case
-    dense_wf = WavefrontAllocator(m, n)
-    pair_wf = WavefrontAllocator(m, n)
-    for _ in range(rotations):
-        dense_wf.advance_priority()
-        pair_wf.advance_priority()
-
-    req = np.zeros((m, n), dtype=bool)
-    for i, j in cells:
-        req[i, j] = True
-    dense_grants = dense_wf.allocate(req)
-    pair_grants = pair_wf.allocate_pairs(cells)
-
-    assert set(pair_grants) == set(zip(*(x.tolist() for x in np.nonzero(dense_grants))))
-    assert pair_wf.priority_diagonal == dense_wf.priority_diagonal
-
-
-# -- switch allocator -------------------------------------------------------
-
-_P, _V = 4, 3
-
-
-@st.composite
-def _sw_cycles(draw, max_cycles=4):
-    cycles = []
-    for _ in range(draw(st.integers(1, max_cycles))):
-        items = []
-        for p in range(_P):
-            for v in range(_V):
-                if draw(st.booleans()):
-                    items.append((p, v, draw(st.integers(0, _P - 1))))
-        cycles.append(items)
-    return cycles
-
-
-def _sw_dense(items):
-    requests = [[None] * _V for _ in range(_P)]
-    for p, v, q in items:
-        requests[p][v] = q
-    return requests
-
-
-@pytest.mark.parametrize("arch", ["sep_if", "sep_of", "wf"])
-@pytest.mark.parametrize("arbiter", ["rr", "m"])
-@given(cycles=_sw_cycles())
-@settings(max_examples=40, deadline=None)
-def test_switch_sparse_matches_dense(arch, arbiter, cycles):
-    dense_alloc = SwitchAllocator(_P, _V, arch, arbiter)
-    sparse_alloc = SwitchAllocator(_P, _V, arch, arbiter)
-    for items in cycles:
-        dense_grants = dense_alloc.allocate(_sw_dense(items))
-        sparse_grants = sparse_alloc.allocate_sparse(items)
-        assert sparse_grants == dense_grants
-    assert cbi.sw_state(sparse_alloc) == cbi.sw_state(dense_alloc)
-
-
-@st.composite
-def _uncontested_items(draw):
-    ports = sorted(draw(st.sets(st.integers(0, _P - 1), min_size=1)))
-    outs = draw(st.permutations(list(range(_P))))
-    return [
-        (p, draw(st.integers(0, _V - 1)), outs[k]) for k, p in enumerate(ports)
-    ]
-
-
-@pytest.mark.parametrize("arch", ["sep_if", "sep_of", "wf"])
-@pytest.mark.parametrize("arbiter", ["rr", "m"])
-@given(warmup=_sw_cycles(max_cycles=2), items=_uncontested_items())
-@settings(max_examples=40, deadline=None)
-def test_grant_uncontested_matches_sparse(arch, arbiter, warmup, items):
-    full = SwitchAllocator(_P, _V, arch, arbiter)
-    shortcut = SwitchAllocator(_P, _V, arch, arbiter)
-    for cycle in warmup:  # start from a randomized priority state
-        full.allocate_sparse(cycle)
-        shortcut.allocate_sparse(cycle)
-
-    grants = full.allocate_sparse(items)
-    shortcut.grant_uncontested(items)
-
-    # A conflict-free request set is granted in full by every arch ...
-    expected = [None] * _P
-    for p, v, q in items:
-        expected[p] = (v, q)
-    assert grants == expected
-    # ... and the shortcut leaves the arbiters in the identical state.
-    assert cbi.sw_state(shortcut) == cbi.sw_state(full)
-
-
-# -- speculative switch allocation ------------------------------------------
-
-
-@st.composite
-def _spec_cycles(draw, max_cycles=4):
-    cycles = []
-    for _ in range(draw(st.integers(1, max_cycles))):
-        ns, sp = [], []
-        for p in range(_P):
-            for v in range(_V):
-                kind = draw(st.integers(0, 3))
-                if kind == 1:
-                    ns.append((p, v, draw(st.integers(0, _P - 1))))
-                elif kind == 2:
-                    sp.append((p, v, draw(st.integers(0, _P - 1))))
-        cycles.append((ns, sp))
-    return cycles
-
-
-@pytest.mark.parametrize("scheme", ["pessimistic", "conventional"])
-@pytest.mark.parametrize("arch", ["sep_if", "wf"])
-@given(cycles=_spec_cycles())
-@settings(max_examples=40, deadline=None)
-def test_speculative_sparse_matches_dense(scheme, arch, cycles):
-    dense_alloc = SpeculativeSwitchAllocator(_P, _V, arch, "rr", scheme)
-    sparse_alloc = SpeculativeSwitchAllocator(_P, _V, arch, "rr", scheme)
-    for ns_items, sp_items in cycles:
-        dense = dense_alloc.allocate(_sw_dense(ns_items), _sw_dense(sp_items))
-        sparse = sparse_alloc.allocate_sparse(ns_items, sp_items)
-        assert sparse.nonspec == dense.nonspec
-        assert sparse.spec == dense.spec
-        assert sparse.spec_discarded == dense.spec_discarded
-    assert cbi.sw_state(sparse_alloc._nonspec_alloc) == cbi.sw_state(
-        dense_alloc._nonspec_alloc
-    )
-    assert cbi.sw_state(sparse_alloc._spec_alloc) == cbi.sw_state(dense_alloc._spec_alloc)
-
-
-def test_speculative_ns_empty_commits_inline():
-    """The ns-empty shortcut must grant AND advance exactly like the
-    staged path (nothing can be masked when the nonspec side is idle)."""
-    for scheme in ("pessimistic", "conventional"):
-        fast = SpeculativeSwitchAllocator(_P, _V, "sep_if", "rr", scheme)
-        ref = SpeculativeSwitchAllocator(_P, _V, "sep_if", "rr", scheme)
-        sp_items = [(0, 1, 2), (1, 0, 2), (2, 2, 0)]
-        out_fast = fast.allocate_sparse([], sp_items)
-        out_ref = ref.allocate(_sw_dense([]), _sw_dense(sp_items))
-        assert out_fast.nonspec == out_ref.nonspec
-        assert out_fast.spec == out_ref.spec
-        assert out_fast.spec_discarded == out_ref.spec_discarded == 0
-        assert cbi.sw_state(fast._spec_alloc) == cbi.sw_state(ref._spec_alloc)
-
-
-# -- VC allocator -----------------------------------------------------------
-
-_PARTITIONS = {
-    "single-class": VCPartition(1, 1, 3),
-    "two-classes": VCPartition(2, 1, 2),
-}
-
-
-@st.composite
-def _vc_cycles(draw, partition, num_ports, max_cycles=4):
-    V = partition.num_vcs
-    legal = {
-        v: [u for u in range(V) if partition.legal_transition(v, u)]
-        for v in range(V)
-    }
-    cycles = []
-    for _ in range(draw(st.integers(1, max_cycles))):
-        items = []
-        for i in range(num_ports * V):
-            if draw(st.booleans()):
-                cands = sorted(
-                    draw(st.sets(st.sampled_from(legal[i % V]), min_size=1))
-                )
-                items.append((i, draw(st.integers(0, num_ports - 1)), tuple(cands)))
-        cycles.append(items)
-    return cycles
-
-
-def _vc_dense(items, n):
-    requests = [None] * n
-    for i, q, cands in items:
-        requests[i] = VCRequest(q, cands)
-    return requests
-
-
-@pytest.mark.parametrize("part_name", sorted(_PARTITIONS))
-@pytest.mark.parametrize("arch", ["sep_if", "sep_of", "wf"])
-@pytest.mark.parametrize("arbiter", ["rr", "m"])
-@pytest.mark.parametrize("masked", [False, True])
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_vc_sparse_matches_dense(part_name, arch, arbiter, masked, data):
-    partition = _PARTITIONS[part_name]
-    P = 3
-    n = P * partition.num_vcs
-    dense_alloc = VCAllocator(P, partition, arch, arbiter)
-    sparse_alloc = VCAllocator(P, partition, arch, arbiter)
-    if masked:
-        # Two stuck output VCs (a faulted run): both paths must prune
-        # candidates identically, including fully-masked requests.
-        mask = frozenset({1, n - 1})
-        dense_alloc.fault_mask = mask
-        sparse_alloc.fault_mask = mask
-    cycles = data.draw(_vc_cycles(partition, P))
-    for items in cycles:
-        dense_grants = dense_alloc.allocate(_vc_dense(items, n))
-        sparse_grants = sparse_alloc.allocate_sparse(items)
-        assert len(sparse_grants) == len(items)
-        for pos, (i, _q, _cands) in enumerate(items):
-            assert sparse_grants[pos] == dense_grants[i]
-        granted_idx = {i for i, _q, _c in items}
-        for i in range(n):
-            if i not in granted_idx:
-                assert dense_grants[i] is None
-    assert cbi.vc_state(sparse_alloc) == cbi.vc_state(dense_alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +388,9 @@ def test_generated_source_is_deterministic_and_compiles(data):
 @settings(max_examples=8, deadline=None)
 def test_compiled_kernel_matches_fast_on_random_traffic(data):
     """Whole-network lockstep: a randomized design point under
-    randomized request patterns leaves the compiled and fast kernels in
-    bit-identical network state after every cycle count."""
+    randomized request patterns leaves the compiled and fast kernels
+    (the plain and the hooked render) in the reference kernel's network
+    state after every cycle count."""
     cfg = SimulationConfig(
         topology="mesh",
         vcs_per_class=data.draw(st.integers(1, 3)),
@@ -568,8 +407,10 @@ def test_compiled_kernel_matches_fast_on_random_traffic(data):
     )
     cycles = data.draw(st.integers(40, 200))
     states = {}
-    for kernel in ("fast", "compiled"):
+    for kernel in KERNELS:
         net = build_network(cfg, kernel=kernel)
         net.run(cycles)
         states[kernel] = cbi.net_state(net)
-    assert states["compiled"] == states["fast"]
+        net.close()
+    assert states["compiled"] == states["reference"]
+    assert states["fast"] == states["reference"]
