@@ -203,7 +203,7 @@ def test_ablation_buffer_depth():
             measure_cycles=1200,
             drain_cycles=1200,
         )
-        curve = latency_sweep(base, rates, stop_after_saturation=False)
+        curve = latency_sweep(base, rates)
         sats[depth] = curve.saturation_rate()
     save_result(
         "ablation_buffer_depth",

@@ -62,7 +62,7 @@ def test_claim_vc_allocator_choice_does_not_matter_at_network_level():
             speculation="pessimistic",
             **SIM_WINDOWS,
         )
-        curves[arch] = latency_sweep(base, rates, stop_after_saturation=False)
+        curves[arch] = latency_sweep(base, rates)
     zs = {a: c.zero_load for a, c in curves.items()}
     sats = {a: c.saturation_rate() for a, c in curves.items()}
     save_result(

@@ -50,7 +50,7 @@ def test_fig13_switch_allocator_network_performance(point, sweep_cache):
 
     curves = {
         arch: latency_sweep(
-            _base(point, arch), rates, label=arch, stop_after_saturation=False,
+            _base(point, arch), rates, label=arch,
             jobs=SIM_JOBS, cache=sweep_cache,
         )
         for arch in ARCHS
@@ -96,7 +96,7 @@ def test_fig13_wf_advantage_grows_with_vcs_on_fbfly(sweep_cache):
         sat = {}
         for arch in ("sep_if", "wf"):
             curve = latency_sweep(
-                _base(point, arch), rates, stop_after_saturation=False,
+                _base(point, arch), rates,
                 jobs=SIM_JOBS, cache=sweep_cache,
             )
             sat[arch] = curve.saturation_rate()

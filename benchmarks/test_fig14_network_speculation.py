@@ -52,7 +52,6 @@ def test_fig14_speculation_network_performance(point, sweep_cache):
     curves = {
         label: latency_sweep(
             _base(point, scheme), rates, label=label,
-            stop_after_saturation=False,
             jobs=SIM_JOBS, cache=sweep_cache,
         )
         for label, scheme in SCHEMES.items()
@@ -105,7 +104,7 @@ def test_fig14_speculation_gain_largest_with_few_vcs(sweep_cache):
         rates = RATE_GRID[("mesh", C)]
         curves = {
             scheme: latency_sweep(
-                _base(point, scheme), rates, stop_after_saturation=False,
+                _base(point, scheme), rates,
                 jobs=SIM_JOBS, cache=sweep_cache,
             )
             for scheme in ("nonspec", "pessimistic")

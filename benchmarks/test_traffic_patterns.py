@@ -33,9 +33,7 @@ def test_pattern_invariance_wf_vs_sep_if():
     table = {}
     for pattern in PATTERNS:
         curves = {
-            arch: latency_sweep(
-                _base(pattern, arch), RATES, stop_after_saturation=False
-            )
+            arch: latency_sweep(_base(pattern, arch), RATES)
             for arch in ("sep_if", "wf")
         }
         # Permutation patterns: compare saturation at a COMMON

@@ -23,8 +23,10 @@ rule id                   severity  violation
                                     for str keys -- wrap in ``sorted(...)``
 ``SRC-OBSERVER-GUARD``    error     any attribute access through
                                     ``observer``, ``fault_state`` or
-                                    ``profiler`` in ``repro/netsim``
-                                    without an ``is not None`` guard: the
+                                    ``profiler`` in ``repro/netsim`` (and
+                                    through the ``_obs`` / ``_fs`` locals
+                                    of rendered kernels) without an
+                                    ``is not None`` guard: the
                                     None fast path is the performance
                                     contract (CHANGES.md PRs 2-3), and
                                     fault-aware routing branches must sit
@@ -112,6 +114,17 @@ _SEEDED_RNG_CONSTRUCTORS = {
 #: Attribute names whose access must be None-guarded in GUARDED_PACKAGES.
 _GUARDED_ATTRS = ("observer", "fault_state", "profiler")
 
+#: Synthetic path prefix for rendered compiled-kernel templates.  It
+#: places the generated code in the ``netsim`` scope, so every
+#: simulation-determinism rule (unseeded randomness, wall-clock reads,
+#: set iteration, observer guards) applies to it unchanged.
+GENERATED_KERNEL_SCOPE = "repro/netsim/generated"
+#: Locals the ``-hooked`` kernel renders bind the router's observer and
+#: fault state to, guarded like the attributes themselves.  ``_prof``
+#: is not among them: a profiled render is only bound while a profiler
+#: is attached.
+_GENERATED_GUARDED_NAMES = ("_obs", "_fs")
+
 #: Calls that block the thread, with the async-native replacement the
 #: finding message recommends.  Matched on the trailing two components
 #: of the dotted call, like the wall-clock table.
@@ -183,6 +196,9 @@ class _SourceLinter(ast.NodeVisitor):
         self.in_hot_loop = top in HOT_LOOP_PACKAGES
         self.in_guarded = top in GUARDED_PACKAGES
         self.in_async_pkg = top in ASYNC_PACKAGES
+        self._guarded_names = _GUARDED_ATTRS
+        if rel_path.startswith(GENERATED_KERNEL_SCOPE + "/"):
+            self._guarded_names += _GENERATED_GUARDED_NAMES
         #: stack of guard expressions proven non-None on this path
         self._guards: List[Set[str]] = []
         #: per-function aliases: local name -> guarded dotted source
@@ -434,10 +450,8 @@ class _SourceLinter(ast.NodeVisitor):
                 self._alias_stack[-1][target.id] = src
         self.generic_visit(node)
 
-    @staticmethod
-    def _is_guarded_name(dotted: str) -> bool:
-        last = dotted.split(".")[-1]
-        return last in _GUARDED_ATTRS
+    def _is_guarded_name(self, dotted: str) -> bool:
+        return dotted.split(".")[-1] in self._guarded_names
 
     def visit_BoolOp(self, node: ast.BoolOp) -> None:
         """Progressive narrowing inside one boolean expression.
@@ -508,13 +522,6 @@ def lint_source_file(path: str, code: Optional[str] = None) -> List[Finding]:
     linter = _SourceLinter(path, code)
     linter.visit(tree)
     return linter.findings
-
-
-#: Synthetic path prefix for rendered compiled-kernel templates.  It
-#: places the generated code in the ``netsim`` scope, so every
-#: simulation-determinism rule (unseeded randomness, wall-clock reads,
-#: set iteration, observer guards) applies to it unchanged.
-GENERATED_KERNEL_SCOPE = "repro/netsim/generated"
 
 
 def lint_generated_kernels() -> List[Finding]:

@@ -505,8 +505,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     try:
         curve = latency_sweep(
-            base, rates, stop_after_saturation=False,
-            jobs=jobs, cache=cache, reporter=reporter, sim_fn=sim_fn,
+            base, rates, jobs=jobs, cache=cache, reporter=reporter, sim_fn=sim_fn,
             timeout=args.timeout, retries=args.retries, backoff=args.backoff,
             on_failure=on_failure, checkpoint=checkpoint, scheduler=scheduler,
         )
@@ -591,7 +590,6 @@ def cmd_serve(args) -> int:
             backoff=args.backoff,
             lease_timeout=args.lease_timeout,
             max_requeues=args.max_requeues,
-            cache_shards=args.cache_shards,
         )
         await server.start()
         # Parseable by wrapper scripts (tests/CI start with --port 0).
@@ -1203,10 +1201,6 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
                    metavar="K",
                    help="give up on a point after K lost leases "
                         "(worker deaths/timeouts; default: 3)")
-    p.add_argument("--cache-shards", type=_positive_int, default=8,
-                   metavar="N",
-                   help="shard count of the shared result cache "
-                        "(default: 8)")
     p.add_argument("--worker-fn", default=None, metavar="MOD:FN",
                    help="compute function for --workers subprocesses "
                         "(default: the real simulator worker)")

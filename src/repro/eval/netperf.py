@@ -116,7 +116,6 @@ def latency_sweep(
     base: SimulationConfig,
     rates: Sequence[float],
     label: str = "",
-    stop_after_saturation: bool = True,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
     reporter: Optional[SweepReporter] = None,
@@ -128,58 +127,28 @@ def latency_sweep(
     checkpoint=None,
     scheduler=None,
 ) -> LatencyCurve:
-    """Run the simulator across ``rates`` and collect a latency curve.
+    """Run the simulator at every one of ``rates`` and collect the
+    latency curve, one point per rate.
 
-    ``jobs > 1`` (or ``None``: one worker per usable CPU) evaluates the
-    points through the parallel sweep engine (:mod:`repro.eval.runner`);
-    ``cache`` memoizes completed points on disk.  With
-    ``stop_after_saturation`` the curve is truncated just past the
-    first saturated point: the serial path stops simulating
-    there, while the parallel/reporter path computes all points and
-    truncates afterwards, so both produce identical ``SweepPoint``
-    sequences.
-
-    A non-``None`` ``reporter`` routes even serial sweeps through
-    :func:`~repro.eval.runner.run_sweep` so per-point progress
-    callbacks fire.  ``sim_fn`` substitutes the simulator on the inline
-    path (the CLI uses it to attach a :mod:`repro.obs` observer); the
-    process pool always runs the real uninstrumented worker.
-
-    ``timeout``/``retries``/``backoff``/``on_failure``/``checkpoint``/
-    ``scheduler`` pass straight through to
-    :func:`~repro.eval.runner.run_sweep`; with ``on_failure="record"``
-    a failed point keeps its slot in the curve as a :class:`SweepPoint`
-    with ``failed=True``, and a non-``None`` ``scheduler`` (e.g. a
+    The points run through :func:`~repro.eval.runner.run_sweep`, and
+    every keyword after ``label`` passes straight through to it:
+    ``jobs > 1`` (or ``None``: one worker per usable CPU) fans the
+    points out over worker processes, ``cache`` memoizes completed
+    points on disk, ``sim_fn`` substitutes the simulator on the inline
+    path (the CLI uses it to attach a :mod:`repro.obs` observer), and
+    a non-``None`` ``scheduler`` (e.g. a
     :class:`~repro.serve.client.RemoteScheduler`) decides where cache
-    misses are computed.
+    misses are computed.  With ``on_failure="record"`` a failed point
+    keeps its slot in the curve as a :class:`SweepPoint` with
+    ``failed=True``.
     """
     configs = [replace(base, injection_rate=rate) for rate in rates]
-    points: List[SweepPoint] = []
-    hardened = (
-        timeout is not None
-        or retries
-        or checkpoint is not None
-        or on_failure != "raise"
+    results = run_sweep(
+        configs, jobs=jobs, cache=cache, reporter=reporter, sim_fn=sim_fn,
+        timeout=timeout, retries=retries, backoff=backoff,
+        on_failure=on_failure, checkpoint=checkpoint, scheduler=scheduler,
     )
-    if (jobs is None or jobs > 1 or reporter is not None or hardened
-            or scheduler is not None):
-        results = run_sweep(
-            configs, jobs=jobs, cache=cache, reporter=reporter, sim_fn=sim_fn,
-            timeout=timeout, retries=retries, backoff=backoff,
-            on_failure=on_failure, checkpoint=checkpoint, scheduler=scheduler,
-        )
-        for rate, res in zip(rates, results):
-            points.append(_to_point(rate, res))
-            if stop_after_saturation and res is not None and res.saturated:
-                break
-    else:
-        for rate, cfg in zip(rates, configs):
-            res = run_point(cfg, cache=cache, sim_fn=sim_fn)
-            points.append(_to_point(rate, res))
-            if stop_after_saturation and res.saturated:
-                break
-        if cache is not None:
-            cache.flush()  # persistence is batched; see ResultCache
+    points = [_to_point(rate, res) for rate, res in zip(rates, results)]
     return LatencyCurve(label or base.sw_alloc_arch, points)
 
 

@@ -15,27 +15,22 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..core.maxsize import hopcroft_karp
-from ..hw.cells import CELL_INDEX
-from ..hw.simulate import NetlistSimulator
+from ..hw.simulate import NetlistSimulator, reset_state
 from ..hw.sw_alloc_gates import build_switch_allocator_netlist
+from ..hw.trace import tracing
 from ..netsim.rng import PCG64Stream
 from .matching import QualityCurve, port_adjacency, random_switch_requests
 
 __all__ = ["rtl_switch_matching_quality"]
 
-_DFF = CELL_INDEX["DFF"]
-
 
 def _make_simulator(P: int, V: int, arch: str) -> NetlistSimulator:
-    nl = build_switch_allocator_netlist(P, V, arch, "rr", "nonspec")
-    sim = NetlistSimulator(nl, reg_init=1)
-    if arch == "wf":
-        # The wavefront's replicated-array diagonal ring is one-hot; its
-        # registers are the first P created by the builder.
-        regs = [i for i, k in enumerate(nl.kinds) if k == _DFF]
-        for r in regs[:P]:
-            sim.set_register(r, 0)
-        sim.set_register(regs[0], 1)
+    """The switch allocator's netlist at the behavioural models' reset
+    state, the one the formal end-to-end checks start from."""
+    with tracing() as trace:
+        nl = build_switch_allocator_netlist(P, V, arch, "rr", "nonspec")
+    sim = NetlistSimulator(nl)
+    sim.state = reset_state(nl, trace)
     return sim
 
 

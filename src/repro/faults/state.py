@@ -124,9 +124,6 @@ class FaultState:
     # ------------------------------------------------------------------
     # link faults
     # ------------------------------------------------------------------
-    def router_has_link_faults(self, router_id: int) -> bool:
-        return router_id in self._router_fault_ports
-
     def blocked_ports(self, router_id: int, cycle: int) -> Optional[Set[int]]:
         """Output ports of ``router_id`` down at ``cycle`` (or None).
 
@@ -143,9 +140,6 @@ class FaultState:
                     blocked = set()
                 blocked.add(p)
         return blocked
-
-    def note_blocked_request(self, n: int = 1) -> None:
-        self.counters["link_blocked_requests"] += n
 
     # ------------------------------------------------------------------
     # stuck VCs

@@ -1,20 +1,29 @@
 """Functional (cycle-level) simulation of netlists.
 
-Used to cross-validate the gate-level builders against the behavioural
-models in :mod:`repro.core` -- the structural netlists must compute the
-same grants as the Python allocators for identical stimulus.  Also used
-by the open-loop RTL quality experiments (Section 3.1), which drive the
-netlists with pseudo-random request matrices.
+:func:`propagate` is the one place the boolean function of each
+combinational cell is written down.  Every evaluator runs it: the
+one-lane :class:`NetlistSimulator` here, and the packed cone and
+whole-netlist evaluators of :mod:`repro.verify.engine` that the formal
+proofs are built on.  :func:`reset_state` is likewise the one statement
+of the register state the behavioural models' ``reset()`` corresponds
+to.
+
+The simulator cross-validates the gate-level builders against the
+behavioural models in :mod:`repro.core` -- the structural netlists must
+compute the same grants as the Python allocators for identical stimulus
+-- and drives the open-loop RTL quality experiments (Section 3.1),
+which feed the netlists pseudo-random request matrices.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Union
 
 from .cells import CELL_INDEX
-from .netlist import KIND_CONST0, KIND_CONST1, KIND_INPUT, Netlist
+from .netlist import KIND_CONST1, KIND_INPUT, Netlist
+from .trace import BuildTrace
 
-__all__ = ["NetlistSimulator"]
+__all__ = ["NetlistSimulator", "Values", "propagate", "reset_state"]
 
 _DFF = CELL_INDEX["DFF"]
 _INV = CELL_INDEX["INV"]
@@ -30,28 +39,97 @@ _OR4 = CELL_INDEX["OR4"]
 _XOR2 = CELL_INDEX["XOR2"]
 _MUX2 = CELL_INDEX["MUX2"]
 
+#: Net values indexed by net id: a list over the whole netlist, or a
+#: dict over the nets of one cone.
+Values = Union[List[int], Dict[int, int]]
+
+
+def propagate(nl: Netlist, nets: Iterable[int], vals: Values, mask: int) -> None:
+    """Evaluate the combinational cells ``nets`` into ``vals``.
+
+    Values are packed: bit ``L`` of a value is the net under stimulus
+    lane ``L``, and ``mask`` has one bit set per lane (``1`` for a
+    one-lane run), so a complement is ``mask ^ v``.  ``nets`` must be in
+    ascending id order (a topological order, see
+    :mod:`repro.hw.netlist`), and ``vals`` must already hold every net
+    the cells read from outside ``nets``: inputs, constants, register Q
+    pins and cut nets.
+    """
+    kinds = nl.kinds
+    fanins = nl.fanins
+    for nid in nets:
+        k = kinds[nid]
+        f = fanins[nid]
+        if k == _AND2:
+            v = vals[f[0]] & vals[f[1]]
+        elif k == _OR2:
+            v = vals[f[0]] | vals[f[1]]
+        elif k == _INV:
+            v = mask ^ vals[f[0]]
+        elif k == _BUF:
+            v = vals[f[0]]
+        elif k == _MUX2:  # fanins (d0, d1, sel)
+            s = vals[f[2]]
+            v = (s & vals[f[1]]) | ((mask ^ s) & vals[f[0]])
+        elif k == _AND3:
+            v = vals[f[0]] & vals[f[1]] & vals[f[2]]
+        elif k == _OR3:
+            v = vals[f[0]] | vals[f[1]] | vals[f[2]]
+        elif k == _AND4:
+            v = vals[f[0]] & vals[f[1]] & vals[f[2]] & vals[f[3]]
+        elif k == _OR4:
+            v = vals[f[0]] | vals[f[1]] | vals[f[2]] | vals[f[3]]
+        elif k == _NAND2:
+            v = mask ^ (vals[f[0]] & vals[f[1]])
+        elif k == _NOR2:
+            v = mask ^ (vals[f[0]] | vals[f[1]])
+        elif k == _XOR2:
+            v = vals[f[0]] ^ vals[f[1]]
+        else:
+            raise NotImplementedError(f"no semantics for cell kind {k}")
+        vals[nid] = v
+
+
+def reset_state(nl: Netlist, trace: BuildTrace) -> Dict[int, int]:
+    """Register state matching the behavioural models' ``reset()``.
+
+    Thermometer masks reset to all-ones (pointer 0) and the matrix
+    triangle to all-ones ("lower index beats higher" -- the behavioural
+    ``i < j`` initialisation), so every DFF resets to 1 except the
+    wavefront diagonal pointer rings, which are one-hot at diagonal 0.
+    ``trace`` is the :class:`~repro.hw.trace.BuildTrace` recorded while
+    ``nl`` was built.
+    """
+    state = {q: 1 for q in nl.reg_d}
+    for w in trace.wavefronts:
+        for idx, reg in enumerate(w.ptr_regs):
+            state[reg] = 1 if idx == 0 else 0
+    return state
+
 
 class NetlistSimulator:
     """Two-valued functional simulator for a :class:`Netlist`.
 
-    Registers power up to a caller-supplied initial state (default 0;
-    round-robin masks conventionally reset to all-ones so index 0 has
-    priority, matching the behavioural arbiters' reset state).
+    Registers power up to ``reg_init`` (default 0); assign
+    :func:`reset_state` to :attr:`state` for the behavioural models'
+    reset.  :attr:`input_nets` lists the primary inputs in the order
+    :meth:`evaluate` and :meth:`step` take their values.
     """
 
     def __init__(self, nl: Netlist, reg_init: int = 0) -> None:
         nl.validate()
         self.nl = nl
+        kinds = nl.kinds
         self.state: Dict[int, int] = {
-            q: reg_init for q in range(nl.num_nets) if nl.kinds[q] == _DFF
+            q: reg_init for q, k in enumerate(kinds) if k == _DFF
         }
-        self._input_ids = [
-            nid for nid, k in enumerate(nl.kinds) if k == KIND_INPUT
-        ]
+        self.input_nets = [nid for nid, k in enumerate(kinds) if k == KIND_INPUT]
+        self._ones = [nid for nid, k in enumerate(kinds) if k == KIND_CONST1]
+        self._gates = [nid for nid, k in enumerate(kinds) if k >= 0 and k != _DFF]
 
     @property
     def num_inputs(self) -> int:
-        return len(self._input_ids)
+        return len(self.input_nets)
 
     def set_register(self, q_net: int, value: int) -> None:
         """Force a register's current state (e.g. arbiter priority init)."""
@@ -61,55 +139,18 @@ class NetlistSimulator:
 
     def evaluate(self, inputs: Sequence[int]) -> List[int]:
         """Combinational evaluation; returns the value of every net."""
-        nl = self.nl
-        if len(inputs) != len(self._input_ids):
+        if len(inputs) != len(self.input_nets):
             raise ValueError(
-                f"expected {len(self._input_ids)} inputs, got {len(inputs)}"
+                f"expected {len(self.input_nets)} inputs, got {len(inputs)}"
             )
-        vals = [0] * nl.num_nets
-        for nid, v in zip(self._input_ids, inputs):
+        vals = [0] * self.nl.num_nets
+        for nid, v in zip(self.input_nets, inputs):
             vals[nid] = 1 if v else 0
-        kinds = nl.kinds
-        fanins = nl.fanins
-        state = self.state
-        for nid in range(nl.num_nets):
-            k = kinds[nid]
-            if k == KIND_INPUT:
-                continue
-            if k == KIND_CONST0:
-                vals[nid] = 0
-            elif k == KIND_CONST1:
-                vals[nid] = 1
-            elif k == _DFF:
-                vals[nid] = state[nid]
-            else:
-                f = fanins[nid]
-                if k == _INV:
-                    vals[nid] = 1 - vals[f[0]]
-                elif k == _BUF:
-                    vals[nid] = vals[f[0]]
-                elif k == _AND2:
-                    vals[nid] = vals[f[0]] & vals[f[1]]
-                elif k == _AND3:
-                    vals[nid] = vals[f[0]] & vals[f[1]] & vals[f[2]]
-                elif k == _AND4:
-                    vals[nid] = vals[f[0]] & vals[f[1]] & vals[f[2]] & vals[f[3]]
-                elif k == _OR2:
-                    vals[nid] = vals[f[0]] | vals[f[1]]
-                elif k == _OR3:
-                    vals[nid] = vals[f[0]] | vals[f[1]] | vals[f[2]]
-                elif k == _OR4:
-                    vals[nid] = vals[f[0]] | vals[f[1]] | vals[f[2]] | vals[f[3]]
-                elif k == _NAND2:
-                    vals[nid] = 1 - (vals[f[0]] & vals[f[1]])
-                elif k == _NOR2:
-                    vals[nid] = 1 - (vals[f[0]] | vals[f[1]])
-                elif k == _XOR2:
-                    vals[nid] = vals[f[0]] ^ vals[f[1]]
-                elif k == _MUX2:
-                    vals[nid] = vals[f[1]] if vals[f[2]] else vals[f[0]]
-                else:  # pragma: no cover
-                    raise NotImplementedError(f"cell kind {k}")
+        for nid in self._ones:
+            vals[nid] = 1
+        for q, v in self.state.items():
+            vals[q] = v
+        propagate(self.nl, self._gates, vals, 1)
         return vals
 
     def step(self, inputs: Sequence[int]) -> Dict[str, int]:

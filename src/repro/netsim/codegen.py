@@ -1235,8 +1235,10 @@ class _Gen:
         e.line(f"_cands = [_w for _w in {cands_src} if _h[_w] is None]")
         if hooked:
             # Stuck VCs leave the candidate set; the map lists every
-            # stuck VC, vc_stuck() applies its start cycle.
-            e.line("if _stuck is not None and _cands:")
+            # stuck VC, vc_stuck() applies its start cycle.  A stuck map
+            # implies a fault state; the `_fs` test states that for
+            # SRC-OBSERVER-GUARD.
+            e.line("if _stuck is not None and _fs is not None and _cands:")
             e.push()
             e.line("_sh = _stuck.get(_q)")
             e.line("if _sh:")
@@ -1291,9 +1293,11 @@ class _Gen:
 
     def _blocked_skip(self) -> None:
         """Emit the hooked scan's downed-link check on ``_q``: the flit
-        waits in place and the fault state counts the held request."""
+        waits in place and the fault state counts the held request.
+        ``_blocked`` implies a fault state; the `_fs` test states that
+        for SRC-OBSERVER-GUARD."""
         e = self.e
-        e.line("if _blocked is not None and _q in _blocked:")
+        e.line("if _blocked is not None and _fs is not None and _q in _blocked:")
         e.push()
         e.line('_fs.counters["link_blocked_requests"] += 1')
         e.line("continue")

@@ -104,7 +104,6 @@ class SweepServer:
         backoff: float = 0.5,
         lease_timeout: Optional[float] = 60.0,
         max_requeues: int = 3,
-        cache_shards: int = 8,
     ) -> None:
         self.host = host
         self.port = port
@@ -113,9 +112,7 @@ class SweepServer:
         self.backoff = backoff
         self.lease_timeout = lease_timeout
         self.max_requeues = max_requeues
-        self.cache = ShardedResultCache(
-            self.state_dir / "cache", shards=cache_shards
-        )
+        self.cache = ShardedResultCache(self.state_dir / "cache")
         self._tasks: Dict[str, _Task] = {}
         # Created in start(): pre-3.12 asyncio.Queue binds the event
         # loop at construction time.

@@ -8,10 +8,11 @@ variable ``i`` equals bit ``i`` of the global lane index.  A sweep over
 chunk (``ceil(2^k / 2^16)`` passes), which makes exhaustive proofs over
 cones of up to :data:`MAX_EXHAUSTIVE_BITS` inputs routine.
 
-Cell semantics mirror :class:`repro.hw.simulate.NetlistSimulator`
-bit-for-bit (the simulator is the reference the behavioural
-cross-validation tests already trust); any divergence between the two
-evaluators would itself show up as an equivalence failure.
+Cell semantics are not written here: both evaluators seed the boundary
+values and run :func:`repro.hw.simulate.propagate`, the loop the
+one-lane :class:`~repro.hw.simulate.NetlistSimulator` runs too, so the
+proofs and the behavioural cross-validation tests exercise one
+evaluator.
 
 Beyond packed sweeps the module provides two *structural* checkers used
 where packed case-splitting would be quadratic-or-worse in the netlist
@@ -29,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..hw.cells import CELL_INDEX
 from ..hw.netlist import KIND_CONST0, KIND_CONST1, KIND_INPUT, Netlist
+from ..hw.simulate import propagate
 
 __all__ = [
     "CHUNK_LOG2",
@@ -44,20 +46,8 @@ __all__ = [
 ]
 
 _DFF = CELL_INDEX["DFF"]
-_INV = CELL_INDEX["INV"]
 _BUF = CELL_INDEX["BUF"]
-_NAND2 = CELL_INDEX["NAND2"]
-_NOR2 = CELL_INDEX["NOR2"]
-_AND2 = CELL_INDEX["AND2"]
-_AND3 = CELL_INDEX["AND3"]
-_AND4 = CELL_INDEX["AND4"]
-_OR2 = CELL_INDEX["OR2"]
-_OR3 = CELL_INDEX["OR3"]
-_OR4 = CELL_INDEX["OR4"]
-_XOR2 = CELL_INDEX["XOR2"]
-_MUX2 = CELL_INDEX["MUX2"]
-
-_OR_KINDS = frozenset((_OR2, _OR3, _OR4))
+_OR_KINDS = frozenset(CELL_INDEX[n] for n in ("OR2", "OR3", "OR4"))
 
 # Lanes per chunk: variables 0..CHUNK_LOG2-1 vary *within* a chunk,
 # higher variables select the chunk.  2^16-bit bigints keep the word
@@ -126,6 +116,15 @@ class ConeEvaluator:
         self.leaves = leaves
         self.num_vars = len(leaves)
         self._var_index = {net: i for i, net in enumerate(leaves)}
+        # Constant nets the cone reads (and constant targets), found
+        # once: each chunk seeds them like leaves.
+        kinds = nl.kinds
+        read = {x for nid in cone for x in nl.fanins[nid]} | set(self.targets)
+        self._consts = {
+            net: kinds[net] == KIND_CONST1
+            for net in read
+            if kinds[net] in (KIND_CONST0, KIND_CONST1)
+        }
         # Pin leaf nets to fixed constants (packed all-0/all-1) instead
         # of sweeping them; pinned leaves are excluded from the lane
         # index entirely.
@@ -213,56 +212,12 @@ class ConeEvaluator:
         return mask if (chunk >> (i - CHUNK_LOG2)) & 1 else 0
 
     def _eval_chunk(self, chunk: int, lanes: int, mask: int) -> Dict[int, int]:
-        nl = self.nl
-        kinds = nl.kinds
-        fanins = nl.fanins
-        vals: Dict[int, int] = {}
-        for net in self.leaves:
-            vals[net] = self._leaf_value(net, chunk, lanes, mask)
-        for nid in self.cone:
-            k = kinds[nid]
-            f = fanins[nid]
-            fv = [
-                (0 if kinds[x] == KIND_CONST0
-                 else mask if kinds[x] == KIND_CONST1
-                 else vals[x])
-                for x in f
-            ]
-            if k == _INV:
-                v = mask ^ fv[0]
-            elif k == _BUF:
-                v = fv[0]
-            elif k == _AND2:
-                v = fv[0] & fv[1]
-            elif k == _AND3:
-                v = fv[0] & fv[1] & fv[2]
-            elif k == _AND4:
-                v = fv[0] & fv[1] & fv[2] & fv[3]
-            elif k == _OR2:
-                v = fv[0] | fv[1]
-            elif k == _OR3:
-                v = fv[0] | fv[1] | fv[2]
-            elif k == _OR4:
-                v = fv[0] | fv[1] | fv[2] | fv[3]
-            elif k == _NAND2:
-                v = mask ^ (fv[0] & fv[1])
-            elif k == _NOR2:
-                v = mask ^ (fv[0] | fv[1])
-            elif k == _XOR2:
-                v = fv[0] ^ fv[1]
-            elif k == _MUX2:
-                v = (fv[2] & fv[1]) | ((mask ^ fv[2]) & fv[0])
-            else:  # pragma: no cover - support() never cones through these
-                raise NotImplementedError(f"cell kind {k} in cone")
-            vals[nid] = v
-        for t in self.targets:
-            kt = kinds[t]
-            if kt == KIND_CONST0:
-                vals[t] = 0
-            elif kt == KIND_CONST1:
-                vals[t] = mask
-            elif t not in vals:  # a leaf that is also a target
-                vals[t] = self._leaf_value(t, chunk, lanes, mask)
+        vals = {
+            net: self._leaf_value(net, chunk, lanes, mask) for net in self.leaves
+        }
+        for net, one in self._consts.items():
+            vals[net] = mask if one else 0
+        propagate(self.nl, self.cone, vals, mask)
         return vals
 
 
@@ -305,55 +260,21 @@ def packed_eval(
     evaluated, so targets may include internal nets.
     """
     mask = (1 << num_lanes) - 1
-    kinds = nl.kinds
-    fanins = nl.fanins
     vals: List[int] = [0] * nl.num_nets
-    # Constants first: a mutated netlist may tie an early gate's fanin
-    # to a const net created later, so consts must not depend on the
-    # ascending evaluation order.
-    for nid in range(nl.num_nets):
-        if kinds[nid] == KIND_CONST1:
-            vals[nid] = mask
-    for nid in range(nl.num_nets):
-        k = kinds[nid]
+    gates: List[int] = []
+    # Every input, constant and register is seeded before any gate
+    # runs: a mutated netlist may tie an early gate's fanin to a const
+    # net created later.
+    for nid, k in enumerate(nl.kinds):
         if k == KIND_INPUT:
             vals[nid] = input_vectors.get(nid, 0) & mask
-        elif k == KIND_CONST0:
-            vals[nid] = 0
         elif k == KIND_CONST1:
             vals[nid] = mask
         elif k == _DFF:
             vals[nid] = mask if reg_state.get(nid, 0) else 0
-        else:
-            f = fanins[nid]
-            if k == _INV:
-                vals[nid] = mask ^ vals[f[0]]
-            elif k == _BUF:
-                vals[nid] = vals[f[0]]
-            elif k == _AND2:
-                vals[nid] = vals[f[0]] & vals[f[1]]
-            elif k == _AND3:
-                vals[nid] = vals[f[0]] & vals[f[1]] & vals[f[2]]
-            elif k == _AND4:
-                vals[nid] = vals[f[0]] & vals[f[1]] & vals[f[2]] & vals[f[3]]
-            elif k == _OR2:
-                vals[nid] = vals[f[0]] | vals[f[1]]
-            elif k == _OR3:
-                vals[nid] = vals[f[0]] | vals[f[1]] | vals[f[2]]
-            elif k == _OR4:
-                vals[nid] = vals[f[0]] | vals[f[1]] | vals[f[2]] | vals[f[3]]
-            elif k == _NAND2:
-                vals[nid] = mask ^ (vals[f[0]] & vals[f[1]])
-            elif k == _NOR2:
-                vals[nid] = mask ^ (vals[f[0]] | vals[f[1]])
-            elif k == _XOR2:
-                vals[nid] = vals[f[0]] ^ vals[f[1]]
-            elif k == _MUX2:
-                vals[nid] = (vals[f[2]] & vals[f[1]]) | (
-                    (mask ^ vals[f[2]]) & vals[f[0]]
-                )
-            else:  # pragma: no cover
-                raise NotImplementedError(f"cell kind {k}")
+        elif k >= 0:
+            gates.append(nid)
+    propagate(nl, gates, vals, mask)
     return {t: vals[t] for t in targets}
 
 

@@ -44,6 +44,7 @@ from ..core.vc_allocator import VCAllocator, VCRequest
 from ..core.vc_partition import VCPartition
 from ..hw.cells import CELL_INDEX
 from ..hw.netlist import KIND_CONST0, KIND_CONST1, Netlist
+from ..hw.simulate import NetlistSimulator, reset_state
 from ..hw.sw_alloc_gates import build_switch_allocator_netlist
 from ..hw.trace import (
     ArbiterTrace,
@@ -1285,30 +1286,6 @@ def _output_map(nl: Netlist) -> Dict[str, int]:
     return {name: net for net, name in zip(nl.outputs, nl.output_names)}
 
 
-def _initial_reg_state(nl: Netlist, trace: BuildTrace) -> Dict[int, int]:
-    """Register state matching the behavioural models' ``reset()``.
-
-    Thermometer masks reset to all-ones (pointer 0) and the matrix
-    triangle to all-ones ("lower index beats higher" -- the behavioural
-    ``i < j`` initialisation), so every DFF resets to 1 except the
-    wavefront diagonal pointer rings, which are one-hot at diagonal 0.
-    """
-    state = {q: 1 for q in nl.reg_d}
-    for w in trace.wavefronts:
-        for idx, reg in enumerate(w.ptr_regs):
-            state[reg] = 1 if idx == 0 else 0
-    return state
-
-
-def _step_regs(
-    nl: Netlist, input_bits: Dict[int, int], reg_state: Dict[int, int]
-) -> Dict[int, int]:
-    """Clock the netlist once (single-lane) under scalar stimulus."""
-    targets = list(nl.reg_d.values())
-    vals = packed_eval(nl, dict(input_bits), 1, reg_state, targets)
-    return {q: vals[d] & 1 for q, d in nl.reg_d.items()}
-
-
 def _product_bounded(
     slots: Sequence[Sequence[object]], max_active: Optional[int]
 ) -> List[Tuple[object, ...]]:
@@ -1397,7 +1374,7 @@ def _e2e_vc(
         for i, g in enumerate(grants):
             if g is not None:
                 expected[f"gnt_{i}_{g[1]}"] |= bit
-    reg_state = _initial_reg_state(nl, trace)
+    reg_state = reset_state(nl, trace)
     names = sorted(omap)
     got = packed_eval(nl, words, lanes, reg_state, [omap[n] for n in names])
     for nm in names:
@@ -1451,11 +1428,12 @@ def _e2e_sw(
                 net = imap[f"ns_req_p{p}v{v}_q{q}"]
                 words[net] = words.get(net, 0) | bit
     beh = SwitchAllocator(P, V, arch, arbiter)
-    reg_state = _initial_reg_state(nl, trace)
+    sim = NetlistSimulator(nl)
+    sim.state = reset_state(nl, trace)
     names = sorted(omap)
     wf = beh._wavefront
     for step in range(steps):
-        got = packed_eval(nl, words, lanes, reg_state, [omap[n] for n in names])
+        got = packed_eval(nl, words, lanes, sim.state, [omap[n] for n in names])
         expected = {n: 0 for n in names}
         d0 = wf.priority_diagonal if wf is not None else None
         for lane, combo in enumerate(combos):
@@ -1491,11 +1469,11 @@ def _e2e_sw(
         commit = [[(p + v + step) % P for v in range(V)] for p in range(P)]
         beh.allocate(commit, commit=True)
         cbits = {
-            imap[f"ns_req_p{p}v{v}_q{commit[p][v]}"]: 1
+            imap[f"ns_req_p{p}v{v}_q{commit[p][v]}"]
             for p in range(P)
             for v in range(V)
         }
-        reg_state = _step_regs(nl, cbits, reg_state)
+        sim.step([1 if net in cbits else 0 for net in sim.input_nets])
     return findings
 
 
@@ -1543,7 +1521,7 @@ def _e2e_spec(
                 vv, q = res.spec[p]
                 expected[f"xbar_{p}_{q}"] |= bit
                 expected[f"vcgnt_sp_{p}_{vv}"] |= bit
-    reg_state = _initial_reg_state(nl, trace)
+    reg_state = reset_state(nl, trace)
     names = sorted(omap)
     got = packed_eval(nl, words, lanes, reg_state, [omap[n] for n in names])
     for nm in names:

@@ -7,6 +7,8 @@ any package without touching the real tree.
 
 import textwrap
 
+import pytest
+
 from repro.analysis.srclint import (
     ALL_SRC_RULES,
     ASYNC_PACKAGES,
@@ -427,6 +429,43 @@ class TestGeneratedKernels:
         found = rules(doctored, f"{GENERATED_KERNEL_SCOPE}/{spec.slug()}.py")
         assert "SRC-WALL-CLOCK" in found
         assert "SRC-UNSEEDED-RANDOM" in found
+
+    @pytest.mark.parametrize(
+        "guarded, unguarded",
+        [
+            ("_blocked is not None and _fs is not None and _q in _blocked",
+             "_blocked is not None and _q in _blocked"),
+            ("_stuck is not None and _fs is not None and _cands",
+             "_stuck is not None and _cands"),
+        ],
+        ids=["blocked", "stuck"],
+    )
+    def test_hooked_render_fault_state_guards_are_checked(
+        self, guarded, unguarded
+    ):
+        # The hooked render binds the fault state to `_fs`; dropping the
+        # guard in front of one `_fs` access must surface a finding.
+        from repro.analysis.srclint import GENERATED_KERNEL_SCOPE
+        from repro.netsim.codegen import source_for, template_specs
+
+        spec = template_specs()[0]
+        source = source_for(spec, hooked=True)
+        path = f"{GENERATED_KERNEL_SCOPE}/{spec.slug()}-hooked.py"
+        assert guarded in source
+        assert rules(source, path) == set()
+        doctored = source.replace(guarded, unguarded, 1)
+        assert rules(doctored, path) == {"SRC-OBSERVER-GUARD"}
+
+    def test_kernel_locals_are_guarded_only_in_generated_scope(self):
+        code = """
+        def step(_fs, _obs):
+            _fs.counters["x"] += 1
+            _obs.hook()
+        """
+        assert rules(code) == set()
+        assert rules(code, "repro/netsim/generated/k.py") == {
+            "SRC-OBSERVER-GUARD"
+        }
 
     def test_bad_template_surfaces_with_its_slug(self, monkeypatch):
         from repro.analysis import srclint

@@ -144,11 +144,10 @@ class TestLatencySweepIntegration:
         )
         curve = latency_sweep(base, rates=(0.05, 0.9), label="sep_if")
         assert curve.label == "sep_if"
-        assert len(curve.points) >= 1
+        assert len(curve.points) == 2
         assert curve.points[0].latency > 0
         # 0.9 flits/cycle is far past mesh saturation.
-        if len(curve.points) == 2:
-            assert curve.points[1].saturated
+        assert curve.points[1].saturated
 
 
 class TestTables:

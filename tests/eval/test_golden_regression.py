@@ -83,9 +83,7 @@ def rederived_sep_if():
         sw_alloc_arch="sep_if", vc_alloc_arch="sep_if",
         speculation="pessimistic", **RECORDED_FIDELITY,
     )
-    return latency_sweep(
-        base, MESH_C1_RATES, label="sep_if", stop_after_saturation=False
-    )
+    return latency_sweep(base, MESH_C1_RATES, label="sep_if")
 
 
 class TestFig13MeshC1Golden:
@@ -122,7 +120,7 @@ def rederived_sep_if_compiled():
         speculation="pessimistic", **RECORDED_FIDELITY,
     )
     return latency_sweep(
-        base, MESH_C1_RATES, label="sep_if", stop_after_saturation=False,
+        base, MESH_C1_RATES, label="sep_if",
         sim_fn=lambda cfg: run_simulation(cfg, kernel="compiled"),
     )
 
@@ -172,7 +170,7 @@ class TestCompiledKernelGolden:
             speculation="nonspec", **RECORDED_FIDELITY,
         )
         curve = latency_sweep(
-            base, (0.05,), stop_after_saturation=False,
+            base, (0.05,),
             sim_fn=lambda cfg: run_simulation(cfg, kernel="compiled"),
         )
         assert curve.zero_load == pytest.approx(columns["nonspec"][0], rel=0.03)
@@ -189,7 +187,7 @@ class TestFig14MeshC1Golden:
             sw_alloc_arch="sep_if", vc_alloc_arch="sep_if",
             speculation="nonspec", **RECORDED_FIDELITY,
         )
-        curve = latency_sweep(base, (0.05,), stop_after_saturation=False)
+        curve = latency_sweep(base, (0.05,))
         z_nonspec = curve.zero_load
         assert z_nonspec == pytest.approx(columns["nonspec"][0], rel=0.03)
         improvement = 1 - columns["spec_req"][0] / z_nonspec

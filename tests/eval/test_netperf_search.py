@@ -75,21 +75,12 @@ class TestSaturationSearch:
 
 
 class TestLatencySweepEarlyStop:
-    def test_stops_after_saturation(self, fake):
-        curve = netperf.latency_sweep(
-            SimulationConfig(latency_cap=100.0),
-            rates=(0.1, 0.2, 0.5, 0.9),
-            stop_after_saturation=True,
-        )
-        # 0.5 saturates the fake (rho > 1 at 0.5? no: capacity 0.4 ->
-        # 0.5 is past the wall), so 0.9 is never simulated.
-        assert [p.rate for p in curve.points] == [0.1, 0.2, 0.5]
-        assert curve.points[-1].saturated
+    """A sweep never stops early: a saturated point keeps its slot and
+    every later rate is still simulated."""
 
     def test_full_sweep_when_disabled(self, fake):
         curve = netperf.latency_sweep(
             SimulationConfig(latency_cap=100.0),
             rates=(0.1, 0.5, 0.9),
-            stop_after_saturation=False,
         )
         assert len(curve.points) == 3

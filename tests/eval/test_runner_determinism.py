@@ -5,10 +5,7 @@ across worker processes is *free* in terms of reproducibility: every
 simulation seeds its RNG streams purely from ``(config.seed,
 terminal_id)``, so a point computed in a subprocess must be
 bit-identical to the same point computed inline.  These tests pin that
-property down for both topologies, including the curve-truncation
-semantics of ``stop_after_saturation`` (serial stops simulating at the
-first saturated point; parallel computes everything and truncates to
-the same sequence).
+property down for both topologies.
 """
 
 import pytest
@@ -30,12 +27,8 @@ def _base(topology: str, seed: int = 7) -> SimulationConfig:
 class TestSerialParallelIdentical:
     def test_latency_sweep_points_identical(self, topology):
         rates = (0.05, 0.12, 0.2)
-        serial = latency_sweep(
-            _base(topology), rates, stop_after_saturation=False, jobs=1
-        )
-        parallel = latency_sweep(
-            _base(topology), rates, stop_after_saturation=False, jobs=4
-        )
+        serial = latency_sweep(_base(topology), rates, jobs=1)
+        parallel = latency_sweep(_base(topology), rates, jobs=4)
         assert serial.points == parallel.points
 
     def test_run_sweep_full_results_identical(self, topology):
@@ -61,17 +54,6 @@ class TestSerialParallelIdentical:
             )
             pa.pop("latency_stderr"), pb.pop("latency_stderr")
             assert pa == pb
-
-
-def test_truncation_matches_serial_early_stop():
-    """A parallel sweep over a grid that saturates mid-way yields the
-    same truncated SweepPoint sequence as the serial early-stop path."""
-    rates = (0.06, 0.7, 0.9)  # 0.7 is far past mesh saturation
-    serial = latency_sweep(_base("mesh"), rates, stop_after_saturation=True, jobs=1)
-    parallel = latency_sweep(_base("mesh"), rates, stop_after_saturation=True, jobs=4)
-    assert serial.points == parallel.points
-    assert serial.points[-1].saturated
-    assert len(serial.points) < len(rates)
 
 
 def test_seed_changes_results():

@@ -2,8 +2,72 @@
 
 import pytest
 
+from repro.hw.cells import CELLS
 from repro.hw.netlist import Netlist
-from repro.hw.simulate import NetlistSimulator
+from repro.hw.simulate import NetlistSimulator, propagate
+
+#: Each combinational cell's output column: character ``i`` is the
+#: output when fanin ``j`` carries bit ``j`` of ``i`` (MUX2's fanins are
+#: ``(d0, d1, sel)``).  Written out by hand, independently of the
+#: evaluator, so it is the cell layer's oracle.
+TRUTH_TABLES = {
+    "INV": "10",
+    "BUF": "01",
+    "NAND2": "1110",
+    "NOR2": "1000",
+    "AND2": "0001",
+    "AND3": "00000001",
+    "AND4": "0000000000000001",
+    "OR2": "0111",
+    "OR3": "01111111",
+    "OR4": "0111111111111111",
+    "XOR2": "0110",
+    "MUX2": "01010011",
+}
+
+COMBINATIONAL = [c for c in CELLS if not c.sequential]
+
+
+def test_every_combinational_cell_has_a_truth_table():
+    assert sorted(TRUTH_TABLES) == sorted(c.name for c in COMBINATIONAL)
+
+
+@pytest.mark.parametrize("cell", COMBINATIONAL, ids=lambda c: c.name)
+class TestCellTruthTables:
+    def _netlist(self, cell):
+        nl = Netlist(cell.name)
+        ins = nl.inputs(cell.num_inputs)
+        out = nl.gate(cell.name, *ins)
+        nl.mark_output(out)
+        return nl, ins, out
+
+    def test_scalar(self, cell):
+        table = TRUTH_TABLES[cell.name]
+        assert len(table) == 1 << cell.num_inputs
+        nl, ins, out = self._netlist(cell)
+        sim = NetlistSimulator(nl)
+        for i, expected in enumerate(table):
+            bits = [(i >> j) & 1 for j in range(cell.num_inputs)]
+            assert sim.evaluate(bits)[out] == int(expected), (cell.name, bits)
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_packed(self, cell, copies):
+        # Lane L carries assignment L mod 2^n, so every assignment is
+        # checked in ``copies`` lanes of one word.
+        table = TRUTH_TABLES[cell.name]
+        nl, ins, out = self._netlist(cell)
+        lanes = len(table) * copies
+        mask = (1 << lanes) - 1
+        for vals in ([0] * nl.num_nets, {}):
+            for j, net in enumerate(ins):
+                vals[net] = sum(
+                    1 << lane for lane in range(lanes)
+                    if (lane % len(table) >> j) & 1
+                )
+            propagate(nl, [out], vals, mask)
+            expected = int((table * copies)[::-1], 2)
+            assert vals[out] == expected, cell.name
+
 
 
 class TestCombinational:
