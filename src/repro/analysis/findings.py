@@ -12,6 +12,7 @@ findings, so CI gates only on findings outside the baseline.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -161,9 +162,27 @@ class Baseline:
         dropped.sort(key=_sort_key)
         return kept, dropped
 
-    def unused_entries(self) -> List[Dict[str, str]]:
-        """Entries that matched nothing -- stale suppressions to prune."""
-        return [e for e, h in zip(self.entries, self._hits) if h == 0]
+    def unused_entries(self, rules: Sequence[str] = ("",)) -> List[Dict[str, str]]:
+        """Entries that matched nothing -- stale suppressions to prune.
+
+        Only entries whose rule pattern can match a rule starting with
+        one of the ``rules`` prefixes are judged: pass the prefixes of
+        the stages that ran (``DRC-``, ``SRC-``, ...), since an entry
+        for a stage that did not run matched nothing for that reason
+        alone.
+        """
+        return [
+            e for e, h in zip(self.entries, self._hits)
+            if h == 0 and _rule_reachable(e["rule"], rules)
+        ]
+
+
+def _rule_reachable(pattern: str, prefixes: Sequence[str]) -> bool:
+    """Whether the rule pattern ``pattern`` can match some rule that
+    starts with one of ``prefixes``: its literal head (up to the first
+    wildcard) and a prefix agree as far as the shorter goes."""
+    head = re.split(r"[*?[]", pattern, maxsplit=1)[0]
+    return any(head.startswith(p) or p.startswith(head) for p in prefixes)
 
 
 def format_findings(

@@ -14,7 +14,7 @@ dropped.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..eval.design_points import (
     ALL_POINTS,
@@ -24,6 +24,7 @@ from ..eval.design_points import (
     VC_VARIANTS,
     DesignPoint,
 )
+from ..eval.runner import map_jobs
 from ..hw.netlist import Netlist
 from ..hw.sw_alloc_gates import (
     build_switch_allocator_netlist,
@@ -37,7 +38,13 @@ from ..hw.vc_alloc_gates import (
 from .drc import DrcConfig, NetlistDRC
 from .findings import Finding
 
-__all__ = ["NetlistJob", "iter_paper_netlists", "lint_paper_netlists"]
+__all__ = [
+    "NetlistJob",
+    "iter_paper_netlists",
+    "lint_paper_netlists",
+    "map_paper_netlists",
+    "run_checks",
+]
 
 
 class NetlistJob(NamedTuple):
@@ -111,6 +118,69 @@ def iter_paper_netlists(
             yield from _sw_jobs(point, max_cells)
 
 
+def run_checks(
+    checks: Sequence[Tuple[str, Callable[[], List[Finding]]]],
+    progress=None,
+    jobs: Optional[int] = None,
+) -> List[Finding]:
+    """Run ``(label, check)`` pairs on at most ``jobs`` pool workers:
+    their findings in check order, each label to ``progress`` as its
+    check lands."""
+
+    def done(i: int, found: List[Finding]) -> None:
+        if progress is not None:
+            progress(checks[i][0])
+
+    outcomes = map_jobs(
+        lambda check: check[1](), checks, jobs=jobs,
+        label=lambda check: check[0], done=done,
+    )
+    return [f for found in outcomes for f in found]
+
+
+def map_paper_netlists(
+    check: Callable[[NetlistJob], Tuple[List[Finding], int]],
+    verb: str,
+    include_vc: bool = True,
+    include_sw: bool = True,
+    max_cells: int = DEFAULT_MAX_CELLS,
+    quick: bool = False,
+    progress=None,
+    jobs: Optional[int] = None,
+) -> Tuple[List[Finding], List[Tuple[str, str]], int]:
+    """Run ``check(job) -> (findings, nets)`` over every buildable
+    netlist of the paper matrix, on at most ``jobs`` pool workers (see
+    :func:`~repro.eval.runner.map_jobs`; ``check`` builds the netlist
+    itself, in the worker).
+
+    Returns ``(findings, skipped, checked)``: findings in matrix order,
+    ``(label, reason)`` per capacity-excluded point and the count of
+    netlists checked.  ``progress`` receives a ``skip`` line per skipped
+    point, then ``"<verb> <label>: ..."`` as each check lands.
+    """
+    todo: List[NetlistJob] = []
+    skipped: List[Tuple[str, str]] = []
+    for job in iter_paper_netlists(include_vc, include_sw, max_cells, quick):
+        if job.builder is None:
+            skipped.append((job.label, job.skip_reason))
+            if progress is not None:
+                progress(f"skip {job.label}: {job.skip_reason}")
+        else:
+            todo.append(job)
+
+    def done(i: int, outcome: Tuple[List[Finding], int]) -> None:
+        if progress is not None:
+            found, nets = outcome
+            progress(f"{verb} {todo[i].label}: {nets} nets, "
+                     f"{len(found)} finding(s)")
+
+    outcomes = map_jobs(
+        check, todo, jobs=jobs, label=lambda job: job.label, done=done
+    )
+    findings = [f for found, _ in outcomes for f in found]
+    return findings, skipped, len(todo)
+
+
 def lint_paper_netlists(
     config: Optional[DrcConfig] = None,
     include_vc: bool = True,
@@ -118,31 +188,22 @@ def lint_paper_netlists(
     max_cells: int = DEFAULT_MAX_CELLS,
     quick: bool = False,
     progress=None,
+    jobs: Optional[int] = None,
 ) -> Tuple[List[Finding], List[Tuple[str, str]], int]:
     """Run the DRC across the paper matrix.
 
     Returns ``(findings, skipped, checked)`` where ``skipped`` is a list
     of ``(label, reason)`` for capacity-excluded points and ``checked``
     counts netlists actually built and checked.  ``progress`` is an
-    optional callable receiving one status line per job.
+    optional callable receiving one status line per job; ``jobs`` is
+    the worker count (default: one per usable CPU).
     """
     drc = NetlistDRC(config)
-    findings: List[Finding] = []
-    skipped: List[Tuple[str, str]] = []
-    checked = 0
-    for job in iter_paper_netlists(include_vc, include_sw, max_cells, quick):
-        if job.builder is None:
-            skipped.append((job.label, job.skip_reason))
-            if progress is not None:
-                progress(f"skip {job.label}: {job.skip_reason}")
-            continue
+
+    def check(job: NetlistJob) -> Tuple[List[Finding], int]:
         nl: Netlist = job.builder()
-        found = drc.check(nl)
-        findings.extend(found)
-        checked += 1
-        if progress is not None:
-            progress(
-                f"drc  {job.label}: {nl.num_nets} nets, "
-                f"{len(found)} finding(s)"
-            )
-    return findings, skipped, checked
+        return drc.check(nl), nl.num_nets
+
+    return map_paper_netlists(
+        check, "drc ", include_vc, include_sw, max_cells, quick, progress, jobs
+    )

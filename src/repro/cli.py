@@ -55,6 +55,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
 )
 
 # No ``repro`` subsystem is imported here: every handler imports what
@@ -848,12 +849,15 @@ def _matrix_findings(result: dict, meta: dict, counted_as: str) -> list:
 
 def _gate_on_findings(
     args, findings, meta, baseline_path: Optional[str], *,
-    as_json: bool, title: str = "", note_stale: bool = True,
+    as_json: bool, stale_rules: Sequence[str], title: str = "",
 ) -> int:
     """What ``lint`` and ``verify`` end with: split ``findings`` by the
     baseline, print (or ``--output``) the report, exit 1 on a finding
     the baseline does not accept.  Runs after the result store, so an
-    edited baseline takes effect on stored findings too."""
+    edited baseline takes effect on stored findings too.  An entry
+    that matched nothing is noted stale only if its rule can match a
+    rule starting with one of ``stale_rules``, the rule prefixes of the
+    stages that ran."""
     from .analysis.findings import Baseline, findings_to_json, format_findings
 
     if baseline_path is not None:
@@ -865,12 +869,11 @@ def _gate_on_findings(
     else:
         baseline = Baseline()
     unsuppressed, suppressed = baseline.partition(findings)
-    if note_stale:
-        for entry in baseline.unused_entries():
-            print(
-                f"note: stale baseline entry matched nothing: {entry}",
-                file=sys.stderr,
-            )
+    for entry in baseline.unused_entries(stale_rules):
+        print(
+            f"note: stale baseline entry matched nothing: {entry}",
+            file=sys.stderr,
+        )
 
     if args.write_baseline:
         new = Baseline(
@@ -958,11 +961,10 @@ def cmd_lint(args) -> int:
                 base_ref=args.ratchet,
             )
         )
-    # Staleness is only meaningful when the stages that produce
-    # baseline-matched findings actually ran.
+    # An entry is stale only if a stage that can produce its rule ran.
     return _gate_on_findings(
-        args, findings, meta, baseline_path,
-        as_json=args.format == "json", note_stale=run_netlists or run_source,
+        args, findings, meta, baseline_path, as_json=args.format == "json",
+        stale_rules=("DRC-",) * run_netlists + ("SRC-",) * run_source,
     )
 
 
@@ -1030,6 +1032,7 @@ def cmd_verify(args) -> int:
     status = _gate_on_findings(
         args, findings, meta, _default_baseline(args, "verify-baseline.json"),
         as_json=args.json, title="formal verification findings",
+        stale_rules=("VER-",) * (run_points or run_props),
     )
     return 1 if status == 0 and mutation_failed else status
 

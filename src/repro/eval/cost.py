@@ -14,6 +14,7 @@ sweeps import them when they run), so ``repro cost`` can render stored
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .store import ResultStore, code_salt, default_store_path
@@ -80,24 +81,36 @@ class CostCache(ResultStore):
         self.put_payload(key, asdict(result))
 
 
-def _run(key, cache, label, arch, arbiter, variant, fn) -> CostResult:
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+def _costs(cache, label, designs, jobs) -> List[CostResult]:
+    """One :class:`CostResult` per ``(key, arch, arbiter, variant,
+    synthesize)`` design, in order: hits come from ``cache``, misses are
+    synthesized on at most ``jobs`` pool workers and stored here (the
+    cache is only ever touched in this process)."""
     from ..hw.synthesis import SynthesisCapacityError
+    from .runner import map_jobs
 
-    try:
-        rep = fn()
-        result = CostResult(
+    results = [cache.get(d[0]) if cache is not None else None for d in designs]
+    misses = [i for i, r in enumerate(results) if r is None]
+
+    def run(i: int) -> CostResult:
+        _, arch, arbiter, variant, synthesize = designs[i]
+        try:
+            rep = synthesize()
+        except SynthesisCapacityError:
+            return CostResult(label, arch, arbiter, variant, None, None, None, None, True)
+        return CostResult(
             label, arch, arbiter, variant,
             rep.delay_ns, rep.area_um2, rep.power_mw, rep.num_cells,
         )
-    except SynthesisCapacityError:
-        result = CostResult(label, arch, arbiter, variant, None, None, None, None, True)
+
+    computed = map_jobs(run, misses, jobs=jobs, label=lambda i: designs[i][0])
+    for i, result in zip(misses, computed):
+        results[i] = result
+        if cache is not None:
+            cache.put(designs[i][0], result)
     if cache is not None:
-        cache.put(key, result)
-    return result
+        cache.flush()
+    return results
 
 
 def vc_allocator_costs(
@@ -105,6 +118,7 @@ def vc_allocator_costs(
     variants: Optional[Sequence[Tuple[str, str]]] = None,
     cache: Optional[CostCache] = None,
     size_iterations: int = 8,
+    jobs: Optional[int] = None,
 ) -> List[CostResult]:
     """Figures 5/6: each variant (default: ``VC_VARIANTS``) synthesized
     dense and sparse.
@@ -112,28 +126,25 @@ def vc_allocator_costs(
     Dense = the un-optimized baseline (runtime VC masks over the full
     range); sparse = with the Section 4.2 optimizations.  Failed points
     are reported with ``failed=True`` (single-point curves in the
-    paper's figures).
+    paper's figures).  Designs ``cache`` lacks are synthesized on at
+    most ``jobs`` pool workers (default: one per usable CPU).
     """
     from ..hw.synthesis import synthesize_vc_allocator
     from .design_points import VC_VARIANTS
 
-    results = []
+    designs = []
     for arch, arbiter in VC_VARIANTS if variants is None else variants:
         for sparse in (False, True):
             variant = "sparse" if sparse else "dense"
-            key = f"vc|{point.label}|{arch}|{arbiter}|{variant}|{size_iterations}"
-            results.append(
-                _run(
-                    key, cache, point.label, arch, arbiter, variant,
-                    lambda a=arch, b=arbiter, s=sparse: synthesize_vc_allocator(
-                        point.num_ports, point.partition, a, b, s,
-                        size_iterations=size_iterations,
-                    ),
-                )
-            )
-    if cache is not None:
-        cache.flush()
-    return results
+            designs.append((
+                f"vc|{point.label}|{arch}|{arbiter}|{variant}|{size_iterations}",
+                arch, arbiter, variant,
+                partial(
+                    synthesize_vc_allocator, point.num_ports, point.partition,
+                    arch, arbiter, sparse, size_iterations=size_iterations,
+                ),
+            ))
+    return _costs(cache, point.label, designs, jobs)
 
 
 def switch_allocator_costs(
@@ -142,28 +153,27 @@ def switch_allocator_costs(
     schemes: Optional[Sequence[str]] = None,
     cache: Optional[CostCache] = None,
     size_iterations: int = 8,
+    jobs: Optional[int] = None,
 ) -> List[CostResult]:
     """Figures 10/11: three speculation points (default:
-    ``SPECULATION_SCHEMES``) per variant curve (``SWITCH_VARIANTS``)."""
+    ``SPECULATION_SCHEMES``) per variant curve (``SWITCH_VARIANTS``),
+    synthesized like :func:`vc_allocator_costs`."""
     from ..hw.synthesis import synthesize_switch_allocator
     from .design_points import SPECULATION_SCHEMES, SWITCH_VARIANTS
 
-    results = []
+    designs = []
     for arch, arbiter in SWITCH_VARIANTS if variants is None else variants:
         for scheme in SPECULATION_SCHEMES if schemes is None else schemes:
-            key = f"sw|{point.label}|{arch}|{arbiter}|{scheme}|{size_iterations}"
-            results.append(
-                _run(
-                    key, cache, point.label, arch, arbiter, scheme,
-                    lambda a=arch, b=arbiter, s=scheme: synthesize_switch_allocator(
-                        point.num_ports, point.num_vcs, a, b, s,
-                        size_iterations=size_iterations,
-                    ),
-                )
-            )
-    if cache is not None:
-        cache.flush()
-    return results
+            designs.append((
+                f"sw|{point.label}|{arch}|{arbiter}|{scheme}|{size_iterations}",
+                arch, arbiter, scheme,
+                partial(
+                    synthesize_switch_allocator, point.num_ports,
+                    point.num_vcs, arch, arbiter, scheme,
+                    size_iterations=size_iterations,
+                ),
+            ))
+    return _costs(cache, point.label, designs, jobs)
 
 
 def sparse_savings(results: Sequence[CostResult]) -> Dict[str, Dict[str, float]]:

@@ -12,13 +12,14 @@ harness can trade precision for runtime.  Requests are drawn from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.maxsize import hopcroft_karp
 from ..core.switch_allocator import SwitchAllocator, SwitchRequests
 from ..core.vc_allocator import VCAllocator, VCRequest
 from ..netsim.rng import PCG64Stream
 from .design_points import DesignPoint
+from .runner import map_jobs
 
 __all__ = [
     "QualityCurve",
@@ -64,6 +65,22 @@ def port_adjacency(requests: SwitchRequests) -> List[List[int]]:
     return [sorted({q for q in row if q is not None}) for row in requests]
 
 
+def _curves(
+    curve: Callable[[str], List[float]],
+    archs: Sequence[str],
+    rates: Sequence[float],
+    jobs: Optional[int],
+) -> Dict[str, QualityCurve]:
+    """``curve(arch)`` per arch, on at most ``jobs`` pool workers: each
+    arch seeds its own request stream, so where it runs cannot change
+    what it draws."""
+    qualities = map_jobs(curve, archs, jobs=jobs)
+    return {
+        arch: QualityCurve(arch, list(rates), q)
+        for arch, q in zip(archs, qualities)
+    }
+
+
 def vc_matching_quality(
     point: DesignPoint,
     archs: Sequence[str] = ("sep_if", "sep_of", "wf"),
@@ -71,6 +88,7 @@ def vc_matching_quality(
     num_samples: int = 10_000,
     seed: int = 0,
     arbiter: str = "rr",
+    jobs: Optional[int] = None,
 ) -> Dict[str, QualityCurve]:
     """Figure 7: VC allocator matching quality.
 
@@ -78,7 +96,8 @@ def vc_matching_quality(
     ``rate`` (the figure's "requests per VC per cycle"); the flit
     targets a uniformly random output port and a uniformly random legal
     successor resource class, with all ``C`` VCs of that class as
-    candidates.
+    candidates.  Each arch is one job on at most ``jobs`` pool workers
+    (default: one per usable CPU).
     """
     P = point.num_ports
     part = point.partition
@@ -93,8 +112,7 @@ def vc_matching_quality(
             [tuple(part.class_vcs(m_in, r)) for r in part.successor_classes(r_in)]
         )
 
-    curves: Dict[str, QualityCurve] = {}
-    for arch in archs:
+    def curve(arch: str) -> List[float]:
         alloc = VCAllocator(P, part, arch=arch, arbiter=arbiter, sparse=True)
         alloc.check_requests = False
         rng = PCG64Stream(seed)
@@ -121,8 +139,9 @@ def vc_matching_quality(
                 total += sum(g is not None for g in grants)
                 total_max += _max_matching_size(adjacency, n)
             qualities.append(total / total_max if total_max else 1.0)
-        curves[arch] = QualityCurve(arch, list(rates), qualities)
-    return curves
+        return qualities
+
+    return _curves(curve, archs, rates, jobs)
 
 
 def switch_request_grant_efficiency(
@@ -167,19 +186,19 @@ def switch_matching_quality(
     num_samples: int = 10_000,
     seed: int = 0,
     arbiter: str = "rr",
+    jobs: Optional[int] = None,
 ) -> Dict[str, QualityCurve]:
     """Figure 12: switch allocator matching quality.
 
     Each input VC independently requests a uniformly random output port
     with probability ``rate``.  The maximum-size reference matches on
     the port-level request matrix (at most one grant per input port and
-    output port).
+    output port).  Each arch is one job, as in :func:`vc_matching_quality`.
     """
     P = point.num_ports
     V = point.num_vcs
 
-    curves: Dict[str, QualityCurve] = {}
-    for arch in archs:
+    def curve(arch: str) -> List[float]:
         alloc = SwitchAllocator(P, V, arch=arch, arbiter=arbiter)
         alloc.check_requests = False
         rng = PCG64Stream(seed)
@@ -193,5 +212,6 @@ def switch_matching_quality(
                 total += sum(g is not None for g in grants)
                 total_max += _max_matching_size(port_adjacency(requests), P)
             qualities.append(total / total_max if total_max else 1.0)
-        curves[arch] = QualityCurve(arch, list(rates), qualities)
-    return curves
+        return qualities
+
+    return _curves(curve, archs, rates, jobs)

@@ -14,6 +14,10 @@ This module supplies the machinery the per-figure drivers share:
   RNG streams purely from ``(config.seed, terminal_id)``, parallel
   results are bit-identical to serial ones.
 
+* :func:`map_jobs` lends the same pool to the offline commands
+  (``verify``, ``lint --netlists``, ``quality``, ``cost``): a list of
+  independent jobs mapped over forked workers, results in job order.
+
 * :class:`ResultCache` memoizes completed
   :class:`~repro.netsim.simulator.SimulationResult` objects on disk,
   keyed by a stable hash of the *full* config plus a code-version salt
@@ -66,9 +70,11 @@ __all__ = [
     "SweepStats",
     "PointFailure",
     "SweepPointError",
+    "JobError",
     "PointScheduler",
     "InlineScheduler",
     "ProcessPoolScheduler",
+    "map_jobs",
     "run_point",
     "run_sweep",
     "usable_cpus",
@@ -393,7 +399,7 @@ def _error_report(exc: BaseException) -> tuple:
 
 
 def _worker_loop(conn, worker_fn, parent_ends) -> None:
-    """Pool-worker entry: run one point per request until the parent
+    """Pool-worker entry: run one job per request until the parent
     closes its end of the pipe.
 
     ``parent_ends`` are the parent's pipe ends this process inherited
@@ -416,45 +422,49 @@ def _worker_loop(conn, worker_fn, parent_ends) -> None:
 
 
 def _run_hardened_pool(
-    configs: Sequence[SimulationConfig],
     pending: List[int],
     jobs: int,
-    record: Callable[[int, SimulationResult], None],
+    payload: Callable[[int], Any],
+    record: Callable[[int, Any], None],
     fail: Callable[[int, str, str, str, Optional[dict], int], None],
     stats: SweepStats,
     timeout: Optional[float],
     retries: int,
     backoff: float,
-    worker_fn: Callable[[dict], dict],
+    worker_fn: Callable[[Any], Any],
+    priority: Optional[Callable[[int], float]] = None,
 ) -> None:
-    """At most ``jobs`` long-lived workers, one point at a time each,
+    """At most ``jobs`` long-lived workers, one job at a time each,
     with crash/timeout isolation.
 
-    A worker is started when a point is ready and none is idle, so a
-    sweep of N pending points starts ``min(N, jobs)`` of them.  One that
-    dies (or is killed past its deadline) takes down exactly one attempt
-    and is replaced: the point is retried with exponential backoff until
-    its attempt budget runs out, then handed to ``fail`` -- which either
-    records a :class:`PointFailure` or raises, per the sweep's
-    ``on_failure`` policy.
+    Job ``i`` sends ``payload(i)`` to a worker, which answers with
+    ``worker_fn(payload(i))``; that value comes back through
+    ``record(i, value)``.  Neither side is interpreted here: a sweep
+    sends config dicts and decodes result payloads, :func:`map_jobs`
+    sends indices.  Side by side, first attempts start in descending
+    ``priority(i)`` (index order without one, and always with one
+    worker, which has no makespan to shorten).
+
+    A worker is started when a job is ready and none is idle, so N
+    pending jobs start ``min(N, jobs)`` of them.  One that dies (or is
+    killed past its deadline) takes down exactly one attempt and is
+    replaced: the job is retried with exponential backoff until its
+    attempt budget runs out, then handed to ``fail`` -- which either
+    records the failure or raises, per the caller's policy.
     """
     import multiprocessing as mp
     from multiprocessing import connection as mp_connection
 
     ctx = mp.get_context()
     forked = ctx.get_start_method() == "fork"
-    # (not-before time, -offered load, index, attempt#) -- a heap so
+    # (not-before time, -priority, index, attempt#) -- a heap so
     # backoff-delayed retries interleave correctly with first attempts.
-    # Side by side, first attempts start longest-first: a point costs
-    # more the closer it runs to saturation, and the most expensive
-    # point started last would set the makespan alone.  One job at a
-    # time has no makespan to shorten and keeps index order.
+    ranked = priority is not None and jobs > 1
     ready: List[tuple] = [
-        (0.0, -configs[i].injection_rate if jobs > 1 else 0.0, i, 1)
-        for i in pending
+        (0.0, -priority(i) if ranked else 0.0, i, 1) for i in pending
     ]
     heapq.heapify(ready)
-    idle: List[tuple] = []  # (conn, proc) of workers waiting for a point
+    idle: List[tuple] = []  # (conn, proc) of workers waiting for a job
     running: Dict[Any, tuple] = {}  # conn -> (index, attempt, proc, deadline)
 
     def start_worker() -> tuple:
@@ -473,7 +483,7 @@ def _run_hardened_pool(
     def hand_off(index: int, attempt: int) -> None:
         conn, proc = idle.pop() if idle else start_worker()
         try:
-            conn.send(configs[index].to_dict())
+            conn.send(payload(index))
         except OSError:
             pass  # died while idle: its EOF reads as this attempt's crash
         deadline = time.monotonic() + timeout if timeout is not None else None
@@ -538,7 +548,7 @@ def _run_hardened_pool(
                     continue
                 idle.append((conn, proc))
                 if msg[0] == "ok":
-                    record(index, SimulationResult.from_payload(msg[1]))
+                    record(index, msg[1])
                 else:
                     _, etype, emessage, detail = msg
                     handle_failure(
@@ -568,6 +578,79 @@ def _run_hardened_pool(
             proc.terminate()
         for conn, proc in idle + [(c, p) for c, (_, _, p, _) in running.items()]:
             retire(conn, proc)
+
+
+class JobError(RuntimeError):
+    """Raised by :func:`map_jobs` when a job fails: ``label`` names the
+    job, ``error`` is the type name of what it raised (``WorkerCrashed``
+    when its worker died without reporting)."""
+
+    def __init__(self, label: str, kind: str, error: str, message: str) -> None:
+        super().__init__(f"job {label} failed: [{kind}] {error}: {message}")
+        self.label = label
+        self.kind = kind
+        self.error = error
+
+
+def _can_fork_workers() -> bool:
+    """Whether :func:`map_jobs` may fork pool workers from here: not
+    under another start method (a worker could not inherit the jobs)
+    and not inside a daemonic pool worker (which may have no children)."""
+    import multiprocessing as mp
+
+    return mp.get_start_method() == "fork" and not mp.current_process().daemon
+
+
+def map_jobs(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    *,
+    jobs: Optional[int] = None,
+    label: Callable[[Any], str] = str,
+    done: Optional[Callable[[int, Any], None]] = None,
+) -> List[Any]:
+    """``[fn(item) for item in items]`` on at most ``jobs`` long-lived
+    workers of the hardened pool (``None``: one per :func:`usable_cpus`).
+
+    Workers are forked and inherit ``fn`` and ``items``, so a job goes
+    out as its index and only its result (which must pickle) comes back:
+    no closure is ever pickled.  Results are in item order whatever
+    order the jobs finish in; ``done(i, result)`` runs in this process
+    as each one lands.  The same loop runs inline, importing no
+    :mod:`multiprocessing`, for one job or one usable CPU, and where
+    workers cannot be forked (see :func:`_can_fork_workers`).
+
+    A job that raises, or whose worker dies, fails the map with a
+    :class:`JobError` naming ``label(item)``; the pool stops every
+    worker still busy.
+    """
+    jobs = min(usable_cpus() if jobs is None else jobs, len(items))
+    results: List[Any] = [None] * len(items)
+
+    def record(i: int, result: Any) -> None:
+        results[i] = result
+        if done is not None:
+            done(i, result)
+
+    if jobs > 1 and _can_fork_workers():
+        def fail(i, kind, error, message, detail, attempts) -> None:
+            raise JobError(label(items[i]), kind, error, message)
+
+        _run_hardened_pool(
+            list(range(len(items))), jobs, lambda i: i, record, fail,
+            SweepStats(total=len(items)), None, 0, 0.0,
+            lambda i: fn(items[i]),
+        )
+    else:
+        for i, item in enumerate(items):
+            try:
+                result = fn(item)
+            except Exception as exc:
+                raise JobError(
+                    label(item), "exception", type(exc).__name__, str(exc)
+                ) from exc
+            record(i, result)
+    return results
 
 
 class PointScheduler:
@@ -675,8 +758,13 @@ class ProcessPoolScheduler(PointScheduler):
             if mp.get_start_method() == "fork":
                 prewarm_kernels(configs[i] for i in pending)
         _run_hardened_pool(
-            configs, pending, self.jobs, record, fail, stats,
-            self.timeout, self.retries, self.backoff, worker_fn,
+            pending, self.jobs, lambda i: configs[i].to_dict(),
+            lambda i, payload: record(i, SimulationResult.from_payload(payload)),
+            fail, stats, self.timeout, self.retries, self.backoff, worker_fn,
+            # Longest first: a point costs more the closer it runs to
+            # saturation, and the most expensive point started last
+            # would set the makespan alone.
+            priority=lambda i: configs[i].injection_rate,
         )
 
 

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.findings import Finding
+from ..analysis.netlists import run_checks
 from ..core.speculative import SpeculativeSwitchAllocator
 from ..core.switch_allocator import SwitchAllocator
 from ..core.vc_allocator import VCAllocator, VCRequest
@@ -1544,16 +1546,16 @@ def _e2e_spec(
 
 
 def e2e_check_matrix(
-    progress=None, quick: bool = False
+    progress=None, quick: bool = False, jobs: Optional[int] = None
 ) -> List[Finding]:
-    """Run the end-to-end equivalence configurations.
+    """Run the end-to-end equivalence configurations, on at most
+    ``jobs`` pool workers (default: one per usable CPU).
 
     Reduced configurations (P=2/3) keep the legal-stimulus spaces
     exhaustible while exercising every architecture/arbiter/speculation
     combination the paper evaluates; the full-size design points are
     covered by the per-component proofs, which are width-generic.
     """
-    findings: List[Finding] = []
     mesh1 = VCPartition.mesh(1)
     vc_jobs: List[Tuple[int, VCPartition, str, str, str, Optional[int]]] = [
         (2, mesh1, "mesh-c1", arch, arb, None)
@@ -1587,19 +1589,16 @@ def e2e_check_matrix(
             for scheme in ("pessimistic", "conventional")
             if (arch, scheme) != ("sep_if", "pessimistic")
         ]
+    checks: List[Tuple[str, Callable[[], List[Finding]]]] = []
     for P, part, plabel, arch, arb, max_active in vc_jobs:
         scope = f"e2e/vc/P{P}/{plabel}/{arch}/{arb}"
-        if progress:
-            progress(scope)
-        findings.extend(_e2e_vc(P, part, arch, arb, scope, max_active))
+        checks.append((scope, partial(
+            _e2e_vc, P, part, arch, arb, scope, max_active
+        )))
     for P, V, arch, arb, steps in sw_jobs:
         scope = f"e2e/sw/P{P}V{V}/{arch}/{arb}"
-        if progress:
-            progress(scope)
-        findings.extend(_e2e_sw(P, V, arch, arb, steps, scope))
+        checks.append((scope, partial(_e2e_sw, P, V, arch, arb, steps, scope)))
     for P, V, arch, scheme in spec_jobs:
         scope = f"e2e/spec/P{P}V{V}/{arch}/{scheme}"
-        if progress:
-            progress(scope)
-        findings.extend(_e2e_spec(P, V, arch, scheme, scope))
-    return findings
+        checks.append((scope, partial(_e2e_spec, P, V, arch, scheme, scope)))
+    return run_checks(checks, progress, jobs)

@@ -6,7 +6,9 @@ behavioural arbiters, so the trust chain bottoms out in
 :mod:`repro.core`, not in this package; (2) the round-robin bounded
 starvation argument; (3) the component equivalence/property checker
 over every buildable netlist of the paper's design-point matrix; and
-(4) the end-to-end allocator equivalence matrix.
+(4) the end-to-end allocator equivalence matrix.  The checks inside
+each stage are independent, so they run on the pool's forked workers
+(:func:`repro.eval.runner.map_jobs`); findings keep this order.
 
 All results are :class:`~repro.analysis.findings.Finding` objects so
 the verify CLI shares the baseline/suppression machinery with the DRC
@@ -17,10 +19,11 @@ a skip is visible but does not gate CI.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from ..analysis.findings import Finding
-from ..analysis.netlists import iter_paper_netlists
+from ..analysis.netlists import NetlistJob, map_paper_netlists, run_checks
 from ..hw.synthesis import DEFAULT_MAX_CELLS
 from ..hw.trace import tracing
 from .equivalence import check_netlist, e2e_check_matrix
@@ -66,64 +69,72 @@ VERIFY_RULES = {
 }
 
 
-def _oracle_findings(quick: bool, progress) -> List[Finding]:
-    """Cross-validate every oracle width the component proofs rely on."""
-    findings: List[Finding] = []
-
-    def run(kind: str, n: int, fn: Callable[[], None]) -> None:
-        if progress is not None:
-            progress(f"oracle {kind} n={n}")
-        try:
-            fn()
-        except AssertionError as exc:
-            findings.append(
-                Finding(
-                    rule="VER-ORACLE",
-                    severity="error",
-                    scope="oracles",
-                    location=f"{kind}/n={n}",
-                    message=str(exc),
-                )
+def _oracle_findings(kind: str, n: int, validate: Callable[[], None]) -> List[Finding]:
+    """Cross-validate one oracle width: a finding if it diverges."""
+    try:
+        validate()
+    except AssertionError as exc:
+        return [
+            Finding(
+                rule="VER-ORACLE",
+                severity="error",
+                scope="oracles",
+                location=f"{kind}/n={n}",
+                message=str(exc),
             )
+        ]
+    return []
 
+
+def _model_checks(quick: bool) -> List[Tuple[str, Callable[[], List[Finding]]]]:
+    """The model layer as ``(label, check)`` pairs: every oracle width
+    the component proofs rely on, then the round-robin starvation bound
+    at every paper width."""
     rr_widths = (2, 3) if quick else (2, 3, 4, 5)
-    for n in rr_widths:
-        run("rr", n, lambda n=n: validate_rr_oracle(n))
-    matrix_jobs = [(3, None)] if quick else [(3, None), (4, None), (6, 32)]
-    for n, samples in matrix_jobs:
-        if samples is None:
-            run("matrix", n, lambda n=n: validate_matrix_oracle(n))
-        else:
-            run(
-                "matrix", n,
-                lambda n=n, s=samples: validate_matrix_oracle(n, samples=s),
-            )
+    matrix_jobs = [(3, {})] if quick else [(3, {}), (4, {}), (6, {"samples": 32})]
     wf_widths = (2,) if quick else (2, 3)
-    for n in wf_widths:
-        run("wavefront", n, lambda n=n: validate_wavefront_oracle(n))
-    return findings
+    oracles = (
+        [("rr", n, partial(validate_rr_oracle, n)) for n in rr_widths]
+        + [
+            ("matrix", n, partial(validate_matrix_oracle, n, **kwargs))
+            for n, kwargs in matrix_jobs
+        ]
+        + [("wavefront", n, partial(validate_wavefront_oracle, n)) for n in wf_widths]
+    )
+    starvation_widths = range(2, 5) if quick else range(2, 17)
+    return [
+        (f"oracle {kind} n={n}", partial(_oracle_findings, kind, n, validate))
+        for kind, n, validate in oracles
+    ] + [
+        (f"starvation rr n={n}", partial(_starvation_findings, n))
+        for n in starvation_widths
+    ]
 
 
-def _starvation_findings(quick: bool) -> List[Finding]:
-    """Prove the n-1 round-robin starvation bound at every paper width."""
-    findings: List[Finding] = []
-    widths = range(2, 5) if quick else range(2, 17)
-    for n in widths:
-        bound, per_pointer = rr_starvation_bound(n)
-        if bound != n - 1:
-            findings.append(
-                Finding(
-                    rule="VER-STARVATION",
-                    severity="error",
-                    scope="properties",
-                    location=f"rr/n={n}",
-                    message=(
-                        f"worst-case starvation bound is {bound}, expected "
-                        f"{n - 1}; per-pointer bounds {per_pointer}"
-                    ),
-                )
-            )
-    return findings
+def _starvation_findings(n: int) -> List[Finding]:
+    """Prove the n-1 round-robin starvation bound at width ``n``."""
+    bound, per_pointer = rr_starvation_bound(n)
+    if bound == n - 1:
+        return []
+    return [
+        Finding(
+            rule="VER-STARVATION",
+            severity="error",
+            scope="properties",
+            location=f"rr/n={n}",
+            message=(
+                f"worst-case starvation bound is {bound}, expected "
+                f"{n - 1}; per-pointer bounds {per_pointer}"
+            ),
+        )
+    ]
+
+
+def _prove(job: NetlistJob) -> Tuple[List[Finding], int]:
+    """Build one matrix netlist under a trace and prove it."""
+    with tracing() as trace:
+        nl = job.builder()
+    return check_netlist(nl, trace, scope=job.label), nl.num_nets
 
 
 def verify_paper_netlists(
@@ -134,6 +145,7 @@ def verify_paper_netlists(
     progress=None,
     include_e2e: bool = True,
     include_models: bool = True,
+    jobs: Optional[int] = None,
 ) -> Tuple[List[Finding], List[Tuple[str, str]], int]:
     """Run the full verification campaign over the paper matrix.
 
@@ -143,31 +155,20 @@ def verify_paper_netlists(
     ``checked`` counts netlists actually proved.  ``quick`` restricts
     every stage to its smallest configuration for smoke runs;
     ``include_models`` covers the oracle cross-validation and the
-    starvation bound (the model-level property layer).
+    starvation bound (the model-level property layer).  Each stage's
+    independent checks run on at most ``jobs`` pool workers (default:
+    one per usable CPU); findings keep their serial order.
     """
     findings: List[Finding] = []
     if include_models:
-        findings.extend(_oracle_findings(quick, progress))
-        findings.extend(_starvation_findings(quick))
+        findings.extend(run_checks(_model_checks(quick), progress, jobs))
 
-    skipped: List[Tuple[str, str]] = []
-    checked = 0
-    for job in iter_paper_netlists(include_vc, include_sw, max_cells, quick):
-        if job.builder is None:
-            skipped.append((job.label, job.skip_reason))
-            if progress is not None:
-                progress(f"skip {job.label}: {job.skip_reason}")
-            continue
-        with tracing() as trace:
-            nl = job.builder()
-        found = check_netlist(nl, trace, scope=job.label)
-        findings.extend(found)
-        checked += 1
-        if progress is not None:
-            progress(
-                f"prove {job.label}: {nl.num_nets} nets, "
-                f"{len(found)} finding(s)"
-            )
+    found, skipped, checked = map_paper_netlists(
+        _prove, "prove", include_vc, include_sw, max_cells, quick, progress, jobs
+    )
+    findings.extend(found)
     if include_e2e:
-        findings.extend(e2e_check_matrix(progress=progress, quick=quick))
+        findings.extend(
+            e2e_check_matrix(progress=progress, quick=quick, jobs=jobs)
+        )
     return findings, skipped, checked

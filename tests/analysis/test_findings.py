@@ -68,6 +68,19 @@ class TestBaseline:
         stale = b.unused_entries()
         assert len(stale) == 1 and stale[0]["rule"] == "DRC-DEAD"
 
+    def test_stale_is_judged_only_for_rules_a_stage_could_produce(self):
+        b = Baseline([{"rule": r} for r in
+                      ("DRC-DEAD", "DRC-*", "VER-*", "*", "S?C-X", "[DS]RC-Y")])
+        b.partition([])
+
+        def stale(*prefixes):
+            return [e["rule"] for e in b.unused_entries(prefixes)]
+
+        assert stale("SRC-") == ["*", "S?C-X", "[DS]RC-Y"]
+        assert stale("DRC-") == ["DRC-DEAD", "DRC-*", "*", "[DS]RC-Y"]
+        assert stale() == []
+        assert len(b.unused_entries()) == 6  # no prefix given: all of them
+
     def test_load_dump_round_trip(self, tmp_path):
         path = tmp_path / "baseline.json"
         b = Baseline([{"rule": "DRC-DEAD", "scope": "s", "location": "l",

@@ -170,6 +170,9 @@ class TestHitEqualsMiss:
                             counted(drc.NetlistDRC.check, "drc"))
         monkeypatch.setattr(runner, "check_netlist",
                             counted(runner.check_netlist, "proofs"))
+        # The counters live in this process: one usable CPU keeps the
+        # cold run's jobs here instead of in forked pool workers.
+        monkeypatch.setattr("repro.eval.runner.usable_cpus", lambda: 1)
         for argv in (COST, LINT, VERIFY):
             run(argv)
         cold = dict(counts)

@@ -539,6 +539,32 @@ class TestLintCommand:
         assert rc == 0
         capsys.readouterr()
 
+    def test_stale_notes_only_for_stages_that_ran(self, capsys, tmp_path):
+        root = tmp_path / "repro"
+        root.mkdir()
+        (root / "clean.py").write_text("x = 1\n")
+        shipped = Path(__file__).resolve().parents[1] / "lint-baseline.json"
+        entries = json.loads(shipped.read_text())["suppressions"]
+        assert [e["rule"] for e in entries] == ["DRC-CONST-FOLD"]
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"version": 1, "suppressions": entries + [{
+            "rule": "DRC-FLOATING", "scope": "no-such-netlist",
+            "location": "*", "reason": "matches nothing",
+        }]}))
+
+        # The source linter cannot produce a DRC-* finding: the shipped
+        # suppression is not stale just because netlists were not run.
+        assert main(["lint", "--source", "--src-root", str(root),
+                     "--baseline", str(baseline)]) == 0
+        assert "stale" not in capsys.readouterr().err
+
+        # The netlist DRC can: an entry matching no netlist is stale.
+        assert main(["lint", "--netlists", "--quick", "--no-cache",
+                     "--baseline", str(baseline)]) == 0
+        err = capsys.readouterr().err
+        assert "stale baseline entry matched nothing" in err
+        assert "no-such-netlist" in err
+
     def test_bad_baseline_is_a_usage_error(self, capsys, tmp_path):
         root = self._bad_tree(tmp_path)
         bad = tmp_path / "corrupt.json"

@@ -147,6 +147,23 @@ def test_a_one_point_sweep_runs_inline_by_default(tmp_path):
     assert offenders(modules, ("multiprocessing", "socket")) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity API")
+def test_an_offline_command_on_one_cpu_runs_inline(tmp_path):
+    # Offline jobs fan out over the usable CPUs; narrowed to one (what
+    # `taskset -c 0` does), they run in the command's own process.
+    argv = ["verify", "--quick", "--no-cache"]
+    one_cpu = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        f"from repro.cli import main; main({argv!r})"
+    )
+    modules = import_report.loaded_modules(one_cpu, cwd=tmp_path)
+    assert "repro.verify.equivalence" in modules
+    assert offenders(modules, ("multiprocessing",)) == []
+    if len(os.sched_getaffinity(0)) > 1:  # and the default run does fork
+        assert "multiprocessing" in import_report.loaded_modules(argv, cwd=tmp_path)
+
+
 def test_a_warm_sweep_loads_no_openssl(tmp_path):
     # Inline (multiprocessing.util imports subprocess), so the cold run
     # shows what writing the manifest loads.
