@@ -16,7 +16,7 @@ import re
 from dataclasses import asdict, dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "SEVERITIES",
@@ -162,18 +162,32 @@ class Baseline:
         dropped.sort(key=_sort_key)
         return kept, dropped
 
-    def unused_entries(self, rules: Sequence[str] = ("",)) -> List[Dict[str, str]]:
+    def unused_entries(
+        self,
+        rules: Sequence[str] = ("",),
+        unchecked: Mapping[str, Sequence[str]] = {},
+    ) -> List[Dict[str, str]]:
         """Entries that matched nothing -- stale suppressions to prune.
 
         Only entries whose rule pattern can match a rule starting with
         one of the ``rules`` prefixes are judged: pass the prefixes of
         the stages that ran (``DRC-``, ``SRC-``, ...), since an entry
         for a stage that did not run matched nothing for that reason
-        alone.
+        alone.  For the same reason an entry is not judged when its
+        scope matches one of ``unchecked[prefix]``, the scopes a stage
+        left unchecked (a narrowed run's skipped netlists), and its rule
+        can match that stage's ``prefix``.
         """
+        def out_of_reach(entry: Dict[str, str]) -> bool:
+            return any(
+                _rule_reachable(entry["rule"], (prefix,))
+                and any(fnmatchcase(s, entry["scope"]) for s in scopes)
+                for prefix, scopes in unchecked.items()
+            )
+
         return [
             e for e, h in zip(self.entries, self._hits)
-            if h == 0 and _rule_reachable(e["rule"], rules)
+            if h == 0 and _rule_reachable(e["rule"], rules) and not out_of_reach(e)
         ]
 
 

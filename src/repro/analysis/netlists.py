@@ -14,6 +14,7 @@ dropped.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..eval.design_points import (
@@ -29,11 +30,13 @@ from ..hw.netlist import Netlist
 from ..hw.sw_alloc_gates import (
     build_switch_allocator_netlist,
     estimate_switch_allocator_gates,
+    switch_allocator_netlist_name,
 )
 from ..hw.synthesis import DEFAULT_MAX_CELLS
 from ..hw.vc_alloc_gates import (
     build_vc_allocator_netlist,
     estimate_vc_allocator_gates,
+    vc_allocator_netlist_name,
 )
 from .drc import DrcConfig, NetlistDRC
 from .findings import Finding
@@ -44,6 +47,7 @@ __all__ = [
     "lint_paper_netlists",
     "map_paper_netlists",
     "run_checks",
+    "unchecked_netlists",
 ]
 
 
@@ -51,6 +55,7 @@ class NetlistJob(NamedTuple):
     """One netlist to check, or the reason it cannot be built."""
 
     label: str
+    name: str  # the netlist's own name: the scope of its DRC findings
     builder: Optional[object]  # () -> Netlist, None when skipped
     skip_reason: str = ""
 
@@ -58,18 +63,21 @@ class NetlistJob(NamedTuple):
 def _vc_jobs(point: DesignPoint, max_cells: int) -> Iterator[NetlistJob]:
     for arch, arbiter in VC_VARIANTS:
         label = f"vc/{point.label}/{arch}/{arbiter}/sparse"
+        name = vc_allocator_netlist_name(
+            point.num_ports, point.partition, arch, arbiter
+        )
         estimate = estimate_vc_allocator_gates(
             point.num_ports, point.partition, arch, arbiter, sparse=True
         )
         if estimate > max_cells:
             yield NetlistJob(
-                label, None,
+                label, name, None,
                 f"~{estimate} cells exceeds the {max_cells}-cell synthesis "
                 "capacity model (fails in the paper too)",
             )
             continue
         yield NetlistJob(
-            label,
+            label, name,
             lambda p=point, a=arch, b=arbiter: build_vc_allocator_netlist(
                 p.num_ports, p.partition, a, b, sparse=True
             ),
@@ -80,18 +88,21 @@ def _sw_jobs(point: DesignPoint, max_cells: int) -> Iterator[NetlistJob]:
     for arch, arbiter in SWITCH_VARIANTS:
         for scheme in SPECULATION_SCHEMES:
             label = f"sw/{point.label}/{arch}/{arbiter}/{scheme}"
+            name = switch_allocator_netlist_name(
+                point.num_ports, point.num_vcs, arch, arbiter, scheme
+            )
             estimate = estimate_switch_allocator_gates(
                 point.num_ports, point.num_vcs, arch, arbiter, scheme
             )
             if estimate > max_cells:
                 yield NetlistJob(
-                    label, None,
+                    label, name, None,
                     f"~{estimate} cells exceeds the {max_cells}-cell "
                     "synthesis capacity model (fails in the paper too)",
                 )
                 continue
             yield NetlistJob(
-                label,
+                label, name,
                 lambda p=point, a=arch, b=arbiter, s=scheme:
                     build_switch_allocator_netlist(
                         p.num_ports, p.num_vcs, a, b, s
@@ -116,6 +127,27 @@ def iter_paper_netlists(
             yield from _vc_jobs(point, max_cells)
         if include_sw:
             yield from _sw_jobs(point, max_cells)
+
+
+def unchecked_netlists(
+    include_vc: bool = True,
+    include_sw: bool = True,
+    max_cells: int = DEFAULT_MAX_CELLS,
+    quick: bool = False,
+) -> List[NetlistJob]:
+    """Jobs of the full paper matrix that a run with these settings
+    does not check: the capacity-skipped ones and, with ``quick``, every
+    design point past the first.  A baseline entry that can match one of
+    them may be live although such a run matched nothing with it."""
+    checked = {
+        job.label
+        for job in iter_paper_netlists(include_vc, include_sw, max_cells, quick)
+        if job.builder is not None
+    }
+    return [
+        job for job in iter_paper_netlists(include_vc, include_sw, sys.maxsize)
+        if job.label not in checked
+    ]
 
 
 def run_checks(

@@ -822,15 +822,28 @@ def _matrix_args(args) -> dict:
     return kwargs
 
 
-def _matrix_payload(outcome) -> dict:
+def _matrix_payload(outcome, unchecked) -> dict:
     """``(findings, skipped, checked)`` of a run over the paper matrix,
-    as the JSON the offline result store keeps."""
+    and the finding scopes of the matrix netlists it left unchecked
+    (:func:`~repro.analysis.netlists.unchecked_netlists`), as the JSON
+    the offline result store keeps."""
     findings, skipped, checked = outcome
     return {
         "findings": [f.to_dict() for f in findings],
         "skipped": [list(pair) for pair in skipped],
         "checked": checked,
+        "unchecked": list(unchecked),
     }
+
+
+def _unchecked_netlists(args, **include) -> list:
+    """The matrix netlists a run with ``args``' ``--quick`` and
+    ``--max-cells`` does not check."""
+    from .analysis.netlists import unchecked_netlists
+
+    kwargs = _matrix_args(args)
+    del kwargs["progress"]
+    return unchecked_netlists(**include, **kwargs)
 
 
 def _matrix_findings(result: dict, meta: dict, counted_as: str) -> list:
@@ -849,7 +862,8 @@ def _matrix_findings(result: dict, meta: dict, counted_as: str) -> list:
 
 def _gate_on_findings(
     args, findings, meta, baseline_path: Optional[str], *,
-    as_json: bool, stale_rules: Sequence[str], title: str = "",
+    as_json: bool, stale_rules: Sequence[str], unchecked: dict,
+    title: str = "",
 ) -> int:
     """What ``lint`` and ``verify`` end with: split ``findings`` by the
     baseline, print (or ``--output``) the report, exit 1 on a finding
@@ -857,7 +871,8 @@ def _gate_on_findings(
     edited baseline takes effect on stored findings too.  An entry
     that matched nothing is noted stale only if its rule can match a
     rule starting with one of ``stale_rules``, the rule prefixes of the
-    stages that ran."""
+    stages that ran, and its scope matches none that a stage left
+    unchecked (``unchecked``, rule prefix -> scopes)."""
     from .analysis.findings import Baseline, findings_to_json, format_findings
 
     if baseline_path is not None:
@@ -869,7 +884,7 @@ def _gate_on_findings(
     else:
         baseline = Baseline()
     unsuppressed, suppressed = baseline.partition(findings)
-    for entry in baseline.unused_entries(stale_rules):
+    for entry in baseline.unused_entries(stale_rules, unchecked):
         print(
             f"note: stale baseline entry matched nothing: {entry}",
             file=sys.stderr,
@@ -922,14 +937,16 @@ def cmd_lint(args) -> int:
 
     findings = []
     meta = {}
+    unchecked = {}
     if run_netlists:
         def drc_matrix() -> dict:
             from .analysis.drc import DrcConfig
             from .analysis.netlists import lint_paper_netlists
 
-            return _matrix_payload(lint_paper_netlists(
-                config=DrcConfig(), **_matrix_args(args)
-            ))
+            return _matrix_payload(
+                lint_paper_netlists(config=DrcConfig(), **_matrix_args(args)),
+                [job.name for job in _unchecked_netlists(args)],
+            )
 
         # The DRC matrix depends on this package alone, which is what
         # the store's salt digests; the other stages read the working
@@ -941,6 +958,7 @@ def cmd_lint(args) -> int:
                 args, f"lint-netlists|{args.quick}|{args.max_cells}", drc_matrix
             )
         findings.extend(_matrix_findings(result, meta, "netlists_checked"))
+        unchecked["DRC-"] = result["unchecked"]
     if run_source:
         from .analysis.srclint import lint_generated_kernels, lint_source_tree
 
@@ -965,6 +983,7 @@ def cmd_lint(args) -> int:
     return _gate_on_findings(
         args, findings, meta, baseline_path, as_json=args.format == "json",
         stale_rules=("DRC-",) * run_netlists + ("SRC-",) * run_source,
+        unchecked=unchecked,
     )
 
 
@@ -978,17 +997,23 @@ def cmd_verify(args) -> int:
 
     findings = []
     meta = {}
+    unchecked = {}
     if run_points or run_props:
         def prove_matrix() -> dict:
             from .verify.runner import verify_paper_netlists
 
-            return _matrix_payload(verify_paper_netlists(
-                include_vc=run_points,
-                include_sw=run_points,
-                include_e2e=run_points,
-                include_models=run_props,
-                **_matrix_args(args),
-            ))
+            return _matrix_payload(
+                verify_paper_netlists(
+                    include_vc=run_points,
+                    include_sw=run_points,
+                    include_e2e=run_points,
+                    include_models=run_props,
+                    **_matrix_args(args),
+                ),
+                [job.label for job in _unchecked_netlists(
+                    args, include_vc=run_points, include_sw=run_points
+                )],
+            )
 
         # A run that also measures the checker (--mutation) proves
         # afresh: it never touches the store.
@@ -1001,6 +1026,7 @@ def cmd_verify(args) -> int:
                 prove_matrix,
             )
         findings.extend(_matrix_findings(result, meta, "netlists_proved"))
+        unchecked["VER-"] = result["unchecked"]
 
     mutation_failed = False
     if run_mutation:
@@ -1033,6 +1059,7 @@ def cmd_verify(args) -> int:
         args, findings, meta, _default_baseline(args, "verify-baseline.json"),
         as_json=args.json, title="formal verification findings",
         stale_rules=("VER-",) * (run_points or run_props),
+        unchecked=unchecked,
     )
     return 1 if status == 0 and mutation_failed else status
 

@@ -29,6 +29,7 @@ from .trace import PreselectTrace, active_trace
 __all__ = [
     "build_switch_allocator_netlist",
     "estimate_switch_allocator_gates",
+    "switch_allocator_netlist_name",
 ]
 
 NetMatrix = List[List[int]]
@@ -302,6 +303,18 @@ def _core_wf(
 
 
 # ----------------------------------------------------------------------
+def switch_allocator_netlist_name(
+    num_ports: int,
+    num_vcs: int,
+    arch: str = "sep_if",
+    arbiter: str = "rr",
+    speculation: str = "nonspec",
+) -> str:
+    """The name :func:`build_switch_allocator_netlist` gives its netlist
+    (the scope of every DRC finding on it), without building it."""
+    return f"sw_{arch}_{arbiter}_P{num_ports}_V{num_vcs}_{speculation}"
+
+
 def build_switch_allocator_netlist(
     num_ports: int,
     num_vcs: int,
@@ -316,7 +329,7 @@ def build_switch_allocator_netlist(
     allocator cores plus the masking logic.
     """
     P, V = num_ports, num_vcs
-    nl = Netlist(f"sw_{arch}_{arbiter}_P{P}_V{V}_{speculation}")
+    nl = Netlist(switch_allocator_netlist_name(P, V, arch, arbiter, speculation))
 
     req_ns = _build_requests(nl, P, V, "ns_")
     if speculation == "nonspec":

@@ -43,7 +43,11 @@ from .netlist import Netlist
 ReqNets = List[List[Dict[int, int]]]
 DestNets = List[List[List[int]]]
 
-__all__ = ["build_vc_allocator_netlist", "estimate_vc_allocator_gates"]
+__all__ = [
+    "build_vc_allocator_netlist",
+    "estimate_vc_allocator_gates",
+    "vc_allocator_netlist_name",
+]
 
 
 class _VCStructure:
@@ -108,6 +112,23 @@ def _mark_grant_outputs(nl: Netlist, grants: List[List[int]]) -> None:
             nl.mark_output(net, f"gnt_{i}_{u}")
 
 
+def vc_allocator_netlist_name(
+    num_ports: int,
+    partition: VCPartition,
+    arch: str = "sep_if",
+    arbiter: str = "rr",
+    sparse: bool = True,
+    wavefront_impl: str = "replicated",
+) -> str:
+    """The name :func:`build_vc_allocator_netlist` gives its netlist
+    (the scope of every DRC finding on it), without building it."""
+    suffix = f"_{wavefront_impl}" if arch == "wf" else ""
+    return (
+        f"vc_{arch}_{arbiter}_P{num_ports}_{partition.describe()}"
+        f"_{'sparse' if sparse else 'dense'}{suffix}"
+    )
+
+
 def build_vc_allocator_netlist(
     num_ports: int,
     partition: VCPartition,
@@ -127,11 +148,9 @@ def build_vc_allocator_netlist(
     if wavefront_impl not in ("replicated", "rotated"):
         raise ValueError(f"unknown wavefront implementation {wavefront_impl!r}")
     s = _VCStructure(num_ports, partition, sparse)
-    suffix = f"_{wavefront_impl}" if arch == "wf" else ""
-    nl = Netlist(
-        f"vc_{arch}_{arbiter}_P{num_ports}_{partition.describe()}"
-        f"_{'sparse' if sparse else 'dense'}{suffix}"
-    )
+    nl = Netlist(vc_allocator_netlist_name(
+        num_ports, partition, arch, arbiter, sparse, wavefront_impl
+    ))
     req, dest = _build_inputs(nl, s)
     if arch == "sep_if":
         grants = _build_sep_if(nl, s, req, dest, arbiter)

@@ -53,7 +53,11 @@ __all__ = [
 # fault-aware routing drops unroutable offered packets at injection
 # (shifting the packet-id stream).  Fault-free runs are bit-identical
 # to rev 2.
-SIMULATOR_REV = 3
+# rev 4: ``misspeculations`` and ``speculative_wins`` count the
+# measurement window only (they were whole-run totals), and a
+# fault-free run ends its drain once every measured packet is
+# delivered.  Every other field is unchanged.
+SIMULATOR_REV = 4
 
 # Average flits per transaction (request + its reply): read = 1 + 5,
 # write = 5 + 1, so 6 either way; each transaction injects at two
@@ -78,6 +82,9 @@ class SimulationConfig:
     seed: int = 1
     warmup_cycles: int = 1000
     measure_cycles: int = 4000
+    # An upper bound: a fault-free run ends its drain once every packet
+    # born in the measurement window is delivered (``run_simulation``);
+    # a run with a fault state always drains in full.
     drain_cycles: int = 4000
     latency_cap: float = 400.0
     read_fraction: float = 0.5
@@ -160,6 +167,8 @@ class SimulationResult:
     injected_flit_rate: float  # measured flits/cycle/terminal
     accepted_flit_rate: float  # ejected flits/cycle/terminal
     saturated: bool
+    # Speculative switch grants discarded / kept, counted over the
+    # measurement window (window-end totals minus window-start totals).
     misspeculations: int = 0
     speculative_wins: int = 0
     latency_by_class: Dict[int, float] = field(default_factory=dict)

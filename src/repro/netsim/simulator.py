@@ -144,6 +144,12 @@ def run_simulation(
 ) -> SimulationResult:
     """Warm up, measure, drain; return latency/throughput statistics.
 
+    ``cfg.drain_cycles`` bounds the drain.  A fault-free run stops it as
+    soon as every packet born in the measurement window has been
+    delivered, since nothing reported reads a later cycle; a run with a
+    fault state drains in full, because its loss figures are defined
+    after the whole drain.
+
     ``observer`` opts the run into the :mod:`repro.obs` instrumentation
     layer (per-router metrics, flit traces).  The observer never feeds
     back into simulation state or RNG draws, so an instrumented run
@@ -204,34 +210,39 @@ def run_simulation(
 
         net.on_delivery = on_delivery
 
+        # Every packet offered during the measurement window (fault runs
+        # include injection-side unroutable drops, so the delivered
+        # fraction has an exact denominator).  The last such birth falls
+        # in the window's last cycle, so the count is final once the
+        # measurement phase ends.
         born_in_window = 0
-        if fault_state is not None:
-            # Fault runs additionally count every packet *offered* during
-            # the measurement window (including injection-side unroutable
-            # drops) so the delivered fraction has an exact denominator.
-            def on_birth(birth_time: int) -> None:
-                nonlocal born_in_window
-                if window_start <= birth_time < window_end:
-                    born_in_window += 1
 
-            net.on_birth = on_birth
+        def on_birth(birth_time: int) -> None:
+            nonlocal born_in_window
+            if window_start <= birth_time < window_end:
+                born_in_window += 1
+
+        net.on_birth = on_birth
 
         if cfg.watchdog_cycles > 0:
             watchdog = Watchdog(net, cfg.watchdog_cycles)
 
-            def run_cycles(n: int) -> None:
-                for _ in range(n):
-                    net.step()
-                    watchdog.poll(net)
+            def step() -> None:
+                net.step()
+                watchdog.poll(net)
 
         else:
-            run_cycles = net.run  # fault-free fast path: unchanged loop
+            step = net.step
 
         degraded_mode = False
 
-        def run_phase(n: int) -> None:
+        def run_phase(n: int, until_drained: bool = False) -> None:
             """One simulation phase; a permanent-link-fault watchdog trip
             ends the run in degraded mode instead of propagating.
+
+            With ``until_drained`` the phase ends early, before the first
+            cycle that starts with every measured packet delivered:
+            nothing reported reads a later cycle.
 
             A genuinely wedged fabric *without* permanent link faults is a
             simulator bug (livelock/deadlock), so that WatchdogError still
@@ -244,7 +255,10 @@ def run_simulation(
             if degraded_mode:
                 return
             try:
-                run_cycles(n)
+                for _ in range(n):
+                    if until_drained and len(latencies) == born_in_window:
+                        return
+                    step()
             except WatchdogError:
                 if fault_state is None or not fault_state.has_permanent_link_faults:
                     raise
@@ -255,11 +269,17 @@ def run_simulation(
         inj0 = net.total_injected_flits()
         ej0 = net.total_ejected_flits()
         backlog0 = net.total_backlog()
+        missp0 = net.total_misspeculations()
+        wins0 = net.total_speculative_wins()
         run_phase(cfg.measure_cycles)
         inj1 = net.total_injected_flits()
         ej1 = net.total_ejected_flits()
         backlog1 = net.total_backlog()
-        run_phase(cfg.drain_cycles)
+        misspeculations = net.total_misspeculations() - missp0
+        speculative_wins = net.total_speculative_wins() - wins0
+        # A fault run drains in full: packets_lost, delivered_fraction
+        # and the fault counters are defined after the whole drain.
+        run_phase(cfg.drain_cycles, until_drained=fault_state is None)
         if observer is not None:
             observer.run_finished(net, cfg)
         if profiler is not None:
@@ -323,8 +343,8 @@ def run_simulation(
             injected_flit_rate=injected_rate,
             accepted_flit_rate=accepted_rate,
             saturated=saturated,
-            misspeculations=net.total_misspeculations(),
-            speculative_wins=net.total_speculative_wins(),
+            misspeculations=misspeculations,
+            speculative_wins=speculative_wins,
             latency_by_class=latency_by_class,
             latency_summary=summary,
             latency_stderr=stderr,

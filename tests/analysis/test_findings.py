@@ -81,6 +81,31 @@ class TestBaseline:
         assert stale() == []
         assert len(b.unused_entries()) == 6  # no prefix given: all of them
 
+    def test_an_entry_that_can_match_an_unchecked_scope_is_not_judged(self):
+        b = Baseline([
+            {"rule": "DRC-CONST-FOLD", "scope": "vc_wf_*"},
+            {"rule": "DRC-*", "scope": "sw_*"},
+            {"rule": "SRC-*", "scope": "vc_wf_*"},
+        ])
+        b.partition([])
+
+        def stale(unchecked):
+            return [(e["rule"], e["scope"])
+                    for e in b.unused_entries(("DRC-", "SRC-"), unchecked)]
+
+        everything = [("DRC-CONST-FOLD", "vc_wf_*"), ("DRC-*", "sw_*"),
+                      ("SRC-*", "vc_wf_*")]
+        assert stale({}) == everything
+        assert stale({"DRC-": []}) == everything
+        # A skipped wavefront VC allocator may hold the finding the first
+        # entry suppresses; the stage that skipped it is DRC, so the
+        # source entry of the same scope is still judged.
+        assert stale({"DRC-": ["vc_wf_rr_P5_2x1x2_sparse_replicated"]}) == [
+            ("DRC-*", "sw_*"), ("SRC-*", "vc_wf_*")]
+        assert stale({"DRC-": ["sw_wf_rr_P10_V16_nonspec", "vc_wf_x"]}) == [
+            ("SRC-*", "vc_wf_*")]
+        assert stale({"VER-": ["vc_wf_x"]}) == everything
+
     def test_load_dump_round_trip(self, tmp_path):
         path = tmp_path / "baseline.json"
         b = Baseline([{"rule": "DRC-DEAD", "scope": "s", "location": "l",

@@ -141,6 +141,8 @@ class TestKeying:
     def test_keys_and_signatures_are_pinned(self):
         # Recorded when keys still hashed through hashlib: whichever
         # SHA-256 computes them, no cache or checkpoint is invalidated.
+        # Salted explicitly with the rev they were recorded at, since a
+        # SIMULATOR_REV bump moves every default-salted key on purpose.
         from repro.eval.checkpoint import sweep_signature
         from repro.faults.plan import parse_fault_spec
 
@@ -149,11 +151,12 @@ class TestKeying:
             topology="fbfly", injection_rate=0.3, traffic_pattern="transpose",
             faults=parse_fault_spec("vcs=0.05,seed=3"),
         )
-        assert config_key(plain) == "41eb76681cff1e9e66613164299f6b65"
+        rev3 = "sim-rev-3"
+        assert config_key(plain, rev3) == "41eb76681cff1e9e66613164299f6b65"
         assert config_key(plain, salt="x") == "2df75f246fdf7c7bf46a5b194fde47c3"
-        assert config_key(faulted) == "d15f772c14b5fbcaff1e0ecc016e9ffa"
+        assert config_key(faulted, rev3) == "d15f772c14b5fbcaff1e0ecc016e9ffa"
         assert config_key(faulted, salt="x") == "f7d978d30ce551da76d1240d48f537f9"
-        keys = [config_key(plain), config_key(faulted)]
+        keys = [config_key(plain, rev3), config_key(faulted, rev3)]
         assert sweep_signature(keys) == "b545bf55b2d9ca68a4b391ca0faa9693"
         assert sweep_signature([]) == "e3b0c44298fc1c149afbf4c8996fb924"
 

@@ -162,7 +162,9 @@ def test_payloads_equal_the_packet_list_implementation():
     # List[Packet]` (mesh low load and saturated wavefront, fbfly/UGAL,
     # torus, random faults, ft_dor around a dead link).  Every field --
     # mean, percentiles, batch-means stderr, per-class means, fault
-    # counters -- must come out of the int capture unchanged.
+    # counters -- must come out of the int capture unchanged.  (The two
+    # speculation counters were re-recorded at SIMULATOR_REV 4, which
+    # made them measurement-window counts; no other field moved.)
     pinned = json.loads(
         (Path(__file__).parents[1] / "data" / "lifecycle_payloads_parent.json")
         .read_text()

@@ -83,7 +83,7 @@ def test_assembled_wiring_and_cache_key_match_the_old_builders(topology, routing
     cfg = SimulationConfig(topology=topology, routing=routing, seed=5)
     digest, key = GOLDEN[topology, routing]
     assert wiring_digest(build_network(cfg)) == digest
-    assert config_key(cfg, None) == key
+    assert config_key(cfg, "sim-rev-3") == key  # the rev it was recorded at
 
 
 DESCRIPTIONS = {

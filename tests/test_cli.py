@@ -565,6 +565,28 @@ class TestLintCommand:
         assert "stale baseline entry matched nothing" in err
         assert "no-such-netlist" in err
 
+    def test_stale_notes_judge_only_netlists_the_run_checked(
+        self, capsys, tmp_path
+    ):
+        entry = {"rule": "DRC-FLOATING", "scope": "vc_wf_rr_P5_2x1x1*",
+                 "location": "*", "reason": "matches nothing"}
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"version": 1, "suppressions": [entry]}))
+        shipped = Path(__file__).resolve().parents[1] / "lint-baseline.json"
+
+        # Under a 1000-cell cap the quick matrix skips its wavefront VC
+        # allocator (~1600 cells), the only netlist the entry can match:
+        # matching nothing proves nothing.  The shipped entry, whose
+        # matches are all past the quick design point, is live too.
+        for path in (baseline, shipped):
+            assert main(["lint", "--netlists", "--quick", "--max-cells", "1000",
+                         "--no-cache", "--baseline", str(path)]) == 0
+            assert "stale" not in capsys.readouterr().err
+        # At the default cap that netlist is checked, and it is clean.
+        assert main(["lint", "--netlists", "--quick", "--no-cache",
+                     "--baseline", str(baseline)]) == 0
+        assert "stale baseline entry matched nothing" in capsys.readouterr().err
+
     def test_bad_baseline_is_a_usage_error(self, capsys, tmp_path):
         root = self._bad_tree(tmp_path)
         bad = tmp_path / "corrupt.json"

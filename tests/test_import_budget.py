@@ -219,25 +219,49 @@ def test_serve_scheduler_loads_no_numpy(tmp_path):
                                "repro.hw", "repro.verify", "repro.analysis")) == []
 
 
-def test_cache_written_by_the_parent_commit_is_all_hits(tmp_path):
-    # tests/data/sweep_cache_parent.json: written by `repro sweep` at the
-    # commit before the config/simulator split (plain mesh points plus a
-    # faulted, transposed fbfly point).  Keys, salt and payloads must
-    # still be read as they were written.
+PARENT_CACHE_SWEEPS = [
+    SWEEP,
+    ["sweep", "--rates", "0.1", "--cycles", "60", "--topology", "fbfly",
+     "--pattern", "transpose", "--faults", "vcs=0.05,seed=3"],
+]
+
+
+def _sweep_cache_stats(fixture: str, tmp_path) -> list:
+    """The ``cache:`` line of each of the two sweeps run against a copy
+    of ``tests/data/<fixture>``."""
     cache = tmp_path / "c.json"
-    shutil.copy(REPO / "tests" / "data" / "sweep_cache_parent.json", cache)
-    for argv, hits in [
-        (SWEEP, 2),
-        (["sweep", "--rates", "0.1", "--cycles", "60", "--topology", "fbfly",
-          "--pattern", "transpose", "--faults", "vcs=0.05,seed=3"], 1),
-    ]:
+    shutil.copy(REPO / "tests" / "data" / fixture, cache)
+    lines = []
+    for argv in PARENT_CACHE_SWEEPS:
         done = subprocess.run(
             [sys.executable, "-m", "repro", *argv, "--cache-path", str(cache)],
             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert f"cache: {hits} hit(s), 0 miss(es)" in done.stdout
+        lines.append(next(
+            line for line in done.stdout.splitlines() if line.startswith("cache:")
+        ))
+    return lines
+
+
+def test_cache_written_by_the_parent_commit_is_all_hits(tmp_path):
+    # tests/data/sweep_cache_parent.json: written by `repro sweep` at
+    # SIMULATOR_REV 4 (plain mesh points plus a faulted, transposed
+    # fbfly point).  Keys, salt and payloads must still be read as they
+    # were written.
+    stats = _sweep_cache_stats("sweep_cache_parent.json", tmp_path)
+    assert stats[0].startswith("cache: 2 hit(s), 0 miss(es)")
+    assert stats[1].startswith("cache: 1 hit(s), 0 miss(es)")
+
+
+def test_cache_written_at_an_older_rev_is_all_misses(tmp_path):
+    # tests/data/sweep_cache_rev3.json: the same two sweeps written at
+    # SIMULATOR_REV 3, whose speculation counters spanned the whole run.
+    # Its salt no longer matches, so not one stale payload is served.
+    stats = _sweep_cache_stats("sweep_cache_rev3.json", tmp_path)
+    assert stats[0].startswith("cache: 0 hit(s), 2 miss(es)")
+    assert stats[1].startswith("cache: 0 hit(s), 1 miss(es)")
 
 
 class TestCommandTable:

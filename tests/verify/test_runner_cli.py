@@ -106,3 +106,20 @@ class TestCli:
         err = capsys.readouterr().err
         # Zero findings -> the catch-all entry is reported stale.
         assert "stale baseline entry" in err
+
+    def test_stale_notes_judge_only_netlists_the_run_proved(
+        self, tmp_path, capsys
+    ):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"version": 1, "suppressions": [{
+            "rule": "VER-*", "scope": "vc/mesh 2x1x1 VCs (V=2)/wf/*",
+            "location": "*", "reason": "matches nothing",
+        }]}))
+        argv = ["verify", "--points", "--quick", "--no-cache",
+                "--baseline", str(baseline)]
+        # A 1000-cell cap skips the one netlist the entry can match.
+        assert main(argv + ["--max-cells", "1000"]) == 0
+        assert "stale" not in capsys.readouterr().err
+        # At the default cap it is proved, and nothing matched the entry.
+        assert main(argv) == 0
+        assert "stale baseline entry matched nothing" in capsys.readouterr().err
