@@ -207,6 +207,17 @@ class RoundRobinArbiter(Arbiter):
         return indices[0] if indices else None
 
 
+#: Width -> the matrix arbiter's initial ``beats`` rows; read-only.
+_INITIAL_BEATS: Dict[int, List[List[bool]]] = {}
+
+
+def _initial_beats(n: int) -> List[List[bool]]:
+    rows = _INITIAL_BEATS.get(n)
+    if rows is None:
+        rows = _INITIAL_BEATS[n] = [[i < j for j in range(n)] for i in range(n)]
+    return rows
+
+
 class MatrixArbiter(Arbiter):
     """Least-recently-served arbiter (``m``).
 
@@ -226,9 +237,9 @@ class MatrixArbiter(Arbiter):
         self.reset()
 
     def reset(self) -> None:
-        n = self.num_inputs
-        # Upper-triangular initial state: lower indices start with priority.
-        self._beats = [[i < j for j in range(n)] for i in range(n)]
+        # Upper-triangular initial state: lower indices start with
+        # priority.  Rows are copied, never shared: advance() edits them.
+        self._beats = [row[:] for row in _initial_beats(self.num_inputs)]
 
     def beats(self, i: int, j: int) -> bool:
         """True if input ``i`` currently has priority over input ``j``."""

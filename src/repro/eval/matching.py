@@ -19,7 +19,7 @@ from ..core.switch_allocator import SwitchAllocator, SwitchRequests
 from ..core.vc_allocator import VCAllocator, VCRequest
 from ..netsim.rng import PCG64Stream
 from .design_points import DesignPoint
-from .runner import map_jobs
+from .runner import map_jobs, map_width
 
 __all__ = [
     "QualityCurve",
@@ -66,19 +66,26 @@ def port_adjacency(requests: SwitchRequests) -> List[List[int]]:
 
 
 def _curves(
-    curve: Callable[[str], List[float]],
+    curves: Callable[[Sequence[str]], List[List[float]]],
     archs: Sequence[str],
     rates: Sequence[float],
     jobs: Optional[int],
 ) -> Dict[str, QualityCurve]:
-    """``curve(arch)`` per arch, on at most ``jobs`` pool workers: each
-    arch seeds its own request stream, so where it runs cannot change
-    what it draws."""
-    qualities = map_jobs(curve, archs, jobs=jobs)
-    return {
-        arch: QualityCurve(arch, list(rates), q)
-        for arch, q in zip(archs, qualities)
+    """``curves(group)`` -- one quality list per arch of ``group`` --
+    with the archs dealt into one group per worker :func:`map_jobs`
+    would use (one group inline).  A group draws its seeded request
+    stream, and each sample's maximum matching, once and feeds every
+    sample to each of its allocators; each arch sees the one stream
+    wherever it runs, so the grouping cannot change a curve."""
+    width = map_width(len(archs), jobs)
+    groups = [list(archs[g::width]) for g in range(width)]
+    per_group = map_jobs(curves, groups, jobs=width, label=",".join)
+    qualities = {
+        arch: q
+        for group, qs in zip(groups, per_group)
+        for arch, q in zip(group, qs)
     }
+    return {arch: QualityCurve(arch, list(rates), qualities[arch]) for arch in archs}
 
 
 def vc_matching_quality(
@@ -96,8 +103,8 @@ def vc_matching_quality(
     ``rate`` (the figure's "requests per VC per cycle"); the flit
     targets a uniformly random output port and a uniformly random legal
     successor resource class, with all ``C`` VCs of that class as
-    candidates.  Each arch is one job on at most ``jobs`` pool workers
-    (default: one per usable CPU).
+    candidates.  The archs share the request stream of their pool
+    worker, on at most ``jobs`` workers (default: one per usable CPU).
     """
     P = point.num_ports
     part = point.partition
@@ -112,13 +119,17 @@ def vc_matching_quality(
             [tuple(part.class_vcs(m_in, r)) for r in part.successor_classes(r_in)]
         )
 
-    def curve(arch: str) -> List[float]:
-        alloc = VCAllocator(P, part, arch=arch, arbiter=arbiter, sparse=True)
-        alloc.check_requests = False
+    def curves(group: Sequence[str]) -> List[List[float]]:
+        allocs = [
+            VCAllocator(P, part, arch=arch, arbiter=arbiter, sparse=True)
+            for arch in group
+        ]
+        for alloc in allocs:
+            alloc.check_requests = False
         rng = PCG64Stream(seed)
-        qualities = []
+        qualities: List[List[float]] = [[] for _ in allocs]
         for rate in rates:
-            total = 0
+            totals = [0] * len(allocs)
             total_max = 0
             for _ in range(num_samples):
                 request_draw = rng.random(n)
@@ -135,13 +146,15 @@ def vc_matching_quality(
                     requests[i] = VCRequest(q, cands)
                     base = q * V
                     adjacency[i] = [base + u for u in cands]
-                grants = alloc.allocate(requests)
-                total += sum(g is not None for g in grants)
+                for k, alloc in enumerate(allocs):
+                    grants = alloc.allocate(requests)
+                    totals[k] += sum(g is not None for g in grants)
                 total_max += _max_matching_size(adjacency, n)
-            qualities.append(total / total_max if total_max else 1.0)
+            for q, total in zip(qualities, totals):
+                q.append(total / total_max if total_max else 1.0)
         return qualities
 
-    return _curves(curve, archs, rates, jobs)
+    return _curves(curves, archs, rates, jobs)
 
 
 def switch_request_grant_efficiency(
@@ -193,25 +206,29 @@ def switch_matching_quality(
     Each input VC independently requests a uniformly random output port
     with probability ``rate``.  The maximum-size reference matches on
     the port-level request matrix (at most one grant per input port and
-    output port).  Each arch is one job, as in :func:`vc_matching_quality`.
+    output port).  The archs share streams as in
+    :func:`vc_matching_quality`.
     """
     P = point.num_ports
     V = point.num_vcs
 
-    def curve(arch: str) -> List[float]:
-        alloc = SwitchAllocator(P, V, arch=arch, arbiter=arbiter)
-        alloc.check_requests = False
+    def curves(group: Sequence[str]) -> List[List[float]]:
+        allocs = [SwitchAllocator(P, V, arch=arch, arbiter=arbiter) for arch in group]
+        for alloc in allocs:
+            alloc.check_requests = False
         rng = PCG64Stream(seed)
-        qualities = []
+        qualities: List[List[float]] = [[] for _ in allocs]
         for rate in rates:
-            total = 0
+            totals = [0] * len(allocs)
             total_max = 0
             for _ in range(num_samples):
                 requests = random_switch_requests(rng, P, V, rate)
-                grants = alloc.allocate(requests)
-                total += sum(g is not None for g in grants)
+                for k, alloc in enumerate(allocs):
+                    grants = alloc.allocate(requests)
+                    totals[k] += sum(g is not None for g in grants)
                 total_max += _max_matching_size(port_adjacency(requests), P)
-            qualities.append(total / total_max if total_max else 1.0)
+            for q, total in zip(qualities, totals):
+                q.append(total / total_max if total_max else 1.0)
         return qualities
 
-    return _curves(curve, archs, rates, jobs)
+    return _curves(curves, archs, rates, jobs)

@@ -75,6 +75,7 @@ __all__ = [
     "InlineScheduler",
     "ProcessPoolScheduler",
     "map_jobs",
+    "map_width",
     "run_point",
     "run_sweep",
     "usable_cpus",
@@ -601,6 +602,13 @@ def _can_fork_workers() -> bool:
     return mp.get_start_method() == "fork" and not mp.current_process().daemon
 
 
+def map_width(items: int, jobs: Optional[int] = None) -> int:
+    """How many workers :func:`map_jobs` runs ``items`` jobs on at
+    ``jobs``; 1 means it runs them inline."""
+    jobs = min(usable_cpus() if jobs is None else jobs, items)
+    return jobs if jobs > 1 and _can_fork_workers() else 1
+
+
 def map_jobs(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -624,7 +632,7 @@ def map_jobs(
     :class:`JobError` naming ``label(item)``; the pool stops every
     worker still busy.
     """
-    jobs = min(usable_cpus() if jobs is None else jobs, len(items))
+    workers = map_width(len(items), jobs)
     results: List[Any] = [None] * len(items)
 
     def record(i: int, result: Any) -> None:
@@ -632,12 +640,12 @@ def map_jobs(
         if done is not None:
             done(i, result)
 
-    if jobs > 1 and _can_fork_workers():
+    if workers > 1:
         def fail(i, kind, error, message, detail, attempts) -> None:
             raise JobError(label(items[i]), kind, error, message)
 
         _run_hardened_pool(
-            list(range(len(items))), jobs, lambda i: i, record, fail,
+            list(range(len(items))), workers, lambda i: i, record, fail,
             SweepStats(total=len(items)), None, 0, 0.0,
             lambda i: fn(items[i]),
         )

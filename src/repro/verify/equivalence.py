@@ -45,7 +45,7 @@ from ..core.switch_allocator import SwitchAllocator
 from ..core.vc_allocator import VCAllocator, VCRequest
 from ..core.vc_partition import VCPartition
 from ..hw.cells import CELL_INDEX
-from ..hw.netlist import KIND_CONST0, KIND_CONST1, Netlist
+from ..hw.netlist import KIND_CONST0, KIND_CONST1, KIND_INPUT, Netlist
 from ..hw.simulate import NetlistSimulator, reset_state
 from ..hw.sw_alloc_gates import build_switch_allocator_netlist
 from ..hw.trace import (
@@ -76,10 +76,16 @@ from .oracles import (
 )
 from .properties import ARBITER_PROPERTIES, check_property, wavefront_properties
 
-__all__ = ["check_netlist", "e2e_check_matrix"]
+__all__ = [
+    "check_netlist",
+    "component_cones",
+    "component_signature",
+    "e2e_check_matrix",
+]
 
 _AND2 = CELL_INDEX["AND2"]
 _AND3 = CELL_INDEX["AND3"]
+_DFF = CELL_INDEX["DFF"]
 _INV = CELL_INDEX["INV"]
 
 #: Findings reported per component before truncating: one real defect
@@ -226,6 +232,17 @@ def _check_fixed(
     return findings
 
 
+def _ring_cut(
+    grant_nets: Sequence[int], enable: Optional[int], reg: int
+) -> List[int]:
+    """Induction cut of one rotate-on-grant mask bit: the grants, the
+    update enable and the bit's own register."""
+    cut = list(dict.fromkeys(grant_nets))
+    if enable is not None and enable not in cut:
+        cut.append(enable)
+    return cut + [reg]
+
+
 def _mask_ring_induction(
     nl: Netlist,
     scope: str,
@@ -249,9 +266,6 @@ def _mask_ring_induction(
     """
     findings: List[Finding] = []
     grants = list(dict.fromkeys(grant_nets))
-    cut = list(grants)
-    if enable is not None and enable not in cut:
-        cut.append(enable)
     for i, reg in enumerate(regs):
         d = nl.reg_d.get(reg)
         if d is None:
@@ -259,9 +273,9 @@ def _mask_ring_induction(
                 _err("VER-STATE", scope, loc, f"mask register {reg} has no next-state driver")
             )
             continue
-        ev = ConeEvaluator(nl, [d], cut=cut + [reg])
-        allowed = set(cut) | {reg}
-        extra = sorted(set(ev.leaves) - allowed)
+        cut = _ring_cut(grant_nets, enable, reg)
+        ev = ConeEvaluator(nl, [d], cut=cut)
+        extra = sorted(set(ev.leaves) - set(cut))
         if extra:
             findings.append(
                 _err(
@@ -599,6 +613,15 @@ def _matrix_oracle_properties(a: ArbiterTrace, scope: str, loc: str) -> List[Fin
     return findings
 
 
+def _matrix_cut(a: ArbiterTrace, i: int, j: int, reg: int) -> List[int]:
+    """Induction cut of triangle register ``w[i][j]``: the register,
+    the two grants it orders and the update enable."""
+    cut = list(dict.fromkeys([reg, a.grant_nets[i], a.grant_nets[j]]))
+    if a.update_enable is not None:
+        cut.append(a.update_enable)
+    return cut
+
+
 def _matrix_induction(
     nl: Netlist, a: ArbiterTrace, scope: str, loc: str
 ) -> List[Finding]:
@@ -613,9 +636,7 @@ def _matrix_induction(
                 _err("VER-STATE", scope, loc, f"w[{i}][{j}] has no next-state driver")
             )
             continue
-        cut = list(dict.fromkeys([reg, a.grant_nets[i], a.grant_nets[j]]))
-        if en is not None:
-            cut.append(en)
+        cut = _matrix_cut(a, i, j, reg)
         ev = ConeEvaluator(nl, [d], cut=cut)
         extra = sorted(set(ev.leaves) - set(cut))
         if extra:
@@ -1232,11 +1253,222 @@ def _check_preselect(
 
 
 # ----------------------------------------------------------------------
+# Proof cones and component signatures
+# ----------------------------------------------------------------------
+#: ``(targets, cut)``: the combinational cone of ``targets`` stopped at
+#: ``cut`` (see :meth:`~repro.hw.netlist.Netlist.support`).
+Cone = Tuple[Sequence[int], Sequence[int]]
+
+
+def _reg_cones(
+    nl: Netlist, regs: Sequence[int], cut_of: Callable[[int, int], List[int]]
+) -> List[Cone]:
+    """Each register's next-state cone, cut at ``cut_of(k, reg)``; a
+    register with no driver keeps its place as an empty cone."""
+    out: List[Cone] = []
+    for k, reg in enumerate(regs):
+        d = nl.reg_d.get(reg)
+        out.append(([] if d is None else [d], cut_of(k, reg)))
+    return out
+
+
+def component_cones(nl: Netlist, comp: object) -> List[Cone]:
+    """The cones the proof of one traced component sweeps or walks.
+
+    Arbiters: the grant cone cut at the requests, then every priority
+    register's next-state cone with its induction cut.  Preselects: each
+    output port's select cone cut at its request lines, the VC-grant
+    combine cone, then every mask register's induction cone.  Trees:
+    each group's any-request OR and the final AND glue.  Wavefronts:
+    the copy and output grant cones, the rotate-enable OR and the
+    pointer ring.  The mutation sampler draws from exactly these gates,
+    and :func:`component_signature` describes exactly these cones.
+    """
+    if isinstance(comp, ArbiterTrace):
+        a = comp
+        cones: List[Cone] = [(a.grant_nets, a.request_nets)]
+        if a.kind == "matrix":
+            return cones + _reg_cones(
+                nl, a.state_regs, lambda k, reg: _matrix_cut(a, *a.pairs[k], reg)
+            )
+        return cones + _reg_cones(
+            nl, a.state_regs,
+            lambda k, reg: _ring_cut(a.grant_nets, a.update_enable, reg),
+        )
+    if isinstance(comp, PreselectTrace):
+        p = comp
+        cones = [(sels, lines) for lines, sels in zip(p.line_nets, p.sel_nets)]
+        lines_all = [x for row in p.line_nets for x in row]
+        cones.append((p.grants_v, lines_all + list(p.xbar_row)))
+        return cones + _reg_cones(
+            nl, p.mask_regs,
+            lambda k, reg: _ring_cut(p.grants_v, p.update_enable, reg),
+        )
+    if isinstance(comp, TreeTrace):
+        t = comp
+        cones = [
+            ([t.group_any_nets[g]], sub)
+            for g, sub in enumerate(t.group_request_nets)
+        ]
+        glue_cut = [x for row in t.local_grant_nets for x in row]
+        cones.append((t.grant_nets, glue_cut + list(t.top_grant_nets)))
+        return cones
+    w = comp
+    assert isinstance(w, WavefrontTrace)
+    flat = [r for row in w.request_nets for r in row]
+    targets = [g for copy in w.copy_grant_nets for row in copy for g in row]
+    targets += [g for row in w.grant_nets for g in row]
+    cones = [(targets, flat)]
+    if w.rotate_en is not None:
+        cones.append(([w.rotate_en], flat))
+        cones += _reg_cones(
+            nl, w.ptr_regs,
+            lambda d, reg: [reg, w.ptr_regs[(d - 1) % w.n], w.rotate_en],
+        )
+    return cones
+
+
+def _record(comp: object) -> Tuple[tuple, List[Optional[int]]]:
+    """``(scalars, nets)`` of an arbiter or preselect record: every
+    field its proof reads, the nets flattened field by field (the
+    scalars carry each field's length, so a position names one field
+    and index).  ``loc``-only fields (the port, roles) are left out."""
+    if isinstance(comp, ArbiterTrace):
+        a = comp
+        scalars = (
+            a.kind,
+            len(a.request_nets),
+            len(a.grant_nets),
+            len(a.state_regs),
+            tuple(a.pairs),
+            a.finished,
+            len(a.deny_nets),
+            tuple(tuple(j for j, _, _ in terms) for terms in a.deny_terms),
+        )
+        nets = [
+            *a.request_nets, *a.grant_nets, *a.state_regs, a.update_enable,
+            *a.deny_nets,
+            *(x for terms in a.deny_terms for _, term, beat in terms
+              for x in (term, beat)),
+        ]
+        return scalars, nets
+    p = comp
+    assert isinstance(p, PreselectTrace)
+    scalars = (
+        "preselect",
+        len(p.mask_regs),
+        tuple(map(len, p.line_nets)),
+        tuple(map(len, p.sel_nets)),
+        len(p.xbar_row),
+        len(p.grants_v),
+    )
+    nets = [
+        *p.mask_regs, *(x for row in p.line_nets for x in row),
+        *(x for row in p.sel_nets for x in row), *p.xbar_row, *p.grants_v,
+        p.update_enable,
+    ]
+    return scalars, nets
+
+
+def component_signature(nl: Netlist, comp: object) -> tuple:
+    """Canonical form of everything the proof of one arbiter or
+    preselect reads: two instances with equal signatures pass or fail
+    their proofs together.
+
+    Nets are numbered in the order a depth-first walk of
+    :func:`component_cones` first meets them (targets, then fanins in
+    pin order), so equal signatures mean the cones are the same graph.
+    A gate is its cell kind and its fanins' numbers.  A leaf named in
+    the trace record, or a constant, is its kind alone: the record,
+    rendered with each net replaced by its number, says which field
+    and index it fills.  Any other leaf also keeps its net id, so
+    instances reading a net outside their record never match.  The
+    record's scalars (kind, width, ``pairs``, ``finished``, deny terms)
+    lead.  Returns ``(scalars, form)``, ``form`` one flat tuple of ints:
+    per cone its target count and targets, then one entry per net --
+    ``num, kind, arity, fanins...`` for a gate, ``num, -1, kind`` for a
+    named leaf or constant, ``num, -2, kind, net`` for another leaf --
+    closed by -3; then the record's nets in field order (-1 for None).
+    """
+    scalars, nets = _record(comp)
+    named = set(nets)
+    kinds = nl.kinds
+    fanins = nl.fanins
+    number: Dict[int, int] = {}
+    setdefault = number.setdefault
+    out: List[int] = []
+    extend = out.extend
+    for targets, cut in component_cones(nl, comp):
+        cutset = set(cut)
+        extend([len(targets)] + [setdefault(t, len(number)) for t in targets])
+        seen: set = set()
+        stack = list(reversed(targets))
+        while stack:
+            net = stack.pop()
+            if net in seen:
+                continue
+            seen.add(net)
+            kind = kinds[net]
+            if net in cutset or kind < 0 or kind == _DFF:
+                if net in named or kind < KIND_INPUT:
+                    extend((number[net], -1, kind))
+                else:
+                    extend((number[net], -2, kind, net))
+            else:
+                fi = fanins[net]
+                extend((number[net], kind, len(fi)))
+                extend([setdefault(x, len(number)) for x in fi])
+                stack.extend(reversed(fi))
+        out.append(-3)
+    extend([-1 if x is None else setdefault(x, len(number)) for x in nets])
+    return scalars, tuple(out)
+
+
+# ----------------------------------------------------------------------
 # Dispatcher
 # ----------------------------------------------------------------------
-def check_netlist(nl: Netlist, trace: BuildTrace, scope: str) -> List[Finding]:
+def _memoized(
+    nl: Netlist,
+    comp: object,
+    proved: Optional[set],
+    prove: Callable[[], List[Finding]],
+) -> List[Finding]:
+    """``prove()``, skipped when ``proved`` already holds a component of
+    the same signature; a signature is added only after a clean proof."""
+    if proved is None:
+        return prove()
+    try:
+        sig = component_signature(nl, comp)
+    except (IndexError, KeyError, TypeError):
+        # A record whose cones cannot even be walked (a net id out of
+        # range, a short grant list) is always proved.
+        return prove()
+    if sig in proved:
+        return []
+    found = prove()
+    if not found:
+        proved.add(sig)
+    return found
+
+
+_ARBITER_CHECKS = {"fixed": _check_fixed, "rr": _check_rr, "matrix": _check_matrix}
+
+
+def check_netlist(
+    nl: Netlist,
+    trace: BuildTrace,
+    scope: str,
+    proved: Optional[set] = None,
+) -> List[Finding]:
     """Prove every traced component of ``nl`` against its behavioural
-    semantics; returns findings (empty means everything proved)."""
+    semantics; returns findings (empty means everything proved).
+
+    ``proved`` is a memo of :func:`component_signature` values: an
+    arbiter or preselect whose signature is in it was already proved
+    clean elsewhere and is skipped, and each clean proof adds its own.
+    Only clean results are kept, so every finding is still computed on
+    its own instance.  ``None`` (the default) proves every instance.
+    """
     findings: List[Finding] = []
     if not (trace.arbiters or trace.trees or trace.wavefronts or trace.preselects):
         return [
@@ -1249,14 +1481,11 @@ def check_netlist(nl: Netlist, trace: BuildTrace, scope: str) -> List[Finding]:
         ]
     for idx, a in enumerate(trace.arbiters):
         loc = f"arbiter[{idx}]/{a.kind}{len(a.request_nets)}"
-        if a.kind == "fixed":
-            comp = _check_fixed(nl, a, scope, loc)
-        elif a.kind == "rr":
-            comp = _check_rr(nl, a, scope, loc)
-        elif a.kind == "matrix":
-            comp = _check_matrix(nl, a, scope, loc)
-        else:
+        check = _ARBITER_CHECKS.get(a.kind)
+        if check is None:
             comp = [_err("VER-TRACE", scope, loc, f"unknown arbiter kind {a.kind!r}")]
+        else:
+            comp = _memoized(nl, a, proved, partial(check, nl, a, scope, loc))
         findings.extend(comp[:_MAX_COMPONENT_FINDINGS])
     for idx, t in enumerate(trace.trees):
         findings.extend(
@@ -1269,10 +1498,9 @@ def check_netlist(nl: Netlist, trace: BuildTrace, scope: str) -> List[Finding]:
             ]
         )
     for p in trace.preselects:
+        prove = partial(_check_preselect, nl, p, scope, f"preselect[p{p.port}]")
         findings.extend(
-            _check_preselect(nl, p, scope, f"preselect[p{p.port}]")[
-                :_MAX_COMPONENT_FINDINGS
-            ]
+            _memoized(nl, p, proved, prove)[:_MAX_COMPONENT_FINDINGS]
         )
     return findings
 
@@ -1315,6 +1543,36 @@ def _product_bounded(
     return out
 
 
+def _vc_slots(
+    P: int, partition: VCPartition
+) -> List[List[Tuple[Tuple[str, ...], Optional[VCRequest]]]]:
+    """Per input VC, in flat order: its stimulus options, each the input
+    names it raises and the behavioural request.  Option 0 is idle; the
+    rest are every non-empty subset of its successor classes aimed at
+    every output port."""
+    V = partition.num_vcs
+    slots: List[List[Tuple[Tuple[str, ...], Optional[VCRequest]]]] = []
+    for p in range(P):
+        for v in range(V):
+            m_in, r_in, _ = partition.vc_fields(v)
+            classes = partition.successor_classes(r_in)
+            opts: List[Tuple[Tuple[str, ...], Optional[VCRequest]]] = [((), None)]
+            for smask in range(1, 1 << len(classes)):
+                S = [classes[b] for b in range(len(classes)) if (smask >> b) & 1]
+                cands = tuple(
+                    u
+                    for r_out in sorted(S)
+                    for u in partition.class_vcs(m_in, r_out)
+                )
+                for q in range(P):
+                    names = tuple(f"req_p{p}v{v}_c{r}" for r in S) + (
+                        f"dest_p{p}v{v}_{q}",
+                    )
+                    opts.append((names, VCRequest(q, cands)))
+            slots.append(opts)
+    return slots
+
+
 def _e2e_vc(
     P: int,
     partition: VCPartition,
@@ -1340,31 +1598,17 @@ def _e2e_vc(
         nl = build_vc_allocator_netlist(P, partition, arch, arbiter)
     imap = _input_map(nl)
     omap = _output_map(nl)
-    V = partition.num_vcs
-    slots: List[List[Tuple[Tuple[str, ...], Optional[VCRequest]]]] = []
-    for p in range(P):
-        for v in range(V):
-            m_in, r_in, _ = partition.vc_fields(v)
-            classes = partition.successor_classes(r_in)
-            opts: List[Tuple[Tuple[str, ...], Optional[VCRequest]]] = [((), None)]
-            for smask in range(1, 1 << len(classes)):
-                S = [classes[b] for b in range(len(classes)) if (smask >> b) & 1]
-                cands = tuple(
-                    u
-                    for r_out in sorted(S)
-                    for u in partition.class_vcs(m_in, r_out)
-                )
-                for q in range(P):
-                    names = tuple(f"req_p{p}v{v}_c{r}" for r in S) + (
-                        f"dest_p{p}v{v}_{q}",
-                    )
-                    opts.append((names, VCRequest(q, cands)))
-            slots.append(opts)
+    slots = _vc_slots(P, partition)
     combos = _product_bounded(slots, max_active)
     lanes = len(combos)
     words: Dict[int, int] = {}
     expected = {name: 0 for name in omap}
     beh = VCAllocator(P, partition, arch, arbiter)
+    # A lane is one option per slot, so validating every option in its
+    # slot once (allocate's own check) validates every lane.
+    for k in range(max(map(len, slots))):
+        beh.allocate([opts[k][1] if k < len(opts) else None for opts in slots])
+    beh.check_requests = False
     for lane, combo in enumerate(combos):
         bit = 1 << lane
         beh.reset()

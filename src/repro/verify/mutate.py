@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..hw.alloc_gates import build_wavefront_matrix
 from ..hw.arbiter_gates import build_arbiter
@@ -30,7 +30,7 @@ from ..hw.sw_alloc_gates import build_switch_allocator_netlist
 from ..hw.trace import BuildTrace, tracing
 from ..hw.vc_alloc_gates import build_vc_allocator_netlist
 from ..core.vc_partition import VCPartition
-from .equivalence import check_netlist
+from .equivalence import check_netlist, component_cones
 
 __all__ = [
     "MutantOutcome",
@@ -99,56 +99,17 @@ class MutationReport:
 
 
 def _covered_nets(nl: Netlist, trace: BuildTrace) -> List[int]:
-    """Gate nets inside the cones the component proofs actually sweep.
-
-    Mirrors the cuts of :mod:`.equivalence` exactly: arbiter grant
-    cones cut at requests, every priority register's next-state cone
-    with its induction cut, tree any-request OR cones and final AND
-    glue, wavefront copy/output grant cones plus the pointer ring, and
-    the preselect select/combine cones.
-    """
+    """Gate nets inside the cones the component proofs actually sweep:
+    the union of :func:`~repro.verify.equivalence.component_cones` over
+    every traced component, so the sampler and the proofs read one
+    definition of the proof perimeter."""
     covered: set = set()
-
-    def add(targets: Sequence[int], cut: Iterable[int]) -> None:
-        cone, _ = nl.support(list(targets), cut)
-        covered.update(cone)
-
-    def add_reg_cones(
-        regs: Sequence[int], grants: Sequence[int], enable: Optional[int]
-    ) -> None:
-        cut = list(grants) + ([enable] if enable is not None else [])
-        for reg in regs:
-            d = nl.reg_d.get(reg)
-            if d is not None:
-                add([d], cut + [reg])
-
-    for a in trace.arbiters:
-        add(a.grant_nets, a.request_nets)
-        add_reg_cones(a.state_regs, a.grant_nets, a.update_enable)
-    for t in trace.trees:
-        for g, sub in enumerate(t.group_request_nets):
-            add([t.group_any_nets[g]], sub)
-        covered.update(t.grant_nets)
-    for w in trace.wavefronts:
-        flat = [r for row in w.request_nets for r in row]
-        targets = [g for copy in w.copy_grant_nets for row in copy for g in row]
-        targets += [g for row in w.grant_nets for g in row]
-        add(targets, flat)
-        if w.rotate_en is not None:
-            add([w.rotate_en], flat)
-            for d in range(w.n):
-                dn = nl.reg_d.get(w.ptr_regs[d])
-                if dn is not None:
-                    add(
-                        [dn],
-                        [w.ptr_regs[d], w.ptr_regs[(d - 1) % w.n], w.rotate_en],
-                    )
-    for p in trace.preselects:
-        for lines, sels in zip(p.line_nets, p.sel_nets):
-            add(sels, lines)
-        lines_all = [x for row in p.line_nets for x in row]
-        add(p.grants_v, lines_all + list(p.xbar_row))
-        add_reg_cones(p.mask_regs, p.grants_v, p.update_enable)
+    for comp in (
+        *trace.arbiters, *trace.trees, *trace.wavefronts, *trace.preselects
+    ):
+        for targets, cut in component_cones(nl, comp):
+            cone, _ = nl.support(list(targets), cut)
+            covered.update(cone)
     return [n for n in sorted(covered) if nl.kinds[n] >= 0 and nl.kinds[n] != _DFF]
 
 

@@ -130,11 +130,12 @@ def _starvation_findings(n: int) -> List[Finding]:
     ]
 
 
-def _prove(job: NetlistJob) -> Tuple[List[Finding], int]:
-    """Build one matrix netlist under a trace and prove it."""
+def _prove(job: NetlistJob, proved: set) -> Tuple[List[Finding], int]:
+    """Build one matrix netlist under a trace and prove it, skipping
+    components whose shape ``proved`` already holds."""
     with tracing() as trace:
         nl = job.builder()
-    return check_netlist(nl, trace, scope=job.label), nl.num_nets
+    return check_netlist(nl, trace, scope=job.label, proved=proved), nl.num_nets
 
 
 def verify_paper_netlists(
@@ -163,8 +164,11 @@ def verify_paper_netlists(
     if include_models:
         findings.extend(run_checks(_model_checks(quick), progress, jobs))
 
+    # One memo of clean component shapes per run; a forked worker fills
+    # its own copy, so a shape is proved at most once per process.
     found, skipped, checked = map_paper_netlists(
-        _prove, "prove", include_vc, include_sw, max_cells, quick, progress, jobs
+        partial(_prove, proved=set()), "prove",
+        include_vc, include_sw, max_cells, quick, progress, jobs,
     )
     findings.extend(found)
     if include_e2e:

@@ -172,6 +172,33 @@ class TestMatrixArbiter:
                 for j in range(i + 1, 4):
                     assert arb.beats(i, j) != arb.beats(j, i)
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_reset_restores_the_upper_triangle(self, n):
+        triangle = [[i < j for j in range(n)] for i in range(n)]
+        arb = MatrixArbiter(n)
+        assert arb._beats == triangle
+        for w in range(n):
+            arb.advance((w * 7) % n)
+        arb.reset()
+        assert arb._beats == triangle
+        reversed_order = [[i > j for j in range(n)] for i in range(n)]
+        arb.set_beats(reversed_order)
+        arb.reset()
+        assert arb._beats == triangle
+
+    def test_reset_rows_are_private(self):
+        from repro.core.arbiters import _initial_beats
+
+        a, b = MatrixArbiter(6), MatrixArbiter(6)
+        a.advance(0)
+        b.reset()
+        rows = [id(r) for r in a._beats + b._beats + _initial_beats(6)]
+        assert len(set(rows)) == len(rows)
+        # a's advance reached neither b nor the shared initial rows.
+        assert b._beats == _initial_beats(6) == [
+            [i < j for j in range(6)] for i in range(6)
+        ]
+
 
 class TestTreeArbiter:
     def test_dimensions(self):

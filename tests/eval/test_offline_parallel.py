@@ -54,6 +54,21 @@ def test_matching_quality(fn):
     assert list(serial) == ["sep_if", "sep_of", "wf"]
 
 
+@pytest.mark.parametrize("fn", [vc_matching_quality, switch_matching_quality])
+def test_archs_sharing_a_stream_draw_their_own_curves(fn):
+    # jobs=1 feeds one stream to all three archs, jobs=2 deals them
+    # into [sep_if, wf] and [sep_of], jobs=3 gives each its own; a
+    # four-arch list at jobs=3 makes the groups uneven.
+    kwargs = dict(point=MESH_V4, rates=(0.3, 0.9), num_samples=60)
+    alone = {}
+    for arch in ("sep_if", "sep_of", "wf"):
+        alone.update(fn(archs=(arch,), jobs=1, **kwargs))
+    for jobs in (1, 2, 3):
+        assert fn(jobs=jobs, **kwargs) == alone
+    archs = ("wf", "sep_of", "sep_if", "sep_of")
+    assert fn(archs=archs, jobs=3, **kwargs) == alone
+
+
 @pytest.mark.parametrize("fn", [vc_allocator_costs, switch_allocator_costs])
 def test_allocator_costs(fn):
     serial, parallel = both(fn, point=MESH_V2)

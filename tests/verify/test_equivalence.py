@@ -3,9 +3,12 @@ and the semantic (not syntactic) nature of the comparison."""
 
 import pytest
 
+from repro.core.vc_allocator import VCRequest
+from repro.core.vc_partition import VCPartition
 from repro.hw.arbiter_gates import build_arbiter
 from repro.hw.netlist import Netlist
 from repro.hw.trace import BuildTrace, tracing
+from repro.verify import equivalence
 from repro.verify.equivalence import check_netlist
 from repro.verify.mutate import MUTATION_TARGETS
 
@@ -51,3 +54,29 @@ def test_double_inverter_variant_still_proves():
     nl.validate()
     claimed = trace.remap(lambda n: r0 if n == bent else n)
     assert check_netlist(nl, claimed, "rr4_dblinv") == []
+
+
+@pytest.mark.parametrize("illegal", ["out_of_range", "sparse_transition"])
+def test_e2e_vc_validates_every_planted_option(monkeypatch, illegal):
+    # The lanes skip allocate()'s request check because every option is
+    # validated up front: an illegal option, planted last in the last
+    # slot, must still be refused before any lane runs.
+    part = VCPartition.mesh(1)
+    V = part.num_vcs
+    real = equivalence._vc_slots
+
+    def planted(P, partition):
+        slots = real(P, partition)
+        vc_in = (len(slots) - 1) % V
+        if illegal == "out_of_range":
+            cand = V
+        else:
+            cand = next(u for u in range(V) if not part.legal_transition(vc_in, u))
+        names, _ = slots[-1][-1]
+        slots[-1].append((names, VCRequest(0, (cand,))))
+        return slots
+
+    monkeypatch.setattr(equivalence, "_vc_slots", planted)
+    match = "out of range" if illegal == "out_of_range" else "illegal under"
+    with pytest.raises(ValueError, match=match):
+        equivalence._e2e_vc(2, part, "sep_if", "rr", "e2e/planted")
